@@ -23,7 +23,7 @@ from pathlib import Path
 from .engine import LivenessError, RunResult, run as run_engine
 from .render import render_svg
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
-from .world import CellState
+from .world import map_text
 
 log = logging.getLogger("gridcover.cli")
 
@@ -124,17 +124,7 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
         for tick, robot, ch in result.logs.changes:
             w.writerow([tick, robot, ch.cell[0], ch.cell[1], ch.old.name, ch.new.name])
 
-    chars = {
-        CellState.UNEXPLORED: "U",
-        CellState.EXPLORED: "E",
-        CellState.FORBIDDEN: "F",
-        CellState.OBSTACLE: "O",
-    }
-    grid = result.grid
-    rows = [
-        "".join(chars[grid.state((x, y))] for x in range(grid.width)) for y in range(grid.height)
-    ]
-    (out_dir / "map_final.txt").write_text("\n".join(rows) + "\n")
+    (out_dir / "map_final.txt").write_text(map_text(result.grid))
 
     for tick, snap in result.logs.snapshots:
         (out_dir / f"map_tick_{tick:06d}.txt").write_text(snap)
@@ -146,7 +136,7 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
     for ev in result.logs.events:
         if ev.event == "e7":
             failure_marks.append((ev.robot, last_cell.get(ev.robot, (0, 0))))
-    svg = render_svg(grid, result.logs.trajectories, failure_marks)
+    svg = render_svg(result.grid, result.logs.trajectories, failure_marks)
     (out_dir / "trajectories.svg").write_text(svg)
 
 

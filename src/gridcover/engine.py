@@ -4,6 +4,25 @@ One-second ticks (configurable) drive message delivery, scheduled failures,
 heartbeat-based failure confirmation, robot motion and covering, event
 generation, and game resolution (at most one game per tick, FIFO). Runs are
 bit-reproducible for a fixed (scenario, seed).
+
+Who works, has committed to and waits on each task strip lives in one
+`Assignments` table, written only by `assign`, `commit`, `release` and
+`park`. A robot's recorded task (`Assignments.task`) means one of three
+things:
+
+- the task of the slot it works (it then also has an entry in `strip`);
+- the task it just finished a region of, kept while it waits in NG/RG for
+  its game;
+- for a dead robot, the task it failed in.
+
+After every tick the table keeps these invariants:
+
+- no dead robot holds a slot, is committed to one or waits on standby;
+- no robot appears twice in one standby list;
+- a live robot that works a strip is that strip's recorded holder, unless
+  another robot's assignment overwrote it: `assign` takes a slot over from
+  whoever holds it, releasing a worked slot drops whoever holds it, and a
+  commitment's reservation is dropped only if the robot still holds it.
 """
 
 from __future__ import annotations
@@ -15,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from .game import gain_of_players, gain_of_team, max_logit, potential, team_potential
-from .models import BatteryParams, reliability, success_probability
+from .models import BatteryParams, available_worth, reliability, success_probability
 from .planner import Done, PlannerState, make_planner, next_waypoint, plan_travel_to_any
 from .scenario import DEFAULT_RHO0, DEFAULT_RHO1, ScenarioConfig
 from .supervisor import (
@@ -39,6 +58,7 @@ from .world import (
     build_world,
     centroid_m,
     coverage_fraction,
+    map_text,
     mark_covered,
     mark_sensed,
     merge_maps,
@@ -72,15 +92,12 @@ class Robot:
     cell: Cell
     belief: GridMap
     des: DesState = DesState.ST
-    task: int | None = None
     region: frozenset[Cell] = frozenset()
-    strip_idx: int | None = None
     planner: PlannerState | None = None
     mode: str = "idle"  # tasking | traveling | idle
     path: list[Cell] = field(default_factory=list)
     travel_m: float = 0.0  # meters banked toward the next hop
     work_s: float = 0.0  # seconds banked toward the next covering step
-    pending: tuple[int, int | None] | None = None  # (task, strip) queued after current region
     t_k: float = 0.0  # accumulated tasking seconds
     alive: bool = True
     last_active: int = 0
@@ -88,6 +105,86 @@ class Robot:
 
     def region_unexplored(self) -> int:
         return sum(1 for c in self.region if self.belief.state(c) is CellState.UNEXPLORED)
+
+
+class Assignments:
+    """Who works, has committed to and waits on each task strip.
+
+    `assign`, `commit`, `release` and `park` are the only writers; the
+    engine reads the fields and `claim`.
+    """
+
+    def __init__(self) -> None:
+        self.task: dict[int, int] = {}  # robot -> task (three meanings, see the module docstring)
+        self.strip: dict[int, int | None] = {}  # robot -> strip of `task` it works; None = whole task
+        self.next: dict[int, tuple[int, int | None]] = {}  # robot -> (task, strip) after its region
+        self.holder: dict[tuple[int, int], int] = {}  # (task, strip) -> robot working or committed
+        self.standby: dict[int, dict[int, None]] = {}  # task -> waiting robots, an ordered set
+
+    def claim(self, rid: int, task: int) -> tuple[str, int | None] | None:
+        """Whether the robot holds or commits to the task: ("works", strip),
+        ("commits", strip) or None."""
+        if self.task.get(rid) == task and rid in self.strip:
+            return "works", self.strip[rid]
+        nxt = self.next.get(rid)
+        if nxt is not None and nxt[0] == task:
+            return "commits", nxt[1]
+        return None
+
+    def assign(self, rid: int, task: int, strip: int | None) -> None:
+        """Work a slot now, the whole task (strip None) or one strip, taking
+        it over from whoever holds it. Ends everything the robot held."""
+        self.release(rid)
+        self.task[rid] = task
+        self.strip[rid] = strip
+        if strip is not None:
+            self.holder[(task, strip)] = rid
+
+    def commit(self, rid: int, task: int, strip: int | None) -> None:
+        """Reserve a slot to start once the current region is done. A new
+        commitment replaces the old one and the standby ranks; committing
+        again to the same task only moves the reserved strip."""
+        old = self._drop_commitment(rid)
+        if old is None or old[0] != task:
+            self._unpark(rid)
+        self.next[rid] = (task, strip)
+        if strip is not None:
+            self.holder[(task, strip)] = rid
+
+    def release(self, rid: int, scope: str = "all") -> None:
+        """End what the robot holds; the recorded task stays unless said.
+
+        - "all" (failure, or before a new slot): the worked slot, the
+          commitment and every standby rank.
+        - "slot" (region finished): the worked slot only.
+        - "task" (gone idle): the task and slot are forgotten, but the
+          slot's holder entry, the commitment and the standby ranks stay.
+        """
+        if scope == "task":
+            self.task.pop(rid, None)
+            self.strip.pop(rid, None)
+            return
+        strip = self.strip.pop(rid, None)
+        if strip is not None:
+            self.holder.pop((self.task[rid], strip), None)
+        if scope == "all":
+            self._drop_commitment(rid)
+            self._unpark(rid)
+
+    def park(self, rid: int, task: int) -> None:
+        """Wait on standby for a strip of the task; parking again keeps the
+        first rank."""
+        self.standby.setdefault(task, {}).setdefault(rid, None)
+
+    def _drop_commitment(self, rid: int) -> tuple[int, int | None] | None:
+        old = self.next.pop(rid, None)
+        if old is not None and old[1] is not None and self.holder.get(old) == rid:
+            del self.holder[old]
+        return old
+
+    def _unpark(self, rid: int) -> None:
+        for members in self.standby.values():
+            members.pop(rid, None)
 
 
 @dataclass
@@ -185,8 +282,7 @@ class Simulation:
             (c, self.grid.cell_center(c)) for c in sorted(self.truth.obstacles)
         ]
         self._strips: dict[int, list[list[Cell]]] = {}
-        self.occupied: dict[tuple[int, int], int] = {}  # (task, strip) -> robot
-        self.standby: dict[int, list[int]] = {}  # task -> ranked standby robots
+        self.table = Assignments()
         self.queue: list[tuple[str, int]] = []
         self.confirmed: set[int] = set()
         self.failures = sorted(config.failures, key=lambda f: (f.time_s, f.robot))
@@ -217,9 +313,7 @@ class Simulation:
         by_task: dict[int, list[Robot]] = {}
         for rid in self.order:
             r = self.robots[rid]
-            task = self.grid.task_of[self.grid.idx(r.cell)]
-            r.task = task
-            by_task.setdefault(task, []).append(r)
+            by_task.setdefault(self.grid.task_of[self.grid.idx(r.cell)], []).append(r)
         for task in sorted(by_task):
             group = by_task[task]
             if len(group) == 1:
@@ -232,10 +326,11 @@ class Simulation:
                 if r.id in assignment:
                     self._assign_region(r, task, assignment[r.id])
                 else:
-                    # crowded start cell: no strip left; resolves through a game
-                    r.region = frozenset()
+                    # crowded start cell: no strip left, so the robot starts as
+                    # if it had just finished a region of the task
+                    self.table.assign(r.id, task, None)
+                    self.table.release(r.id, "slot")
                     r.mode = "tasking"
-                    r.planner = make_planner(r.region, r.cell)
         for rid in self.order:
             self._sense(self.robots[rid], self.robots[rid].cell)
 
@@ -295,58 +390,40 @@ class Simulation:
         merge_maps(r.belief, [local])
         r.outbox.append(local)
 
-    def _release_occupancy(self, r: Robot) -> None:
-        if r.task is not None and r.strip_idx is not None:
-            self.occupied.pop((r.task, r.strip_idx), None)
-        r.strip_idx = None
-
-    def _release_pending(self, r: Robot) -> None:
-        if r.pending is not None:
-            task, strip = r.pending
-            if strip is not None and self.occupied.get((task, strip)) == r.id:
-                self.occupied.pop((task, strip))
-            r.pending = None
-
-    def _drop_standby(self, rid: int) -> None:
-        for members in self.standby.values():
-            if rid in members:
-                members.remove(rid)
-
-    def _task_holders(self, task: int, exclude: int | None = None) -> list[int]:
-        """Live robots that will work the task: active region there or committed."""
-        out = []
-        for rid in self.order:
-            r = self.robots[rid]
-            if not r.alive or rid == exclude:
-                continue
-            if (r.task == task and r.region) or (r.pending is not None and r.pending[0] == task):
-                out.append(rid)
-        return out
-
     def _assign_region(self, r: Robot, task_id: int, strip_idx: int | None) -> None:
         """Point a robot at a task (whole) or one strip of it and get it going."""
-        self._release_occupancy(r)
-        self._release_pending(r)
-        self._drop_standby(r.id)
-        r.task = task_id
-        r.strip_idx = strip_idx
+        self.table.assign(r.id, task_id, strip_idx)
         if strip_idx is None:
             r.region = frozenset(self.grid.tasks[task_id].cells)
         else:
             r.region = frozenset(self._strips_of(task_id)[strip_idx])
-            self.occupied[(task_id, strip_idx)] = r.id
         self._dispatch(r)
+
+    def _free_strip(self, r: Robot, task: int) -> int | None:
+        """Nearest strip of the task that nobody holds and that the robot's
+        belief still shows unexplored cells in; None if there is none."""
+        strips = self._strips_of(task)
+        free = [
+            k
+            for k in range(len(strips))
+            if (task, k) not in self.table.holder
+            and any(r.belief.state(c) is CellState.UNEXPLORED for c in strips[k])
+        ]
+        if not free:
+            return None
+        return min(free, key=lambda k: (math.dist(r.pos_m, centroid_m(strips[k], self.grid.epsilon)), k))
+
+    def _go_idle(self, r: Robot) -> None:
+        self._fire(r, "e4")
+        self.table.release(r.id, "task")
+        r.region = frozenset()
+        r.mode = "idle"
 
     def _dispatch(self, r: Robot) -> None:
         """Route a robot toward the unexplored part of its region."""
         for _ in range(2):
             targets = {c for c in r.region if r.belief.state(c) is CellState.UNEXPLORED}
-            if not targets:
-                r.mode = "tasking"
-                r.path = []
-                r.planner = make_planner(r.region, r.cell)
-                return
-            found = plan_travel_to_any(r.belief, r.cell, targets)
+            found = plan_travel_to_any(r.belief, r.cell, targets) if targets else ([], None)
             if found is None:
                 self._resolve_pocket(r, targets)
                 continue
@@ -466,9 +543,7 @@ class Simulation:
             r.mode = "idle"
             r.path = []
             r.planner = None
-            self._release_occupancy(r)
-            self._release_pending(r)
-            self._drop_standby(r.id)
+            self.table.release(r.id)
 
     def _detection_pass(self) -> None:
         live = [rid for rid in self.order if self.robots[rid].alive]
@@ -497,14 +572,13 @@ class Simulation:
             for rid in self.order
             if rid != exclude
             and self.robots[rid].alive
-            and self.robots[rid].task == task
+            and self.table.task.get(rid) == task
             and self.robots[rid].mode == "tasking"
             and self.robots[rid].region
         ]
 
     def _handle_confirmed_failure(self, failed_id: int) -> None:
-        dead = self.robots[failed_id]
-        task = dead.task
+        task = self.table.task.get(failed_id)
         if task is None or self.grid.tasks[task].n_unexplored == 0:
             return
         if self._working_in(task, exclude=failed_id):
@@ -514,28 +588,13 @@ class Simulation:
         self.queue.append(("resilience", failed_id))
 
     def _reactivate_standbys(self, task: int) -> None:
-        waiting = [
-            rid
-            for rid in self.standby.get(task, [])
-            if self.robots[rid].alive and self.robots[rid].des is DesState.ID
-        ]
-        if not waiting:
-            return
-        strips = self._strips_of(task)
-        free = [
-            k
-            for k in range(len(strips))
-            if (task, k) not in self.occupied
-            and any(self.grid.state(c) is CellState.UNEXPLORED for c in strips[k])
-        ]
-        for rid in waiting:
-            if not free:
-                break
+        for rid in list(self.table.standby.get(task, ())):
             r = self.robots[rid]
-            best = min(
-                free, key=lambda k: (math.dist(r.pos_m, centroid_m(strips[k], self.grid.epsilon)), k)
-            )
-            free.remove(best)
+            if not r.alive or r.des is not DesState.ID:
+                continue
+            best = self._free_strip(r, task)
+            if best is None:
+                break
             self._fire(r, "e1", payload=("reactivate", task))
             self._fire(r, "e3", payload=(task,))
             self._assign_region(r, task, best)
@@ -594,51 +653,33 @@ class Simulation:
                 self._cover_attempt(r, wp)
 
     def _workload_complete(self, r: Robot) -> None:
-        self._release_occupancy(r)
+        self.table.release(r.id, "slot")
         r.path = []
         r.planner = None
-        if r.pending is not None:
-            task, strip = r.pending
-            r.pending = None
-            self._drop_standby(r.id)
-            r.task = task
-            r.strip_idx = strip
-            if strip is None:
-                r.region = frozenset(self.grid.tasks[task].cells)
-            else:
-                r.region = frozenset(self._strips_of(task)[strip])
-                self.occupied[(task, strip)] = r.id
-            self._dispatch(r)
+        if r.id in self.table.next:
+            self._assign_region(r, *self.table.next[r.id])
             return
         # Stay on the same task while an unclaimed incomplete strip remains.
-        if r.task is not None and self.grid.tasks[r.task].n_unexplored > 0:
-            strips = self._strips_of(r.task)
-            free = [
-                k
-                for k in range(len(strips))
-                if (r.task, k) not in self.occupied
-                and any(r.belief.state(c) is CellState.UNEXPLORED for c in strips[k])
-            ]
-            if free:
-                best = min(
-                    free,
-                    key=lambda k: (math.dist(r.pos_m, centroid_m(strips[k], self.grid.epsilon)), k),
-                )
-                self._assign_region(r, r.task, best)
+        task = self.table.task.get(r.id)
+        if task is not None and self.grid.tasks[task].n_unexplored > 0:
+            best = self._free_strip(r, task)
+            if best is not None:
+                self._assign_region(r, task, best)
                 return
-        done_task = r.task
         r.region = frozenset()
         r.mode = "idle"
-        self._fire(r, "e2", payload=(done_task,))
+        self._fire(r, "e2", payload=(task,))
         if self.strategy == "NONCO":
-            self._fire(r, "e4")
-            r.task = None
+            self._go_idle(r)
         else:
             self.queue.append(("noidle", r.id))
 
     # ------------------------------------------------------------------ games
 
-    def _snapshot_team(self) -> TeamSnapshot:
+    def _team_model(self):
+        """Snapshot of the live team and its model. Robots committed to a
+        task they have not switched to yet count as assigned there for worth
+        discounting and the orphan rule."""
         views = {}
         for rid in self.order:
             r = self.robots[rid]
@@ -647,28 +688,19 @@ class Simulation:
             views[rid] = RobotView(
                 id=rid,
                 pos_m=r.pos_m,
-                task=r.task,
+                task=self.table.task.get(rid),
                 region_unexplored=r.region_unexplored(),
                 mode=r.mode,
                 des=r.des,
                 battery=r.battery,
                 tasking_time_s=r.t_k,
             )
-        return TeamSnapshot(grid=self.grid, params=self.params, robots=views)
-
-    def _pending_tasks(self) -> dict[int, int]:
-        return {
-            rid: self.robots[rid].pending[0]
-            for rid in self.order
-            if self.robots[rid].alive and self.robots[rid].pending is not None
-        }
-
-    def _extend_assigned(self, model) -> None:
-        # Robots committed to a task they have not switched to yet count as
-        # assigned there for worth discounting and the orphan rule.
-        for rid, task in sorted(self._pending_tasks().items()):
+        snap = TeamSnapshot(grid=self.grid, params=self.params, robots=views)
+        model = build_team_model(snap)
+        for rid, (task, _strip) in sorted(self.table.next.items()):
             if rid not in model.assigned[task]:
                 model.assigned[task].append(rid)
+        return snap, model
 
     def _resolve_one_game(self) -> None:
         retry: list[tuple[str, int]] = []
@@ -684,13 +716,12 @@ class Simulation:
                 else:
                     resolved = self._resolve_noidling(r)
             else:
-                dead = self.robots[subject]
-                task = dead.task
+                task = self.table.task.get(subject)
                 if task is None or self.grid.tasks[task].n_unexplored == 0:
                     continue
                 if self._working_in(task, exclude=subject):
                     continue  # taken over meanwhile, nothing to re-optimize
-                outcome = self._resolve_resilience(dead)
+                outcome = self._resolve_resilience(self.robots[subject], task)
                 if outcome == "retry":
                     retry.append((kind, subject))
                     continue
@@ -698,13 +729,10 @@ class Simulation:
         self.queue = retry + self.queue
 
     def _resolve_noidling(self, trigger: Robot) -> bool:
-        snap = self._snapshot_team()
-        model = build_team_model(snap)
-        self._extend_assigned(model)
+        snap, model = self._team_model()
         game = build_noidling_game(trigger.id, snap, model, self.rng_game)
         if game is None:
-            self._fire(trigger, "e4")
-            trigger.task = None
+            self._go_idle(trigger)
             return False
         for v in game.players:
             if v != trigger.id:
@@ -712,11 +740,9 @@ class Simulation:
         self._apply_game(game, snap, model, kind="noidle", trigger=trigger.id)
         return True
 
-    def _resolve_resilience(self, dead: Robot):
-        snap = self._snapshot_team()
-        model = build_team_model(snap)
-        self._extend_assigned(model)
-        game = build_resilience_game(dead.id, dead.pos_m, dead.task, snap, model)
+    def _resolve_resilience(self, dead: Robot, task: int):
+        snap, model = self._team_model()
+        game = build_resilience_game(dead.id, dead.pos_m, task, snap, model)
         if game is None:
             return "retry"  # no eligible players right now
         for v in game.players:
@@ -736,39 +762,34 @@ class Simulation:
         are absent (standby).
         """
         existing = []
+        committed = set()
         for rid in self.order:
-            o = self.robots[rid]
-            if not o.alive or rid in skip or rid in arrivals:
+            claim = self.table.claim(rid, task)
+            if claim is None or not self.robots[rid].alive or rid in skip or rid in arrivals:
                 continue
-            if o.task == task and o.region:
-                existing.append((rid, model.prob[rid][task], o.pos_m, o.strip_idx))
-            elif o.pending is not None and o.pending[0] == task:
-                existing.append((rid, model.prob[rid][task], o.pos_m, o.pending[1]))
+            existing.append((rid, model.prob[rid][task], self.robots[rid].pos_m, claim[1]))
+            if claim[0] == "commits":
+                committed.add(rid)
         if not existing and len(arrivals) == 1:
             return {arrivals[0]: None}
         incoming = [(v, model.prob[v][task], self.robots[v].pos_m) for v in arrivals]
         placement, _out = post_game_assign(self._strips_of(task), self.grid, incoming, existing)
         for rid, _p, _pos, old_strip in existing:
             if rid in placement and placement[rid] != old_strip:
-                o = self.robots[rid]
-                if o.pending is not None and o.pending[0] == task:
-                    self._release_pending(o)
-                    o.pending = (task, placement[rid])
-                    if placement[rid] is not None:
-                        self.occupied[(task, placement[rid])] = rid
+                if rid in committed:
+                    self.table.commit(rid, task, placement[rid])
                 else:
-                    self._assign_region(o, task, placement[rid])
+                    self._assign_region(self.robots[rid], task, placement[rid])
         return {v: placement[v] for v in arrivals if v in placement}
 
-    def _team_phi_baseline(self, snap: TeamSnapshot, model, game, actions) -> float:
+    def _team_phi_baseline(self, snap: TeamSnapshot, model, players, actions) -> float:
         """Team potential with players at the given game actions.
 
         Each robot contributes to its assigned/committed tasks; a player
         additionally contributes to its game action. Near-finishing players
         keep contributing to the current task they will complete first.
         """
-        players = list(game.players)
-        pending_now = self._pending_tasks()
+        players = list(players)
         assignment: dict[int, object] = {}
         for v in snap.robots:
             tasks: set[int] = set()
@@ -781,8 +802,8 @@ class Simulation:
             else:
                 if snap.robots[v].task is not None:
                     tasks.add(snap.robots[v].task)
-                if v in pending_now:
-                    tasks.add(pending_now[v])
+                if v in self.table.next:
+                    tasks.add(self.table.next[v][0])
             assignment[v] = tasks or None
         return team_potential(assignment, model.remaining, model.prob)
 
@@ -799,7 +820,7 @@ class Simulation:
         # potential: non-player and finish-first contributions are invariant,
         # so the team potential moves exactly with the players' potential.
         team_sum = sum(model.remaining.values())
-        team_init = self._team_phi_baseline(snap, model, game, game.initial)
+        team_init = self._team_phi_baseline(snap, model, game.players, game.initial)
         team_star = team_init + (phi_star - phi_init)
         gt = gain_of_team(team_star, team_init, team_sum)
 
@@ -811,12 +832,11 @@ class Simulation:
         incoming_by_task: dict[int, list[int]] = {}
         for i, v in enumerate(players):
             act = a_star[i]
-            r = self.robots[v]
             if act not in menu:
                 assigned_log[v] = None
                 continue
             assigned_log[v] = act
-            if (r.task == act and r.region) or (r.pending is not None and r.pending[0] == act):
+            if self.table.claim(v, act) is not None:
                 stay[v] = True
             else:
                 incoming_by_task.setdefault(act, []).append(v)
@@ -831,58 +851,42 @@ class Simulation:
                     self._fire(r, "e3", payload=(task,))
                     if model.pending_s[v] > 0.0 and r.region:
                         # finish the near-done current region first
-                        self._release_pending(r)
-                        self._drop_standby(v)
-                        strip = placements[v]
-                        r.pending = (task, strip)
-                        if strip is not None:
-                            self.occupied[(task, strip)] = v
+                        self.table.commit(v, task, placements[v])
                     else:
                         self._assign_region(r, task, placements[v])
                 else:
                     standby_log.append(v)
                     assigned_log[v] = None
-                    self.standby.setdefault(task, []).append(v)
+                    self.table.park(v, task)
                     if r.region and r.region_unexplored() > 0:
-                        self._fire(r, "e3", payload=(r.task,))
+                        self._fire(r, "e3", payload=(self.table.task.get(v),))
                     else:
-                        self._fire(r, "e4")
-                        r.task = None
-                        r.region = frozenset()
-                        r.mode = "idle"
+                        self._go_idle(r)
 
         for v in players:
             r = self.robots[v]
             if r.des not in (DesState.NG, DesState.RG):
                 continue  # already routed above
             if stay.get(v) or (assigned_log[v] is None and r.region and r.region_unexplored() > 0):
-                self._fire(r, "e3", payload=(r.task,))
+                self._fire(r, "e3", payload=(self.table.task.get(v),))
             else:
-                self._fire(r, "e4")
-                r.task = None
-                r.region = frozenset()
-                r.mode = "idle"
+                self._go_idle(r)
 
-        self._gid += 1
-        self.logs.games.append(
-            GameRecord(
-                gid=self._gid,
-                kind=kind,
-                tick=self.tick,
-                trigger=trigger,
-                players=tuple(players),
-                initial=tuple(game.initial),
-                final=tuple(a_star),
-                phi_init=phi_init,
-                phi_star=phi_star,
-                gain_players=gp,
-                team_phi_init=team_init,
-                team_phi_star=team_star,
-                gain_team=gt,
-                assigned=assigned_log,
-                standby=tuple(standby_log),
-                solve_wall_s=wall,
-            )
+        self._log_game(
+            kind=kind,
+            trigger=trigger,
+            players=tuple(players),
+            initial=tuple(game.initial),
+            final=tuple(a_star),
+            phi_init=phi_init,
+            phi_star=phi_star,
+            gain_players=gp,
+            team_phi_init=team_init,
+            team_phi_star=team_star,
+            gain_team=gt,
+            assigned=assigned_log,
+            standby=tuple(standby_log),
+            solve_wall_s=wall,
         )
         log.info(
             "t=%d: %s game %d players=%s G_P=%.4f G_T=%.4f",
@@ -896,36 +900,23 @@ class Simulation:
 
     def _resolve_fr(self, trigger: Robot) -> bool:
         """First-responder pick: the idler alone maximizes its own payoff."""
-        snap = self._snapshot_team()
-        model = build_team_model(snap)
-        self._extend_assigned(model)
+        snap, model = self._team_model()
         menu = noidling_action_menu(model, self.params.gamma)
         if not menu:
-            self._fire(trigger, "e4")
-            trigger.task = None
+            self._go_idle(trigger)
             return False
-        worth = {}
-        for rtask in menu:
-            occ = [v for v in model.assigned[rtask] if v != trigger.id]
-            share = 1.0
-            for v in occ:
-                share *= 1.0 - model.prob[v][rtask]
-            worth[rtask] = model.remaining[rtask] * share
+        worth = {
+            rtask: available_worth(
+                model.remaining[rtask], [model.prob[v][rtask] for v in model.assigned[rtask] if v != trigger.id]
+            )
+            for rtask in menu
+        }
         scores = {rtask: worth[rtask] * model.prob[trigger.id][rtask] for rtask in menu}
         best = min(menu, key=lambda rtask: (-scores[rtask], rtask))
 
-        pending_now = self._pending_tasks()
-        assignment: dict[int, object] = {}
-        for v in snap.robots:
-            tasks: set[int] = set()
-            if v != trigger.id:
-                if snap.robots[v].task is not None:
-                    tasks.add(snap.robots[v].task)
-                if v in pending_now:
-                    tasks.add(pending_now[v])
-            assignment[v] = tasks or None
         team_sum = sum(model.remaining.values())
-        team_init = team_potential(assignment, model.remaining, model.prob)
+        # the idler has no region left, so it contributes nothing at baseline
+        team_init = self._team_phi_baseline(snap, model, (trigger.id,), (None,))
         team_star = team_init + scores[best]
 
         standby_log: list[int] = []
@@ -935,36 +926,32 @@ class Simulation:
             self._assign_region(trigger, best, placements[trigger.id])
             placed: int | None = best
         else:
-            self._fire(trigger, "e4")
-            trigger.task = None
-            trigger.region = frozenset()
-            trigger.mode = "idle"
-            self.standby.setdefault(best, []).append(trigger.id)
+            self._go_idle(trigger)
+            self.table.park(trigger.id, best)
             standby_log.append(trigger.id)
             placed = None
 
-        self._gid += 1
-        self.logs.games.append(
-            GameRecord(
-                gid=self._gid,
-                kind="noidle",
-                tick=self.tick,
-                trigger=trigger.id,
-                players=(trigger.id,),
-                initial=(None,),
-                final=(best,),
-                phi_init=0.0,
-                phi_star=scores[best],
-                gain_players=gain_of_players(scores[best], 0.0, sum(worth.values())),
-                team_phi_init=team_init,
-                team_phi_star=team_star,
-                gain_team=gain_of_team(team_star, team_init, team_sum),
-                assigned={trigger.id: placed},
-                standby=tuple(standby_log),
-                solve_wall_s=0.0,
-            )
+        self._log_game(
+            kind="noidle",
+            trigger=trigger.id,
+            players=(trigger.id,),
+            initial=(None,),
+            final=(best,),
+            phi_init=0.0,
+            phi_star=scores[best],
+            gain_players=gain_of_players(scores[best], 0.0, sum(worth.values())),
+            team_phi_init=team_init,
+            team_phi_star=team_star,
+            gain_team=gain_of_team(team_star, team_init, team_sum),
+            assigned={trigger.id: placed},
+            standby=tuple(standby_log),
+            solve_wall_s=0.0,
         )
         return True
+
+    def _log_game(self, **fields) -> None:
+        self._gid += 1
+        self.logs.games.append(GameRecord(gid=self._gid, tick=self.tick, **fields))
 
     # ------------------------------------------------------------- accounting
 
@@ -974,9 +961,7 @@ class Simulation:
         for rid in self.order:
             r = self.robots[rid]
             if r.alive and r.des is DesState.ID:
-                self._fire(r, "e6")
-                r.task = None
-                r.mode = "idle"
+                self._fire(r, "e6")  # ID is entered only through _go_idle: no task, mode idle
 
     def _log_trajectories(self) -> None:
         for rid in self.order:
@@ -988,16 +973,7 @@ class Simulation:
             )
 
     def _snapshot(self) -> None:
-        chars = {
-            CellState.UNEXPLORED: "U",
-            CellState.EXPLORED: "E",
-            CellState.FORBIDDEN: "F",
-            CellState.OBSTACLE: "O",
-        }
-        rows = []
-        for y in range(self.grid.height):
-            rows.append("".join(chars[self.grid.state((x, y))] for x in range(self.grid.width)))
-        self.logs.snapshots.append((self.tick, "\n".join(rows) + "\n"))
+        self.logs.snapshots.append((self.tick, map_text(self.grid)))
 
     def _end_reason(self) -> str | None:
         live = [self.robots[rid] for rid in self.order if self.robots[rid].alive]

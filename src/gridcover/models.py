@@ -39,10 +39,6 @@ def reliability(params: BatteryParams, t: float) -> float:
     return 1.0 / (1.0 + math.exp(z))
 
 
-def drain_probability(params: BatteryParams, t: float) -> float:
-    return 1.0 - reliability(params, t)
-
-
 def fit_battery_params(t1: float, r1: float, t2: float, r2: float) -> BatteryParams:
     """Solve the two-point sigmoid calibration in closed form.
 

@@ -11,7 +11,6 @@ blocked.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .world import Cell, CellState, GridMap

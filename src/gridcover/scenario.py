@@ -1,4 +1,4 @@
-"""Scenario file parsing, validation, defaulting, and serialization.
+"""Scenario file parsing, validation and defaulting.
 
 Scenarios are JSON documents with four sections (world, robots, params,
 failures) plus a strategy name and a seed. Unknown keys are rejected and
@@ -9,7 +9,7 @@ section reproduces the reference parameter set exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Any
 
 STRATEGIES = ("CARE", "NONCO", "FR")
@@ -51,9 +51,6 @@ class Rect:
 
     def cells(self) -> list[tuple[int, int]]:
         return [(cx, cy) for cy in range(self.y, self.y + self.h) for cx in range(self.x, self.x + self.w)]
-
-    def contains(self, cell: tuple[int, int]) -> bool:
-        return self.x <= cell[0] < self.x + self.w and self.y <= cell[1] < self.y + self.h
 
 
 @dataclass(frozen=True)
@@ -345,32 +342,3 @@ def load_scenario(path: str) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return parse_scenario(doc)
-
-
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    """Canonical JSON-ready form; parse(serialize(config)) == config."""
-    world: dict[str, Any] = {
-        "width": config.world.width,
-        "height": config.world.height,
-        "epsilon_m": config.world.epsilon_m,
-        "obstacles": [list(c) for c in config.world.obstacles],
-        "tasks": [asdict(r) for r in config.world.tasks],
-    }
-    if config.world.targets.mode == "sampled":
-        world["targets"] = {"mode": "sampled", "lambda": list(config.world.targets.lam)}
-    else:
-        world["targets"] = {"mode": "explicit", "cells": [list(c) for c in config.world.targets.cells]}
-    return {
-        "world": world,
-        "robots": [
-            {"id": r.id, "start": list(r.start), "rho0": r.rho0, "rho1": r.rho1} for r in config.robots
-        ],
-        "params": asdict(config.params),
-        "failures": [{"robot": f.robot, "time_s": f.time_s} for f in config.failures],
-        "strategy": config.strategy,
-        "seed": config.seed,
-    }
-
-
-def dump_scenario(config: ScenarioConfig) -> str:
-    return json.dumps(scenario_to_dict(config), indent=2)

@@ -72,25 +72,6 @@ def step(state: DesState, event: str) -> DesState:
         raise ValueError(f"transition ({state.value}, {event}) is undefined") from None
 
 
-def is_transition_defined(state: DesState, event: str) -> bool:
-    return (state, event) in _TRANSITIONS
-
-
-@dataclass
-class HeartbeatTable:
-    """One listener's view of everyone else's liveness."""
-
-    period_s: float
-    timeout_s: float
-    last_heard: dict[int, float]
-
-    def record(self, sender: int, t: float) -> None:
-        self.last_heard[sender] = t
-
-    def suspects(self, sender: int, now: float) -> bool:
-        return now - self.last_heard.get(sender, 0.0) > self.timeout_s
-
-
 def detect_failures(
     subjects,
     listeners,

@@ -57,8 +57,7 @@ class GroundTruth:
     """Hidden occupancy layer used by the sensing oracle and the metrics."""
 
     obstacles: frozenset[Cell]
-    buffer: frozenset[Cell]  # free cells 8-adjacent to an obstacle
-    free_space: frozenset[Cell]  # coverable cells: neither obstacle nor buffer
+    free_space: frozenset[Cell]  # coverable cells: neither obstacle nor 8-adjacent to one
 
 
 @dataclass
@@ -125,15 +124,6 @@ class GridMap:
         return Change(cell=cell, old=old, new=new)
 
 
-def neighbors4(cell: Cell, width: int, height: int) -> list[Cell]:
-    x, y = cell
-    out = []
-    for nx, ny in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
-        if 0 <= nx < width and 0 <= ny < height:
-            out.append((nx, ny))
-    return out
-
-
 def neighbors8(cell: Cell, width: int, height: int) -> list[Cell]:
     x, y = cell
     out = []
@@ -157,7 +147,8 @@ def centroid_m(cells: tuple[Cell, ...] | list[Cell], epsilon: float) -> tuple[fl
 
 
 def _sample_poisson(lam: float, rng: random.Random) -> int:
-    """Knuth's product method; fine for the lambda <= ~followed here."""
+    """Knuth's product method: one uniform draw per count, so it suits the
+    small per-task means used here."""
     if lam <= 0:
         return 0
     limit = math.exp(-lam)
@@ -182,7 +173,7 @@ def build_ground_truth(spec: WorldSpec) -> GroundTruth:
         for x in range(spec.width)
         if (x, y) not in obstacles and (x, y) not in buffer
     )
-    return GroundTruth(obstacles=obstacles, buffer=frozenset(buffer), free_space=free)
+    return GroundTruth(obstacles=obstacles, free_space=free)
 
 
 def build_world(spec: WorldSpec, seed: int) -> GridMap:
@@ -301,17 +292,6 @@ def merge_maps(grid: GridMap, remote_changes) -> GridMap:
     return grid
 
 
-def coverage_ratio(grid: GridMap) -> float:
-    """Explored share of the coverable ground-truth free space."""
-    if grid.ground_truth is None:
-        raise ValueError("coverage ratio needs the ground-truth layer")
-    free = grid.ground_truth.free_space
-    if not free:
-        return 1.0
-    explored = sum(1 for cell in free if grid.state(cell) is CellState.EXPLORED)
-    return explored / len(free)
-
-
 def coverage_fraction(truth: GroundTruth, visited: set[Cell]) -> float:
     """Coverage over cells a robot actually occupied (noise-independent)."""
     if not truth.free_space:
@@ -319,14 +299,12 @@ def coverage_fraction(truth: GroundTruth, visited: set[Cell]) -> float:
     return len(visited & truth.free_space) / len(truth.free_space)
 
 
-def unexplored_count(grid: GridMap, task_id: int) -> int:
-    if task_id not in grid.tasks:
-        raise ValueError(f"unknown task id {task_id}")
-    return grid.tasks[task_id].n_unexplored
-
-
-def remaining_task_time(grid: GridMap, task_id: int, omega: float) -> float:
-    return unexplored_count(grid, task_id) / omega
+def map_text(grid: GridMap) -> str:
+    """The map as text, one line per row: U/E/F/O for unexplored, explored,
+    forbidden and obstacle cells."""
+    return "".join(
+        "".join("UEFO"[grid.state((x, y))] for x in range(grid.width)) + "\n" for y in range(grid.height)
+    )
 
 
 def partition_subregions(grid: GridMap, task_id: int, n_max: int) -> list[list[Cell]]:

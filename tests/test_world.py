@@ -10,12 +10,11 @@ from gridcover.world import (
     CellState,
     Change,
     build_world,
-    coverage_ratio,
+    coverage_fraction,
     mark_covered,
     mark_sensed,
     merge_maps,
     partition_subregions,
-    unexplored_count,
 )
 
 
@@ -221,16 +220,16 @@ class TestMergeMaps:
 
 class TestCoverageAccounting:
     def test_fresh_world_zero(self):
-        assert coverage_ratio(make_world()) == 0.0
+        grid = make_world()
+        assert coverage_fraction(grid.ground_truth, set()) == 0.0
 
     def test_all_free_explored_is_one(self):
         grid = make_world(
             width=4, height=4, obstacles=[[0, 0]], robots=[{"id": 1, "start": [3, 3]}]
         )
-        mark_sensed(grid, [((0, 0), True)])
-        for cell in sorted(grid.ground_truth.free_space):
-            mark_covered(grid, cell)
-        assert coverage_ratio(grid) == 1.0
+        # visiting obstacle or buffer cells counts for nothing
+        visited = set(grid.ground_truth.free_space) | {(0, 0), (1, 1)}
+        assert coverage_fraction(grid.ground_truth, visited) == 1.0
 
     def test_monotone_under_covering(self):
         grid = make_world(width=6, height=6)
@@ -238,9 +237,10 @@ class TestCoverageAccounting:
         last = 0.0
         cells = [(x, y) for x in range(6) for y in range(6)]
         rng.shuffle(cells)
+        visited = set()
         for cell in cells:
-            mark_covered(grid, cell)
-            now = coverage_ratio(grid)
+            visited.add(cell)
+            now = coverage_fraction(grid.ground_truth, visited)
             assert now >= last
             last = now
         assert last == 1.0
@@ -259,14 +259,14 @@ class TestCoverageAccounting:
         )
         grid = build_world(spec, 0)
         assert not grid.ground_truth.free_space
-        assert coverage_ratio(grid) == 1.0
+        assert coverage_fraction(grid.ground_truth, {(0, 0)}) == 1.0
 
     def test_unexplored_count_fresh_task(self):
         tasks = [
             {"x": c * 10, "y": r * 25, "w": 10, "h": 25} for r in range(2) for c in range(5)
         ]
         grid = make_world(width=50, height=50, tasks=tasks)
-        assert unexplored_count(grid, 1) == 250
+        assert grid.tasks[1].n_unexplored == 250
 
     def test_unexplored_count_arithmetic(self):
         tasks = [
@@ -275,7 +275,7 @@ class TestCoverageAccounting:
         grid = make_world(width=50, height=50, tasks=tasks)
         # discover a 3x4 obstacle block inside task 1: 12 obstacle + 18 buffer = 30
         mark_sensed(grid, [((x, y), True) for x in range(2, 5) for y in range(2, 6)])
-        blocked = 250 - unexplored_count(grid, 1)
+        blocked = 250 - grid.tasks[1].n_unexplored
         assert blocked == 12 + 18
         covered = 0
         for cell in grid.tasks[1].cells:
@@ -284,19 +284,15 @@ class TestCoverageAccounting:
                 covered += 1
                 if covered == 100:
                     break
-        assert unexplored_count(grid, 1) == 250 - 30 - 100
+        assert grid.tasks[1].n_unexplored == 250 - 30 - 100
 
     def test_total_unexplored_matches_sum(self):
         tasks = [{"x": 0, "y": 0, "w": 5, "h": 10}, {"x": 5, "y": 0, "w": 5, "h": 10}]
         grid = make_world(tasks=tasks, obstacles=[[2, 2]])
         mark_sensed(grid, [((2, 2), True)])
         mark_covered(grid, (0, 0))
-        total = sum(unexplored_count(grid, r) for r in grid.tasks)
+        total = sum(t.n_unexplored for t in grid.tasks.values())
         assert total == grid.unexplored_total == 100 - 9 - 1
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(ValueError):
-            unexplored_count(make_world(), 99)
 
 
 class TestPartitionSubregions:
