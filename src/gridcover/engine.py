@@ -5,6 +5,11 @@ heartbeat-based failure confirmation, robot motion and covering, event
 generation, and game resolution (at most one game per tick, FIFO). Runs are
 bit-reproducible for a fixed (scenario, seed).
 
+A robot's region, the task or strip it works, is the region its belief map
+watches (`GridMap.watch`). The belief counts the region's unexplored cells
+as sensing, covering and merged changes reach it, so `Robot.region` and
+`Robot.region_unexplored()` are reads and no tick rescans a region.
+
 Who works, has committed to and waits on each task strip lives in one
 `Assignments` table, written only by `assign`, `commit`, `release` and
 `park`. A robot's recorded task (`Assignments.task`) means one of three
@@ -55,6 +60,7 @@ from .world import (
     CellState,
     Change,
     GridMap,
+    RangeSensor,
     build_world,
     centroid_m,
     coverage_fraction,
@@ -92,7 +98,6 @@ class Robot:
     cell: Cell
     belief: GridMap
     des: DesState = DesState.ST
-    region: frozenset[Cell] = frozenset()
     planner: PlannerState | None = None
     mode: str = "idle"  # tasking | traveling | idle
     path: list[Cell] = field(default_factory=list)
@@ -103,8 +108,13 @@ class Robot:
     last_active: int = 0
     outbox: list[Change] = field(default_factory=list)
 
+    @property
+    def region(self) -> frozenset[Cell]:
+        """The cells the robot works: the region its belief watches."""
+        return self.belief.watched
+
     def region_unexplored(self) -> int:
-        return sum(1 for c in self.region if self.belief.state(c) is CellState.UNEXPLORED)
+        return self.belief.watched_unexplored
 
 
 class Assignments:
@@ -278,9 +288,7 @@ class Simulation:
             )
         self.order = sorted(self.robots)
 
-        self._obstacle_centers = [
-            (c, self.grid.cell_center(c)) for c in sorted(self.truth.obstacles)
-        ]
+        self._sensor = RangeSensor(self.grid, self.params.sense_radius_m)
         self._strips: dict[int, list[list[Cell]]] = {}
         self.table = Assignments()
         self.queue: list[tuple[str, int]] = []
@@ -359,11 +367,7 @@ class Simulation:
             self.logs.changes.append((self.tick, r.id, ch))
 
     def _sense(self, r: Robot, cell: Cell) -> None:
-        pos = self.grid.cell_center(cell)
-        radius = self.params.sense_radius_m + 1e-9
-        readings = [
-            (oc, True) for oc, center in self._obstacle_centers if math.dist(center, pos) <= radius
-        ]
+        readings = self._sensor.read(cell)
         if not readings:
             return
         own = mark_sensed(r.belief, readings)
@@ -394,9 +398,9 @@ class Simulation:
         """Point a robot at a task (whole) or one strip of it and get it going."""
         self.table.assign(r.id, task_id, strip_idx)
         if strip_idx is None:
-            r.region = frozenset(self.grid.tasks[task_id].cells)
+            r.belief.watch(self.grid.tasks[task_id].cells)
         else:
-            r.region = frozenset(self._strips_of(task_id)[strip_idx])
+            r.belief.watch(self._strips_of(task_id)[strip_idx])
         self._dispatch(r)
 
     def _free_strip(self, r: Robot, task: int) -> int | None:
@@ -416,7 +420,7 @@ class Simulation:
     def _go_idle(self, r: Robot) -> None:
         self._fire(r, "e4")
         self.table.release(r.id, "task")
-        r.region = frozenset()
+        r.belief.watch(())
         r.mode = "idle"
 
     def _dispatch(self, r: Robot) -> None:
@@ -546,6 +550,10 @@ class Simulation:
             self.table.release(r.id)
 
     def _detection_pass(self) -> None:
+        # no suspicion, no vote: nothing can be confirmed this tick
+        t0 = self.params.t0_s
+        if all(self.now - self.last_beat_recv[u] <= t0 for u in self.order if u not in self.confirmed):
+            return
         live = [rid for rid in self.order if self.robots[rid].alive]
         subjects = [rid for rid in self.order if rid not in self.confirmed]
         votes = {
@@ -638,6 +646,9 @@ class Simulation:
         r.work_s += self.params.tick_s
         per_cell = 1.0 / self.params.omega
         while r.work_s >= per_cell - 1e-9:
+            if r.region_unexplored() == 0:
+                self._workload_complete(r)
+                return
             wp = next_waypoint(r.belief, r.planner, r.cell)
             if isinstance(wp, Done):
                 if wp.unreachable:
@@ -666,7 +677,7 @@ class Simulation:
             if best is not None:
                 self._assign_region(r, task, best)
                 return
-        r.region = frozenset()
+        r.belief.watch(())
         r.mode = "idle"
         self._fire(r, "e2", payload=(task,))
         if self.strategy == "NONCO":
@@ -858,7 +869,7 @@ class Simulation:
                     standby_log.append(v)
                     assigned_log[v] = None
                     self.table.park(v, task)
-                    if r.region and r.region_unexplored() > 0:
+                    if r.region_unexplored() > 0:
                         self._fire(r, "e3", payload=(self.table.task.get(v),))
                     else:
                         self._go_idle(r)
@@ -867,7 +878,7 @@ class Simulation:
             r = self.robots[v]
             if r.des not in (DesState.NG, DesState.RG):
                 continue  # already routed above
-            if stay.get(v) or (assigned_log[v] is None and r.region and r.region_unexplored() > 0):
+            if stay.get(v) or (assigned_log[v] is None and r.region_unexplored() > 0):
                 self._fire(r, "e3", payload=(self.table.task.get(v),))
             else:
                 self._go_idle(r)

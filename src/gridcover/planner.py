@@ -76,12 +76,10 @@ def _nearest_unexplored_path(grid: GridMap, pose: Cell, region: frozenset[Cell])
 
 def next_waypoint(grid: GridMap, state: PlannerState, pose: Cell):
     """Next cell to step onto, or Done when the region holds no unexplored
-    reachable cell. Returns the pose itself when it still needs covering."""
-    unexplored = [c for c in state.region if grid.state(c) is CellState.UNEXPLORED]
-    if not unexplored:
-        state.pending.clear()
-        return Done()
+    reachable cell. Returns the pose itself when it still needs covering.
 
+    A finished region is found only by the final search; callers that keep
+    the region's unexplored count check it first."""
     if pose in state.region and grid.state(pose) is CellState.UNEXPLORED:
         state.pending.clear()
         return pose
@@ -99,7 +97,7 @@ def next_waypoint(grid: GridMap, state: PlannerState, pose: Cell):
 
     path = _nearest_unexplored_path(grid, pose, state.region)
     if path is None:
-        return Done(unreachable=frozenset(unexplored))
+        return Done(unreachable=frozenset(c for c in state.region if grid.state(c) is CellState.UNEXPLORED))
     state.pending = path
     return state.pending.pop(0)
 

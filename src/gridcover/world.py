@@ -5,6 +5,11 @@ cells are discovered online from sensor readings against a hidden ground
 truth layer. Cell states only ever move away from Unexplored and never
 change again afterwards, which makes merging change sets a simple
 precedence join.
+
+A robot's belief map also watches one region, the cells the robot is
+working, and keeps that region's unexplored count as cells change state,
+so "is my region done?" is a read, never a rescan. The team map watches
+nothing.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ class GridMap:
     targets_at: dict[Cell, list[int]] = field(default_factory=dict)
     ground_truth: GroundTruth | None = None
     unexplored_total: int = 0
+    watched: frozenset[Cell] = frozenset()  # region whose unexplored cells are counted
+    watched_unexplored: int = 0
 
     def idx(self, cell: Cell) -> int:
         return cell[1] * self.width + cell[0]
@@ -88,8 +95,14 @@ class GridMap:
     def cell_of_position(self, x_m: float, y_m: float) -> Cell:
         return (int(x_m // self.epsilon), int(y_m // self.epsilon))
 
+    def watch(self, region) -> None:
+        """Watch a new region (empty for none) and count its unexplored cells."""
+        self.watched = frozenset(region)
+        self.watched_unexplored = sum(1 for c in self.watched if self.state(c) is CellState.UNEXPLORED)
+
     def belief_copy(self) -> "GridMap":
-        """Per-robot planning map: same cell states, no targets, no truth."""
+        """Per-robot planning map: same cell states, no targets, no truth,
+        no watched region."""
         tasks = {
             r: TaskRegion(
                 id=t.id,
@@ -121,6 +134,8 @@ class GridMap:
             task = self.tasks.get(self.task_of[i])
             if task is not None:
                 task.n_unexplored -= 1
+            if cell in self.watched:
+                self.watched_unexplored -= 1
         return Change(cell=cell, old=old, new=new)
 
 
@@ -232,6 +247,44 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
         grid.targets.append(Target(cell=cell))
         grid.targets_at.setdefault(cell, []).append(n)
     return grid
+
+
+class RangeSensor:
+    """The sensing oracle: reads the ground-truth obstacle cells whose
+    centers lie within radius_m of a cell's center, in (x, y) order.
+
+    A reading tests only the cells of a disk stencil of offsets, computed
+    once, and skips the stencil's columns that hold no obstacle at all.
+    """
+
+    def __init__(self, grid: GridMap, radius_m: float) -> None:
+        self.grid = grid  # the team map, which holds the truth
+        self.radius = radius_m + 1e-9
+        eps = grid.epsilon
+        reach = int(radius_m / eps) + 2
+        # (dx, [dy, ...]) in (dx, dy) order; a cell of slack leaves the
+        # decision on every cell that can be in range to the exact test
+        self.columns = []
+        for dx in range(-reach, reach + 1):
+            dys = [dy for dy in range(-reach, reach + 1) if math.hypot(dx, dy) * eps <= radius_m + eps]
+            if dys:
+                self.columns.append((dx, dys))
+        self.obstacle_xs = {x for x, _y in grid.ground_truth.obstacles}
+
+    def read(self, cell: Cell) -> list[tuple[Cell, bool]]:
+        """Readings for `mark_sensed`: (obstacle cell, True) pairs."""
+        obstacles = self.grid.ground_truth.obstacles
+        pos = self.grid.cell_center(cell)
+        x, y = cell
+        readings = []
+        for dx, dys in self.columns:
+            if x + dx not in self.obstacle_xs:
+                continue
+            for dy in dys:
+                c = (x + dx, y + dy)
+                if c in obstacles and math.dist(self.grid.cell_center(c), pos) <= self.radius:
+                    readings.append((c, True))
+        return readings
 
 
 def mark_sensed(grid: GridMap, readings) -> list[Change]:

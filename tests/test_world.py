@@ -1,5 +1,6 @@
 """Tiling, sensing, covering, merging, and sub-region partitioning."""
 
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from gridcover.scenario import parse_scenario
 from gridcover.world import (
     CellState,
     Change,
+    RangeSensor,
     build_world,
     coverage_fraction,
     mark_covered,
@@ -293,6 +295,76 @@ class TestCoverageAccounting:
         mark_covered(grid, (0, 0))
         total = sum(t.n_unexplored for t in grid.tasks.values())
         assert total == grid.unexplored_total == 100 - 9 - 1
+
+
+class TestWatchedRegion:
+    def fresh_count(self, grid):
+        return sum(1 for c in grid.watched if grid.state(c) is CellState.UNEXPLORED)
+
+    def test_count_follows_sensing_covering_and_merging(self):
+        grid = make_world(obstacles=[[2, 2]])
+        grid.watch([(x, y) for x in range(4) for y in range(4)])
+        assert grid.watched_unexplored == 16
+        mark_sensed(grid, [((2, 2), True)])  # obstacle plus 8 buffer cells, all watched
+        assert grid.watched_unexplored == 16 - 9
+        mark_covered(grid, (0, 0))
+        mark_covered(grid, (0, 0))
+        assert grid.watched_unexplored == 16 - 10
+        merge_maps(
+            grid,
+            [
+                Change((0, 3), CellState.UNEXPLORED, CellState.EXPLORED),
+                Change((0, 3), CellState.UNEXPLORED, CellState.OBSTACLE),  # upgrade, no second count
+                Change((9, 9), CellState.UNEXPLORED, CellState.EXPLORED),  # outside the region
+            ],
+        )
+        assert grid.watched_unexplored == 16 - 11 == self.fresh_count(grid)
+        assert grid.unexplored_total == 100 - 12
+
+    def test_watching_a_new_region_recounts(self):
+        grid = make_world()
+        grid.watch([(0, 0), (1, 0)])
+        mark_covered(grid, (0, 0))
+        mark_covered(grid, (5, 5))
+        grid.watch([(5, 5), (6, 6), (7, 7)])
+        assert grid.watched_unexplored == 2
+        mark_covered(grid, (1, 0))  # the old region is no longer counted
+        assert grid.watched_unexplored == 2
+        grid.watch(())
+        assert grid.watched == frozenset() and grid.watched_unexplored == 0
+
+    def test_belief_copy_watches_nothing(self):
+        grid = make_world()
+        grid.watch([(0, 0), (1, 0)])
+        belief = grid.belief_copy()
+        assert belief.watched == frozenset() and belief.watched_unexplored == 0
+        mark_covered(belief, (0, 0))
+        assert grid.watched_unexplored == 2
+
+
+class TestRangeSensor:
+    def brute_force(self, grid, cell, radius_m):
+        pos = grid.cell_center(cell)
+        return [
+            (c, True)
+            for c in sorted(grid.ground_truth.obstacles)
+            if math.dist(grid.cell_center(c), pos) <= radius_m + 1e-9
+        ]
+
+    @pytest.mark.parametrize(
+        "epsilon, radius_m, n_obstacles",
+        [(1.0, 5.0, 40), (1.0, 2.5, 3), (0.3, 1.0, 40), (0.3, 0.75, 3), (2.0, 0.5, 40)],
+    )
+    def test_reads_what_a_full_scan_reads(self, epsilon, radius_m, n_obstacles):
+        rng = random.Random(7)
+        cells = [(x, y) for x in range(16) for y in range(16)]
+        doc = world_doc(width=16, height=16, obstacles=[list(c) for c in rng.sample(cells, n_obstacles)])
+        doc["world"]["epsilon_m"] = epsilon
+        grid = build_world(parse_scenario(doc).world, 0)
+        sensor = RangeSensor(grid, radius_m)
+        readings = [sensor.read(cell) for cell in cells]
+        assert readings == [self.brute_force(grid, cell, radius_m) for cell in cells]
+        assert any(readings)
 
 
 class TestPartitionSubregions:
