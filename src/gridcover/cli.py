@@ -89,6 +89,7 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
                 "gain_team",
                 "assigned",
                 "standby",
+                "solve_wall_s",
             ]
         )
         for g in result.logs.games:
@@ -109,6 +110,7 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
                     g.gain_team,
                     " ".join(f"{k}:{v}" for k, v in sorted(g.assigned.items())),
                     " ".join(map(str, g.standby)),
+                    g.solve_wall_s,
                 ]
             )
 

@@ -10,6 +10,11 @@ watches (`GridMap.watch`). The belief counts the region's unexplored cells
 as sensing, covering and merged changes reach it, so `Robot.region` and
 `Robot.region_unexplored()` are reads and no tick rescans a region.
 
+A robot's belief takes its own sensing and covering at once and the rest
+of the team's at each sync: every belief change goes into one shared outbox,
+which each sync merges once into every live robot's belief, its sender's
+included (as no-ops under the merge precedence), and then empties.
+
 Who works, has committed to and waits on each task strip lives in one
 `Assignments` table, written only by `assign`, `commit`, `release` and
 `park`. A robot's recorded task (`Assignments.task`) means one of three
@@ -106,7 +111,6 @@ class Robot:
     t_k: float = 0.0  # accumulated tasking seconds
     alive: bool = True
     last_active: int = 0
-    outbox: list[Change] = field(default_factory=list)
 
     @property
     def region(self) -> frozenset[Cell]:
@@ -298,6 +302,7 @@ class Simulation:
         self.last_beat_sent: dict[int, float] = {r: 0.0 for r in self.order}
         self.last_beat_recv: dict[int, float] = {r: 0.0 for r in self.order}
         self._next_sync = 0.0
+        self.outbox: list[Change] = []  # the team's belief changes since the last sync
 
         self.visited: set[Cell] = set()
         self.found_total = 0
@@ -370,10 +375,8 @@ class Simulation:
         readings = self._sensor.read(cell)
         if not readings:
             return
-        own = mark_sensed(r.belief, readings)
-        team_changes = mark_sensed(self.grid, readings)
-        self._log_changes(r, team_changes)
-        r.outbox.extend(own)
+        self.outbox.extend(mark_sensed(r.belief, readings))
+        self._log_changes(r, mark_sensed(self.grid, readings))
 
     def _cover_attempt(self, r: Robot, true_cell: Cell) -> None:
         self.visited.add(true_cell)
@@ -392,7 +395,7 @@ class Simulation:
             self.logs.discoveries.append((self.tick, self.found_total))
         local = Change(cell=mcell, old=CellState.UNEXPLORED, new=CellState.EXPLORED)
         merge_maps(r.belief, [local])
-        r.outbox.append(local)
+        self.outbox.append(local)
 
     def _assign_region(self, r: Robot, task_id: int, strip_idx: int | None) -> None:
         """Point a robot at a task (whole) or one strip of it and get it going."""
@@ -467,10 +470,8 @@ class Simulation:
                     if nb in self.truth.obstacles:
                         obstacles.add(nb)
         readings = [(c, True) for c in sorted(obstacles)]
-        own = mark_sensed(r.belief, readings)
-        team_changes = mark_sensed(self.grid, readings)
-        self._log_changes(r, team_changes)
-        r.outbox.extend(own)
+        self.outbox.extend(mark_sensed(r.belief, readings))
+        self._log_changes(r, mark_sensed(self.grid, readings))
         leftover = [c for c in sorted(cells) if r.belief.state(c) is CellState.UNEXPLORED]
         if leftover:
             raise LivenessError(f"pocket resolution left unexplored cells: {leftover[:5]}")
@@ -526,13 +527,13 @@ class Simulation:
                 self.last_beat_recv[rid] = self.now
         if self.now + 1e-9 >= self._next_sync:
             self._next_sync += self.params.sync_every_s
-            bundles = [(rid, self.robots[rid].outbox) for rid in self.order if self.robots[rid].outbox]
-            for rid, changes in bundles:
-                for other in self.order:
-                    if other != rid:
-                        merge_maps(self.robots[other].belief, changes)
-            for rid, _ in bundles:
-                self.robots[rid].outbox = []
+            if self.outbox:
+                # own changes come back to their sender as no-ops: its belief
+                # already holds each such cell at `new` or higher
+                for r in self.robots.values():
+                    if r.alive:
+                        merge_maps(r.belief, self.outbox)
+                self.outbox = []
 
     def _apply_scheduled_failures(self) -> None:
         while self._failure_i < len(self.failures) and self.failures[self._failure_i].time_s <= self.now:

@@ -6,10 +6,10 @@ truth layer. Cell states only ever move away from Unexplored and never
 change again afterwards, which makes merging change sets a simple
 precedence join.
 
-A robot's belief map also watches one region, the cells the robot is
-working, and keeps that region's unexplored count as cells change state,
-so "is my region done?" is a read, never a rescan. The team map watches
-nothing.
+Only the team map keeps per-task records (unexplored and found counts). A
+robot's belief map counts only its unexplored total and the unexplored
+cells of one watched region, the cells the robot is working, so "is my
+region done?" is a read, never a rescan. The team map watches nothing.
 """
 
 from __future__ import annotations
@@ -101,42 +101,30 @@ class GridMap:
         self.watched_unexplored = sum(1 for c in self.watched if self.state(c) is CellState.UNEXPLORED)
 
     def belief_copy(self) -> "GridMap":
-        """Per-robot planning map: same cell states, no targets, no truth,
-        no watched region."""
-        tasks = {
-            r: TaskRegion(
-                id=t.id,
-                cells=t.cells,
-                bbox=t.bbox,
-                lam=t.lam,
-                found=t.found,
-                n_unexplored=t.n_unexplored,
-                centroid_m=t.centroid_m,
-            )
-            for r, t in self.tasks.items()
-        }
+        """Per-robot planning map: same cell states, no task records, no
+        targets, no truth, no watched region."""
         return GridMap(
             width=self.width,
             height=self.height,
             epsilon=self.epsilon,
             cells=list(self.cells),
             task_of=self.task_of,
-            tasks=tasks,
+            tasks={},
             unexplored_total=self.unexplored_total,
         )
 
-    def _set_state(self, cell: Cell, new: CellState) -> Change:
-        i = self.idx(cell)
-        old = self.cells[i]
-        self.cells[i] = new
-        if old is CellState.UNEXPLORED and new is not CellState.UNEXPLORED:
+    def _set_state(self, i: int, cell: Cell, new: CellState) -> None:
+        """Write `new` (never UNEXPLORED) to `cell`, whose index is i. The
+        only writer of the unexplored counters, which a cell leaves when it
+        leaves UNEXPLORED, once."""
+        if self.cells[i] is CellState.UNEXPLORED:
             self.unexplored_total -= 1
             task = self.tasks.get(self.task_of[i])
             if task is not None:
                 task.n_unexplored -= 1
             if cell in self.watched:
                 self.watched_unexplored -= 1
-        return Change(cell=cell, old=old, new=new)
+        self.cells[i] = new
 
 
 def neighbors8(cell: Cell, width: int, height: int) -> list[Cell]:
@@ -298,27 +286,32 @@ def mark_sensed(grid: GridMap, readings) -> list[Change]:
             raise ValueError(f"reading outside the grid: {cell}")
         if not occupied:
             continue
-        if grid.state(cell) is not CellState.UNEXPLORED:
+        i = grid.idx(cell)
+        if grid.cells[i] is not CellState.UNEXPLORED:
             continue
-        changes.append(grid._set_state(cell, CellState.OBSTACLE))
+        grid._set_state(i, cell, CellState.OBSTACLE)
+        changes.append(Change(cell, CellState.UNEXPLORED, CellState.OBSTACLE))
         marked.append(cell)
     # buffers go in a second pass so adjacent obstacles within one batch
     # never shadow each other into Forbidden
     for cell in marked:
         for nb in neighbors8(cell, grid.width, grid.height):
-            if grid.state(nb) is CellState.UNEXPLORED:
-                changes.append(grid._set_state(nb, CellState.FORBIDDEN))
+            i = grid.idx(nb)
+            if grid.cells[i] is CellState.UNEXPLORED:
+                grid._set_state(i, nb, CellState.FORBIDDEN)
+                changes.append(Change(nb, CellState.UNEXPLORED, CellState.FORBIDDEN))
     return changes
 
 
 def mark_covered(grid: GridMap, cell: Cell) -> tuple[Change | None, int]:
     """Mark a visited cell explored and surface any targets hidden there."""
-    state = grid.state(cell)
+    i = grid.idx(cell)
+    state = grid.cells[i]
     if state in (CellState.OBSTACLE, CellState.FORBIDDEN):
         raise ValueError(f"covering a blocked cell {cell} ({state.name}): planner bug")
     if state is CellState.EXPLORED:
         return None, 0
-    change = grid._set_state(cell, CellState.EXPLORED)
+    grid._set_state(i, cell, CellState.EXPLORED)
     discovered = 0
     for t_index in grid.targets_at.get(cell, ()):
         target = grid.targets[t_index]
@@ -326,8 +319,8 @@ def mark_covered(grid: GridMap, cell: Cell) -> tuple[Change | None, int]:
             target.discovered = True
             discovered += 1
     if discovered:
-        grid.tasks[grid.task_of[grid.idx(cell)]].found += discovered
-    return change, discovered
+        grid.tasks[grid.task_of[i]].found += discovered
+    return Change(cell, CellState.UNEXPLORED, CellState.EXPLORED), discovered
 
 
 def merge_maps(grid: GridMap, remote_changes) -> GridMap:
@@ -335,13 +328,16 @@ def merge_maps(grid: GridMap, remote_changes) -> GridMap:
 
     Conflicts resolve by precedence Obstacle > Forbidden > Explored >
     Unexplored, making the merge commutative and idempotent over change
-    sets. Mutates and returns `grid`.
+    sets. Mutates and returns `grid`; builds no change records.
     """
+    cells, width, height = grid.cells, grid.width, grid.height
     for change in remote_changes:
-        if not grid.in_bounds(change.cell):
-            raise ValueError(f"change outside the grid: {change.cell}")
-        if change.new > grid.state(change.cell):
-            grid._set_state(change.cell, change.new)
+        x, y = cell = change.cell
+        if not (0 <= x < width and 0 <= y < height):
+            raise ValueError(f"change outside the grid: {cell}")
+        i = y * width + x
+        if change.new > cells[i]:
+            grid._set_state(i, cell, change.new)
     return grid
 
 

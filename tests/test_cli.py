@@ -1,0 +1,84 @@
+"""The run outputs the CLI writes, checked against the run they came from."""
+
+import csv
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from gridcover import load_scenario, run
+from gridcover.cli import write_run_outputs
+
+SCENARIO = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios" / "scenario2.json"
+OUTPUT_FILES = (
+    "metrics.csv",
+    "events.csv",
+    "games.csv",
+    "trajectories.csv",
+    "changes.csv",
+    "map_final.txt",
+    "trajectories.svg",
+)
+GAME_COLUMNS = [
+    "gid",
+    "kind",
+    "tick",
+    "trigger",
+    "players",
+    "initial",
+    "final",
+    "phi_init",
+    "phi_star",
+    "gain_players",
+    "team_phi_init",
+    "team_phi_star",
+    "gain_team",
+    "assigned",
+    "standby",
+    "solve_wall_s",
+]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """scenario2/CARE at seed 1 (two failures, no-idling games) and the
+    directory its outputs were written to."""
+    config = dataclasses.replace(load_scenario(str(SCENARIO)), seed=1, strategy="CARE")
+    result = run(config)
+    out_dir = tmp_path_factory.mktemp("run")
+    write_run_outputs(result, out_dir)
+    return result, out_dir
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_writes_every_output(written):
+    _result, out_dir = written
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(OUTPUT_FILES)
+    assert all((out_dir / name).stat().st_size > 0 for name in OUTPUT_FILES)
+
+
+def test_games_csv_has_one_row_per_game_with_its_solve_time(written):
+    result, out_dir = written
+    header, *rows = read_csv(out_dir / "games.csv")
+    assert header == GAME_COLUMNS
+    games = result.logs.games
+    assert games and len(rows) == len(games)
+    for row, g in zip(rows, games):
+        assert int(row[0]) == g.gid
+        assert row[1] == g.kind
+        assert float(row[-1]) == g.solve_wall_s
+    assert any(g.solve_wall_s > 0 for g in games)
+
+
+def test_metrics_csv_matches_the_run(written):
+    result, out_dir = written
+    header, row = read_csv(out_dir / "metrics.csv")
+    metrics = dataclasses.asdict(result.metrics)
+    totd = metrics.pop("totd")
+    expected = {**metrics, **{f"totd_{p}": totd[p] for p in range(10, 101, 10)}}
+    assert sorted(header) == sorted(expected)
+    assert dict(zip(header, row)) == {k: "" if v is None else str(v) for k, v in expected.items()}

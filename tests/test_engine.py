@@ -1,5 +1,6 @@
 """Engine runs checked tick by tick, the assignment table, the robots'
-region counters, and the failure detector's timeout as the engine drives it."""
+region counters and beliefs, and the failure detector's timeout as the
+engine drives it."""
 
 import importlib.util
 import json
@@ -72,11 +73,42 @@ def counter_problems(sim: Simulation) -> list[str]:
     return problems
 
 
+def belief_problems(sim: Simulation) -> list[str]:
+    """Live robots whose belief differs from the team map."""
+    return [
+        f"robot {rid}'s belief differs from the team map"
+        for rid, r in sim.robots.items()
+        if r.alive and r.belief.cells != sim.grid.cells
+    ]
+
+
 class CheckedSimulation(Simulation):
-    """Checks the region counters and the table after every tick;
-    `_end_reason` is each tick's last step."""
+    """Checks that every live belief equals the team map after every sync,
+    and the region counters and the table after every tick (`_end_reason`
+    is each tick's last step). Keeps each robot's belief as it was when the
+    robot failed, in `failed_beliefs`, and the run's result in `result`."""
 
     check_table = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.failed_beliefs: dict[int, list] = {}
+
+    def run(self):
+        self.result = super().run()
+        return self.result
+
+    def _deliver_messages(self):
+        next_sync = self._next_sync
+        super()._deliver_messages()
+        if self._next_sync != next_sync:
+            problems = belief_problems(self)
+            assert not problems, f"tick {self.tick}, after the sync: {problems}"
+
+    def _fire(self, r, event, payload=()):
+        super()._fire(r, event, payload)
+        if event == "e7":
+            self.failed_beliefs[r.id] = list(r.belief.cells)
 
     def _end_reason(self):
         problems = counter_problems(self)
@@ -94,14 +126,16 @@ class CrowdSimulation(CheckedSimulation):
 
 
 @pytest.fixture(scope="module")
-def results():
+def runs():
+    """The bundled runs, finished."""
     out = {}
     for name in RUNS:
         scenario, strategy = name.split("/")
         doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
         doc["seed"] = 1
         doc["strategy"] = strategy
-        out[name] = CheckedSimulation(parse_scenario(doc)).run()
+        out[name] = CheckedSimulation(parse_scenario(doc))
+        out[name].run()
     return out
 
 
@@ -113,35 +147,44 @@ def crowd():
     out = {}
     for seed in CROWD_SEEDS:
         ((_name, doc),) = workloads.crowd(seed)
-        out[seed] = CrowdSimulation(parse_scenario(doc)).run()
+        out[seed] = CrowdSimulation(parse_scenario(doc))
+        out[seed].run()
     return out
 
 
 class TestRuns:
     @pytest.mark.parametrize("name", RUNS)
-    def test_digest_matches_benchmark(self, results, digest, name):
-        assert digest(results[name]) == committed_digests("paper")[name]
+    def test_digest_matches_benchmark(self, runs, digest, name):
+        assert digest(runs[name].result) == committed_digests("paper")[name]
 
     @pytest.mark.parametrize("seed", CROWD_SEEDS)
     def test_crowd_digest_matches_benchmark(self, crowd, digest, seed):
-        assert digest(crowd[seed]) == committed_digests("crowd", seed)["crowd/CARE"]
-        assert crowd[seed].metrics.end_reason == "complete"
+        assert digest(crowd[seed].result) == committed_digests("crowd", seed)["crowd/CARE"]
+        assert crowd[seed].result.metrics.end_reason == "complete"
 
     def test_crowd_runs_fail_over_and_reactivate(self, crowd):
-        assert all(len(result.logs.detector) == 10 for result in crowd.values())
-        assert all(result.metrics.games_resilience > 0 for result in crowd.values())
+        assert all(len(sim.logs.detector) == 10 for sim in crowd.values())
+        assert all(sim.result.metrics.games_resilience > 0 for sim in crowd.values())
         reactivations = [e for e in crowd[3].logs.events if e.payload[:1] == ("reactivate",)]
         assert reactivations
 
     @pytest.mark.parametrize("name", RUNS)
-    def test_run_completes(self, results, name):
-        assert results[name].logs.liveness_ok
-        assert results[name].metrics.end_reason == "complete"
+    def test_run_completes(self, runs, name):
+        assert runs[name].logs.liveness_ok
+        assert runs[name].result.metrics.end_reason == "complete"
 
-    def test_heartbeat_timeout_confirms_silent_robots(self, results):
+    def test_failed_robots_beliefs_stop_changing(self, runs, crowd):
+        sims = [runs["scenario2/CARE"], *crowd.values()]
+        failed = [(sim, rid) for sim in sims for rid, r in sim.robots.items() if not r.alive]
+        assert len(failed) == 2 + 10 * len(crowd)
+        for sim, rid in failed:
+            assert sim.robots[rid].belief.cells == sim.failed_beliefs[rid]
+            assert sim.robots[rid].belief.cells != sim.grid.cells  # the team went on mapping
+
+    def test_heartbeat_timeout_confirms_silent_robots(self, runs):
         # scenario2: robots 7 and 4 fail at 430 s and 445 s, beat every 5 s,
         # and are confirmed once silent for more than 15 s
-        assert results["scenario2/CARE"].logs.detector == [(446, 7, 3, 3), (461, 4, 3, 3)]
+        assert runs["scenario2/CARE"].logs.detector == [(446, 7, 3, 3), (461, 4, 3, 3)]
 
 
 class TestAssignments:

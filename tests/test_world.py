@@ -219,6 +219,54 @@ class TestMergeMaps:
         with pytest.raises(ValueError):
             merge_maps(grid, [Change((50, 50), CellState.UNEXPLORED, CellState.EXPLORED)])
 
+    CELLS = [(x, y) for x in range(6) for y in range(6)]
+    HALVES = [{"x": 0, "y": 0, "w": 3, "h": 6}, {"x": 3, "y": 0, "w": 3, "h": 6}]
+
+    def counters(self, grid):
+        return (
+            list(grid.cells),
+            grid.unexplored_total,
+            grid.watched_unexplored,
+            [t.n_unexplored for t in grid.tasks.values()],
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_one_outbox_merges_like_list_by_list(self, data):
+        states = [CellState.EXPLORED, CellState.FORBIDDEN, CellState.OBSTACLE]
+        change = st.builds(
+            lambda cell, new: Change(cell, CellState.UNEXPLORED, new),
+            st.sampled_from(self.CELLS),
+            st.sampled_from(states),
+        )
+        lists = data.draw(st.lists(st.lists(change, max_size=12), min_size=1, max_size=5))
+        order = data.draw(st.permutations(range(len(lists))))
+        region = data.draw(st.sets(st.sampled_from(self.CELLS)))
+        whole = make_world(width=6, height=6, tasks=self.HALVES)
+        by_list = make_world(width=6, height=6, tasks=self.HALVES)
+        for grid in (whole, by_list):
+            grid.watch(region)
+        merge_maps(whole, [c for changes in lists for c in changes])
+        for k in order:
+            merge_maps(by_list, lists[k])
+        assert self.counters(whole) == self.counters(by_list)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_own_changes_come_back_as_no_ops(self, data):
+        grid = make_world(width=6, height=6, tasks=self.HALVES)
+        grid.watch(data.draw(st.sets(st.sampled_from(self.CELLS))))
+        own = []
+        for cell, occupied in data.draw(st.lists(st.tuples(st.sampled_from(self.CELLS), st.booleans()))):
+            if occupied:
+                own += mark_sensed(grid, [(cell, True)])
+            elif grid.state(cell) in (CellState.UNEXPLORED, CellState.EXPLORED):
+                change, _found = mark_covered(grid, cell)
+                own += [change] if change else []
+        before = self.counters(grid)
+        merge_maps(grid, own)
+        assert self.counters(grid) == before
+
 
 class TestCoverageAccounting:
     def test_fresh_world_zero(self):
@@ -340,6 +388,24 @@ class TestWatchedRegion:
         assert belief.watched == frozenset() and belief.watched_unexplored == 0
         mark_covered(belief, (0, 0))
         assert grid.watched_unexplored == 2
+
+    def test_belief_copy_carries_no_task_records(self):
+        grid = make_world(tasks=[{"x": 0, "y": 0, "w": 5, "h": 10}, {"x": 5, "y": 0, "w": 5, "h": 10}])
+        belief = grid.belief_copy()
+        assert belief.tasks == {}
+        mark_sensed(belief, [((5, 5), True)])
+        mark_covered(belief, (0, 0))
+        merge_maps(belief, [Change((9, 0), CellState.UNEXPLORED, CellState.EXPLORED)])
+        assert belief.tasks == {}
+        assert belief.unexplored_total == 100 - 11
+        assert [t.n_unexplored for t in grid.tasks.values()] == [50, 50]
+
+    def test_mark_sensed_on_a_belief_keeps_its_watched_count(self):
+        belief = make_world().belief_copy()
+        belief.watch([(x, y) for x in range(4) for y in range(4)])
+        mark_sensed(belief, [((3, 3), True)])  # the obstacle and 3 of its 8 buffer cells are watched
+        assert belief.watched_unexplored == 16 - 4 == self.fresh_count(belief)
+        assert belief.unexplored_total == 100 - 9
 
 
 class TestRangeSensor:
