@@ -15,6 +15,12 @@ of the team's at each sync: every belief change goes into one shared outbox,
 which each sync merges once into every live robot's belief, its sender's
 included (as no-ops under the merge precedence), and then empties.
 
+A travelling robot's path was free of blocked cells when it was planned,
+and only a cell of its belief turning FORBIDDEN or OBSTACLE can block it.
+So the robot keeps its belief's `n_blocked` from when it last planned or
+checked the path (`Robot.path_checked_at`), and `_advance_travel` tests the
+path's cells only when that count has moved.
+
 Who works, has committed to and waits on each task strip lives in one
 `Assignments` table, written only by `assign`, `commit`, `release` and
 `park`. A robot's recorded task (`Assignments.task`) means one of three
@@ -106,6 +112,7 @@ class Robot:
     planner: PlannerState | None = None
     mode: str = "idle"  # tasking | traveling | idle
     path: list[Cell] = field(default_factory=list)
+    path_checked_at: int = -1  # belief.n_blocked when `path` was last found free
     travel_m: float = 0.0  # meters banked toward the next hop
     work_s: float = 0.0  # seconds banked toward the next covering step
     t_k: float = 0.0  # accumulated tasking seconds
@@ -442,6 +449,7 @@ class Simulation:
             else:
                 r.mode = "traveling"
                 r.path = path
+                r.path_checked_at = r.belief.n_blocked
                 r.travel_m = 0.0
                 r.planner = None
             return
@@ -622,10 +630,12 @@ class Simulation:
         if r.region_unexplored() == 0:
             self._workload_complete(r)
             return
-        if any(r.belief.state(c) in (CellState.OBSTACLE, CellState.FORBIDDEN) for c in r.path):
-            self._dispatch(r)
-            if r.mode != "traveling":
-                return
+        if r.path_checked_at != r.belief.n_blocked:
+            r.path_checked_at = r.belief.n_blocked
+            if any(r.belief.state(c) in (CellState.OBSTACLE, CellState.FORBIDDEN) for c in r.path):
+                self._dispatch(r)
+                if r.mode != "traveling":
+                    return
         r.travel_m += self.params.u * self.params.tick_s
         eps = self.grid.epsilon
         while r.path and r.travel_m >= eps - 1e-9:

@@ -4,9 +4,14 @@ Coverage inside a region follows a boustrophedon sweep: advance along the
 current column, direction alternating with column parity; whenever the sweep
 continuation is blocked or already explored, fall back to the nearest
 unexplored region cell by breadth-first distance (unknown cells count as
-traversable) and walk the detour path one cell per call. Travel between
-regions is a shortest 4-connected path over cells not currently known to be
-blocked.
+traversable) and walk the detour path one cell per call.
+
+Travel between regions is a shortest 4-connected path over cells not
+currently known to be blocked. Its ties break by a fixed contract, and the
+run digests depend on it: each distance's frontier is expanded in (x, y)
+order, neighbours are tried in the order (x-1, y), (x, y-1), (x, y+1),
+(x+1, y), a cell's first expander becomes its parent, and among the goals
+at the minimal distance the one with the lowest row-major index wins.
 """
 
 from __future__ import annotations
@@ -103,45 +108,78 @@ def next_waypoint(grid: GridMap, state: PlannerState, pose: Cell):
 
 
 def plan_travel(grid: GridMap, start: Cell, goal: Cell) -> list[Cell] | None:
-    """Shortest 4-connected path over cells not known blocked, expanding
-    neighbors in lexicographic (x, y) order. Excludes the start cell;
-    returns None when the goal is unreachable on the current map."""
+    """Shortest 4-connected path over cells not known blocked. Excludes the
+    start cell; returns None when the goal is unreachable on the current
+    map. Among equal paths, the one the tie-breaks of `plan_travel_to_any`
+    give: (x, y)-ordered frontiers, neighbours tried (x-1, y), (x, y-1),
+    (x, y+1), (x+1, y), first expander as parent."""
     found = plan_travel_to_any(grid, start, {goal})
     return None if found is None else found[0]
 
 
 def plan_travel_to_any(grid: GridMap, start: Cell, goals) -> tuple[list[Cell], Cell] | None:
-    """Multi-target shortest path; the reached goal is the lowest-index one
-    at the minimal distance. Returns (path, goal) or None."""
-    goal_set = set(goals)
-    if not goal_set:
+    """Multi-target shortest path over cells not known blocked. Returns
+    (path, goal), the path excluding the start, or None when no goal is
+    reachable; raises ValueError on a blocked start.
+
+    Tie-breaks (the run digests depend on them): each distance's frontier
+    is expanded in (x, y) order, neighbours are tried in the order
+    (x-1, y), (x, y-1), (x, y+1), (x+1, y), and a cell's first expander
+    becomes its parent; among the goals at the minimal distance the one
+    with the lowest row-major index wins. Goals outside the grid are never
+    reached.
+
+    Cells are numbered column-major, t = x*h + y, so ascending t is (x, y)
+    order: the frontier sorts as plain ints, the four neighbours are t-h,
+    t-1, t+1, t+h in that order, and `parent` is a list indexed by t. The
+    next frontier is sorted before it is expanded, so the neighbour order
+    decides nothing beyond the frontier order.
+    """
+    goals = set(goals)
+    if not goals:
         return None
-    if not _traversable(grid, start):
+    w, h, cells = grid.width, grid.height, grid.cells
+    blocked = CellState.FORBIDDEN  # this state and OBSTACLE
+    sx, sy = start
+    if cells[sy * w + sx] >= blocked:
         raise ValueError(f"travel start {start} is a blocked cell")
-    if start in goal_set:
+    if start in goals:
         return [], start
-    parent: dict[Cell, Cell | None] = {start: None}
-    frontier = [start]
-    while frontier:
+    goal_ts = {x * h + y for x, y in goals if 0 <= x < w and 0 <= y < h}
+    top = h - 1
+    parent = [-2] * (w * h)  # -2: not reached; the start's parent is -1
+    t0 = sx * h + sy
+    parent[t0] = -1
+    frontier = [t0]
+    while frontier and goal_ts:
         nxt = []
-        for cell in frontier:
-            for nb in sorted(
-                ((cell[0] + dx, cell[1] + dy) for dx, dy in ((-1, 0), (0, -1), (0, 1), (1, 0)))
-            ):
-                if nb in parent or not grid.in_bounds(nb) or not _traversable(grid, nb):
-                    continue
-                parent[nb] = cell
-                nxt.append(nb)
-        hits = [c for c in nxt if c in goal_set]
+        add = nxt.append
+        for t in frontier:
+            x, y = divmod(t, h)
+            i = y * w + x  # row-major index into `cells`
+            if x and parent[t - h] == -2 and cells[i - 1] < blocked:
+                parent[t - h] = t
+                add(t - h)
+            if y and parent[t - 1] == -2 and cells[i - w] < blocked:
+                parent[t - 1] = t
+                add(t - 1)
+            if y < top and parent[t + 1] == -2 and cells[i + w] < blocked:
+                parent[t + 1] = t
+                add(t + 1)
+            if x + 1 < w and parent[t + h] == -2 and cells[i + 1] < blocked:
+                parent[t + h] = t
+                add(t + h)
+        hits = goal_ts.intersection(nxt)
         if hits:
-            goal = min(hits, key=grid.idx)
+            goal = min(hits, key=lambda t: (t % h, t // h))
             path = []
-            node: Cell | None = goal
-            while node is not None and node != start:
-                path.append(node)
+            node = goal
+            while node != -1:
+                path.append(divmod(node, h))
                 node = parent[node]
+            path.pop()  # the start
             path.reverse()
-            return path, goal
+            return path, path[-1]
         nxt.sort()
         frontier = nxt
     return None

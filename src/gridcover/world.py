@@ -10,6 +10,10 @@ Only the team map keeps per-task records (unexplored and found counts). A
 robot's belief map counts only its unexplored total and the unexplored
 cells of one watched region, the cells the robot is working, so "is my
 region done?" is a read, never a rescan. The team map watches nothing.
+
+Every map also counts its writes of FORBIDDEN or OBSTACLE (`n_blocked`).
+Only such a write can block a path planned on the map, so the engine
+re-checks a travelling robot's path only when its belief's count has moved.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ class CellState(IntEnum):
     EXPLORED = 1
     FORBIDDEN = 2
     OBSTACLE = 3
+
+
+# States from this one up block travel. A module name, because reading an
+# enum member off its class costs about 0.2 us on CPython 3.11.
+_BLOCKED = CellState.FORBIDDEN
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,7 @@ class GridMap:
     unexplored_total: int = 0
     watched: frozenset[Cell] = frozenset()  # region whose unexplored cells are counted
     watched_unexplored: int = 0
+    n_blocked: int = 0  # writes of FORBIDDEN or OBSTACLE so far
 
     def idx(self, cell: Cell) -> int:
         return cell[1] * self.width + cell[0]
@@ -116,7 +126,9 @@ class GridMap:
     def _set_state(self, i: int, cell: Cell, new: CellState) -> None:
         """Write `new` (never UNEXPLORED) to `cell`, whose index is i. The
         only writer of the unexplored counters, which a cell leaves when it
-        leaves UNEXPLORED, once."""
+        leaves UNEXPLORED, once, and of `n_blocked`."""
+        if new >= _BLOCKED:
+            self.n_blocked += 1
         if self.cells[i] is CellState.UNEXPLORED:
             self.unexplored_total -= 1
             task = self.tasks.get(self.task_of[i])

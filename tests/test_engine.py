@@ -85,7 +85,10 @@ def belief_problems(sim: Simulation) -> list[str]:
 class CheckedSimulation(Simulation):
     """Checks that every live belief equals the team map after every sync,
     and the region counters and the table after every tick (`_end_reason`
-    is each tick's last step). Keeps each robot's belief as it was when the
+    is each tick's last step). On every travel step it checks that a path
+    whose re-check is skipped holds no blocked cell, and counts in
+    `travel_gate` the skipped re-checks, the run ones and the run ones that
+    found the path blocked. Keeps each robot's belief as it was when the
     robot failed, in `failed_beliefs`, and the run's result in `result`."""
 
     check_table = True
@@ -93,6 +96,17 @@ class CheckedSimulation(Simulation):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.failed_beliefs: dict[int, list] = {}
+        self.travel_gate = {"skipped": 0, "checked": 0, "blocked": 0}
+
+    def _advance_travel(self, r):
+        blocked = [c for c in r.path if r.belief.state(c) >= CellState.FORBIDDEN]
+        if r.path_checked_at == r.belief.n_blocked:
+            assert not blocked, f"tick {self.tick}: robot {r.id} skips its path check, blocked: {blocked}"
+            self.travel_gate["skipped"] += 1
+        else:
+            self.travel_gate["checked"] += 1
+            self.travel_gate["blocked"] += bool(blocked)
+        super()._advance_travel(r)
 
     def run(self):
         self.result = super().run()
@@ -139,6 +153,31 @@ def runs():
     return out
 
 
+# Four robots start in one 40x10 task and split it into four column strips,
+# so three travel east across a dotted wall they cannot see from the start.
+# The wall's cells are not 8-adjacent, so no obstacle is buffered before it
+# is seen and every belief keeps matching the team map.
+DOTTED_WALL = {
+    "world": {
+        "width": 40,
+        "height": 10,
+        "tasks": [{"x": 0, "y": 0, "w": 40, "h": 10}],
+        "obstacles": [[20, 0], [20, 2], [20, 4], [20, 6]],
+        "targets": {"mode": "sampled", "lambda": 0.0},
+    },
+    "robots": [{"id": i, "start": [0, i - 1]} for i in range(1, 5)],
+    "strategy": "NONCO",
+}
+DOTTED_WALL_DIGEST = "cee8e93e02a8c4b3b622a8dd7d5bb81f2b4b0b6f595c4d8cdf4bf5a56072c53b"
+
+
+@pytest.fixture(scope="module")
+def dotted_wall():
+    sim = CheckedSimulation(parse_scenario(DOTTED_WALL))
+    sim.run()
+    return sim
+
+
 @pytest.fixture(scope="module")
 def crowd():
     """`crowd` runs: confirmed failures, resilience games and standby
@@ -180,6 +219,20 @@ class TestRuns:
         for sim, rid in failed:
             assert sim.robots[rid].belief.cells == sim.failed_beliefs[rid]
             assert sim.robots[rid].belief.cells != sim.grid.cells  # the team went on mapping
+
+    @pytest.mark.parametrize("name", RUNS[1:])  # scenario1/NONCO never travels
+    def test_travel_skips_path_rechecks(self, runs, name):
+        # no travelling robot's belief gains a blocked cell in these runs
+        assert runs[name].travel_gate["skipped"] > 0
+
+    def test_travel_rechecks_when_the_belief_gains_a_blocked_cell(self, dotted_wall):
+        gate = dotted_wall.travel_gate
+        assert gate["skipped"] > 0 and gate["blocked"] > 0
+        assert dotted_wall.result.metrics.end_reason == "complete"
+
+    def test_dotted_wall_run_is_unchanged_by_the_gate(self, dotted_wall, digest):
+        # recorded before travel re-checked paths only after a blocked-cell write
+        assert digest(dotted_wall.result) == DOTTED_WALL_DIGEST
 
     def test_heartbeat_timeout_confirms_silent_robots(self, runs):
         # scenario2: robots 7 and 4 fail at 430 s and 445 s, beat every 5 s,

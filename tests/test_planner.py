@@ -3,6 +3,7 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcover.planner import Done, make_planner, next_waypoint, plan_travel, plan_travel_to_any
 from gridcover.world import CellState, mark_covered, mark_sensed
@@ -27,6 +28,68 @@ def bfs_oracle(grid, start, goal):
             seen.add(nb)
             q.append((nb, d + 1))
     return None
+
+
+def tuple_travel_to_any(grid, start, goals):
+    """The tuple-based multi-target BFS the flat-index one replaced, kept as
+    its oracle: same contract, same tie-breaks, cells as (x, y) tuples."""
+    goal_set = set(goals)
+    if not goal_set:
+        return None
+    if grid.state(start) in (CellState.OBSTACLE, CellState.FORBIDDEN):
+        raise ValueError(f"travel start {start} is a blocked cell")
+    if start in goal_set:
+        return [], start
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cell in frontier:
+            for nb in sorted(
+                ((cell[0] + dx, cell[1] + dy) for dx, dy in ((-1, 0), (0, -1), (0, 1), (1, 0)))
+            ):
+                if nb in parent or not grid.in_bounds(nb):
+                    continue
+                if grid.state(nb) in (CellState.OBSTACLE, CellState.FORBIDDEN):
+                    continue
+                parent[nb] = cell
+                nxt.append(nb)
+        hits = [c for c in nxt if c in goal_set]
+        if hits:
+            goal = min(hits, key=grid.idx)
+            path = []
+            node = goal
+            while node is not None and node != start:
+                path.append(node)
+                node = parent[node]
+            path.reverse()
+            return path, goal
+        nxt.sort()
+        frontier = nxt
+    return None
+
+
+@st.composite
+def travel_cases(draw):
+    """A non-square grid with random blocked cells, a start and a goal set
+    that may hold blocked, unreachable and out-of-grid cells and the start."""
+    width = draw(st.integers(1, 12))
+    height = draw(st.integers(1, 12))
+    grid = make_world(width=width, height=height)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    density = draw(st.sampled_from((0.0, 0.15, 0.35, 0.6)))
+    rng = draw(st.randoms(use_true_random=False))
+    for cell in cells:
+        if rng.random() < density:
+            grid.cells[grid.idx(cell)] = rng.choice((CellState.FORBIDDEN, CellState.OBSTACLE))
+        elif rng.random() < 0.3:
+            grid.cells[grid.idx(cell)] = CellState.EXPLORED
+    start = draw(st.sampled_from(cells))
+    outside = st.tuples(st.integers(-2, width + 2), st.integers(-2, height + 2))
+    goals = set(draw(st.lists(st.one_of(st.sampled_from(cells), outside), max_size=8)))
+    if draw(st.booleans()):
+        goals.add(start)
+    return grid, start, goals
 
 
 def sweep_region(grid, region, start):
@@ -195,6 +258,60 @@ class TestPlanTravel:
         path, goal = found
         assert goal == (2, 0)
         assert len(path) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(travel_cases())
+    def test_matches_the_tuple_oracle(self, case):
+        grid, start, goals = case
+        try:
+            expected = tuple_travel_to_any(grid, start, goals)
+        except ValueError:
+            with pytest.raises(ValueError):
+                plan_travel_to_any(grid, start, goals)
+            return
+        assert plan_travel_to_any(grid, start, goals) == expected
+
+    def test_blocked_start_raises_in_both(self):
+        grid = make_world(width=5, height=3)
+        grid.cells[grid.idx((4, 1))] = CellState.FORBIDDEN
+        for bfs in (plan_travel_to_any, tuple_travel_to_any):
+            with pytest.raises(ValueError):
+                bfs(grid, (4, 1), {(0, 0), (9, 9)})
+
+    def test_first_expander_becomes_parent(self):
+        # (0, 1) and (1, 0) both reach (1, 1); (0, 1) comes first in (x, y) order
+        grid = make_world(width=6, height=6)
+        assert plan_travel_to_any(grid, (0, 0), {(1, 1)}) == ([(0, 1), (1, 1)], (1, 1))
+
+    def test_frontier_order_picks_between_equal_paths(self):
+        # two shortest paths reach (2, 6); an unsorted frontier takes the
+        # northern one
+        rows = [
+            "........#..",
+            "#.....#....",
+            "........#..",
+            ".##....##..",
+            ".......#...",
+            "..#....#...",
+            "....#...#..",
+            "...........",
+            ".#.........",
+            "...........",
+        ]
+        grid = make_world(width=11, height=10)
+        for y, row in enumerate(rows):
+            for x, char in enumerate(row):
+                if char == "#":
+                    grid.cells[grid.idx((x, y))] = CellState.OBSTACLE
+        goals = {(7, 2), (2, 6), (10, 6), (1, 4)}
+        expected = ([(5, 7), (4, 7), (3, 7), (2, 7), (2, 6)], (2, 6))
+        assert tuple_travel_to_any(grid, (5, 6), goals) == expected
+        assert plan_travel_to_any(grid, (5, 6), goals) == expected
+
+    def test_goals_outside_the_grid_are_never_reached(self):
+        grid = make_world(width=3, height=2)
+        # (0, 2) would alias cell (1, 0) under a column-major number x*h + y
+        assert plan_travel_to_any(grid, (0, 0), {(0, 2), (-1, 0), (3, 1)}) is None
 
     def test_multi_target_tie_breaks_lowest_index(self):
         grid = make_world(width=6, height=6)

@@ -1,0 +1,96 @@
+"""The scenario parser: the bundled files, and each documented rejection
+raising ScenarioError that names its field."""
+
+import copy
+from pathlib import Path
+
+import pytest
+
+from gridcover.scenario import PARAM_DEFAULTS, Params, ScenarioError, load_scenario, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios"
+
+BASE = {
+    "world": {
+        "width": 4,
+        "height": 3,
+        "tasks": [{"x": 0, "y": 0, "w": 2, "h": 3}, {"x": 2, "y": 0, "w": 2, "h": 3}],
+        "obstacles": [[3, 2]],
+    },
+    "robots": [{"id": 1, "start": [0, 0]}, {"id": 2, "start": [2, 1]}],
+}
+
+
+def edited(edit):
+    doc = copy.deepcopy(BASE)
+    edit(doc)
+    return doc
+
+
+class TestBundled:
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_bundled_file_parses(self, name):
+        config = load_scenario(str(SCENARIOS / f"{name}.json"))
+        assert (config.world.width, config.world.height) == (50, 50)
+        assert len(config.world.tasks) == 10
+        assert len(config.robots) == 10
+        cells = sum(rect.w * rect.h for rect in config.world.tasks)
+        assert cells == config.world.width * config.world.height
+
+    def test_minimal_document_takes_every_default(self):
+        config = parse_scenario(BASE)
+        assert config.params == Params()
+        assert config.strategy == "CARE"
+        assert config.seed == 0
+        assert config.world.obstacles == ((3, 2),)
+        assert [r.id for r in config.robots] == [1, 2]
+
+
+def set_key(path, value):
+    def edit(doc):
+        *parents, last = path
+        obj = doc
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
+
+
+REJECTIONS = {
+    "unknown top-level key": (set_key(["colour"], "red"), "scenario: unknown key 'colour'"),
+    "unknown world key": (set_key(["world", "depth"], 2), "world: unknown key 'depth'"),
+    "unknown param": (set_key(["params"], {"speed": 1.0}), "params: unknown key 'speed'"),
+    "overlapping tasks": (
+        set_key(["world", "tasks"], [{"x": 0, "y": 0, "w": 3, "h": 3}, {"x": 2, "y": 0, "w": 2, "h": 3}]),
+        "world.tasks[1]: overlaps task 0",
+    ),
+    "tasks that do not cover the grid": (
+        set_key(["world", "tasks"], [{"x": 0, "y": 0, "w": 2, "h": 3}]),
+        "world.tasks: task rects must partition the whole grid",
+    ),
+    "robot on an obstacle": (
+        set_key(["robots", 1], {"id": 2, "start": [3, 2]}),
+        "robots[1].start: cell [3, 2] is an obstacle cell",
+    ),
+    "duplicate robot ids": (set_key(["robots", 1, "id"], 1), "robots: duplicate robot ids"),
+    "eta >= gamma": (set_key(["params"], {"eta": 200.0, "gamma": 200.0}), "params.eta"),
+    "heartbeat_s >= t0_s": (set_key(["params"], {"heartbeat_s": 15.0}), "params.heartbeat_s"),
+    "unknown strategy": (set_key(["strategy"], "GREEDY"), "strategy: expected one of"),
+}
+
+
+class TestRejections:
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_rejection_names_its_field(self, case):
+        edit, message = REJECTIONS[case]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(edited(edit))
+        assert str(err.value).startswith(message)
+
+    def test_valid_neighbours_of_the_rejections_parse(self):
+        # each bound is strict: just inside it parses
+        doc = edited(set_key(["params"], {"eta": 199.0, "gamma": 200.0, "heartbeat_s": 14.0}))
+        params = parse_scenario(doc).params
+        assert (params.eta, params.heartbeat_s, params.t0_s) == (199.0, 14.0, PARAM_DEFAULTS["t0_s"])
+        assert parse_scenario(edited(set_key(["strategy"], "FR"))).strategy == "FR"

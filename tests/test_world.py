@@ -408,6 +408,47 @@ class TestWatchedRegion:
         assert belief.unexplored_total == 100 - 9
 
 
+class TestBlockedCount:
+    """`n_blocked` counts writes of FORBIDDEN or OBSTACLE, whoever makes them."""
+
+    def test_counts_sensed_obstacles_and_buffers(self):
+        grid = make_world(obstacles=[[2, 2], [0, 9]])
+        mark_sensed(grid, [((2, 2), True)])  # the obstacle and its 8 buffer cells
+        assert grid.n_blocked == 9
+        mark_sensed(grid, [((2, 2), True), ((3, 3), False)])  # nothing new
+        assert grid.n_blocked == 9
+        mark_sensed(grid, [((0, 9), True)])  # a corner: 3 buffer cells
+        assert grid.n_blocked == 9 + 4
+
+    def test_counts_merge_upgrades(self):
+        grid = make_world()
+        mark_covered(grid, (1, 1))
+        merge_maps(
+            grid,
+            [
+                Change((1, 1), CellState.UNEXPLORED, CellState.FORBIDDEN),  # EXPLORED -> FORBIDDEN
+                Change((1, 1), CellState.UNEXPLORED, CellState.OBSTACLE),  # FORBIDDEN -> OBSTACLE
+                Change((4, 4), CellState.UNEXPLORED, CellState.FORBIDDEN),
+                Change((5, 5), CellState.UNEXPLORED, CellState.EXPLORED),
+            ],
+        )
+        assert grid.n_blocked == 3
+        merge_maps(grid, [Change((1, 1), CellState.UNEXPLORED, CellState.FORBIDDEN)])  # no write
+        assert grid.n_blocked == 3
+
+    def test_covering_is_not_counted(self):
+        grid = make_world()
+        for cell in [(0, 0), (1, 0), (1, 0), (9, 9)]:
+            mark_covered(grid, cell)
+        assert grid.n_blocked == 0
+
+    def test_each_map_counts_its_own_writes(self):
+        grid = make_world(obstacles=[[5, 5]])
+        belief = grid.belief_copy()
+        mark_sensed(belief, [((5, 5), True)])
+        assert (belief.n_blocked, grid.n_blocked) == (9, 0)
+
+
 class TestRangeSensor:
     def brute_force(self, grid, cell, radius_m):
         pos = grid.cell_center(cell)
