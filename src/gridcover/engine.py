@@ -84,6 +84,12 @@ from .world import (
 
 log = logging.getLogger("gridcover.engine")
 
+# Enum members the hot paths read, bound to module names as in `world`.
+# States from _BLOCKED up block travel.
+_UNEXPLORED = CellState.UNEXPLORED
+_EXPLORED = CellState.EXPLORED
+_BLOCKED = CellState.FORBIDDEN
+
 
 class LivenessError(RuntimeError):
     """The run cannot make the progress the scenario contract promises."""
@@ -392,7 +398,7 @@ class Simulation:
         mcell = self.grid.cell_of_position(*noisy)
         if not self.grid.in_bounds(mcell):
             return
-        if self.grid.state(mcell) in (CellState.OBSTACLE, CellState.FORBIDDEN):
+        if self.grid.state(mcell) >= _BLOCKED:
             return
         change, found = mark_covered(self.grid, mcell)
         if change is not None:
@@ -400,7 +406,7 @@ class Simulation:
         if found:
             self.found_total += found
             self.logs.discoveries.append((self.tick, self.found_total))
-        local = Change(cell=mcell, old=CellState.UNEXPLORED, new=CellState.EXPLORED)
+        local = Change(cell=mcell, old=_UNEXPLORED, new=_EXPLORED)
         merge_maps(r.belief, [local])
         self.outbox.append(local)
 
@@ -421,7 +427,7 @@ class Simulation:
             k
             for k in range(len(strips))
             if (task, k) not in self.table.holder
-            and any(r.belief.state(c) is CellState.UNEXPLORED for c in strips[k])
+            and any(r.belief.state(c) is _UNEXPLORED for c in strips[k])
         ]
         if not free:
             return None
@@ -436,7 +442,7 @@ class Simulation:
     def _dispatch(self, r: Robot) -> None:
         """Route a robot toward the unexplored part of its region."""
         for _ in range(2):
-            targets = {c for c in r.region if r.belief.state(c) is CellState.UNEXPLORED}
+            targets = {c for c in r.region if r.belief.state(c) is _UNEXPLORED}
             found = plan_travel_to_any(r.belief, r.cell, targets) if targets else ([], None)
             if found is None:
                 self._resolve_pocket(r, targets)
@@ -480,7 +486,7 @@ class Simulation:
         readings = [(c, True) for c in sorted(obstacles)]
         self.outbox.extend(mark_sensed(r.belief, readings))
         self._log_changes(r, mark_sensed(self.grid, readings))
-        leftover = [c for c in sorted(cells) if r.belief.state(c) is CellState.UNEXPLORED]
+        leftover = [c for c in sorted(cells) if r.belief.state(c) is _UNEXPLORED]
         if leftover:
             raise LivenessError(f"pocket resolution left unexplored cells: {leftover[:5]}")
 
@@ -632,7 +638,7 @@ class Simulation:
             return
         if r.path_checked_at != r.belief.n_blocked:
             r.path_checked_at = r.belief.n_blocked
-            if any(r.belief.state(c) in (CellState.OBSTACLE, CellState.FORBIDDEN) for c in r.path):
+            if any(r.belief.state(c) >= _BLOCKED for c in r.path):
                 self._dispatch(r)
                 if r.mode != "traveling":
                     return
@@ -671,7 +677,7 @@ class Simulation:
             r.cell = wp
             r.pos_m = self.grid.cell_center(wp)
             self._sense(r, wp)
-            if wp in r.region and r.belief.state(wp) is CellState.UNEXPLORED:
+            if wp in r.region and r.belief.state(wp) is _UNEXPLORED:
                 self._cover_attempt(r, wp)
 
     def _workload_complete(self, r: Robot) -> None:
@@ -831,7 +837,7 @@ class Simulation:
 
     def _apply_game(self, game, snap: TeamSnapshot, model, kind: str, trigger: int) -> None:
         t0 = time.perf_counter()
-        a_star, _trace = max_logit(game, self.rng_game)
+        a_star = max_logit(game, self.rng_game)
         wall = time.perf_counter() - t0
         phi_init = potential(game, game.initial)
         phi_star = potential(game, a_star)

@@ -29,12 +29,16 @@ class GameInstance:
     cycles: int  # learning loop length L
     tau: float  # learning temperature
     initial: JointAction = field(default=None)
+    rank: dict[int, int] = field(init=False, repr=False)  # task id -> menu position
 
     def __post_init__(self) -> None:
         if not self.players:
             raise ValueError("game needs at least one player")
         if not self.actions:
             raise ValueError("game needs at least one action")
+        self.rank = {r: k for k, r in enumerate(self.actions)}
+        if len(self.rank) != len(self.actions):
+            raise ValueError(f"action menu repeats a task: {self.actions}")
         for r in self.actions:
             if self.worth.get(r, 0.0) < 0:
                 raise ValueError(f"negative worth for task {r}")
@@ -54,14 +58,21 @@ def potential(g: GameInstance, a: JointAction) -> float:
 
     phi(a) = sum_r w_r * (1 - prod_{i: a_i = r} (1 - p_r(i))). Players whose
     entry is None or off-menu contribute to no task.
+
+    Costs O(players + k log k) for the k distinct tasks chosen, not
+    O(menu x players): a task nobody chose adds w_r * (1 - 1.0) = 0.0, and
+    x + 0.0 == x, so summing only the chosen tasks, in menu order, with
+    each miss product taken in player order, gives the full menu sum bit
+    for bit.
     """
+    rank = g.rank
+    miss: dict[int, float] = {}
+    for v, r in zip(g.players, a):
+        if r in rank:
+            miss[r] = miss.get(r, 1.0) * (1.0 - g.prob[v][r])
     total = 0.0
-    for r in g.actions:
-        miss = 1.0
-        for v, act in zip(g.players, a):
-            if act == r:
-                miss *= 1.0 - g.prob[v][r]
-        total += g.worth[r] * (1.0 - miss)
+    for r in sorted(miss, key=rank.__getitem__):
+        total += g.worth[r] * (1.0 - miss[r])
     return total
 
 
@@ -103,7 +114,7 @@ def check_potential_game(g: GameInstance, samples: int, seed: int) -> tuple[floa
     return worst, worst <= 1e-9
 
 
-def max_logit(g: GameInstance, seed: int | random.Random) -> tuple[JointAction, list[tuple[JointAction, float]]]:
+def max_logit(g: GameInstance, seed: int | random.Random) -> JointAction:
     """Run the Max-Logit learning loop and return the best joint action visited.
 
     Each cycle one uniformly chosen player draws a uniform alternative from
@@ -111,7 +122,8 @@ def max_logit(g: GameInstance, seed: int | random.Random) -> tuple[JointAction, 
     mu = min(1, exp((U(alt) - U(cur)) / tau)), the log-space form of
     psi(alt) / max(psi(cur), psi(alt)). The returned action maximizes the
     potential over everything visited (including the initial action), so the
-    result never degrades the potential. Ties keep the earliest visit.
+    result never degrades the potential. Ties keep the earliest visit, so a
+    cycle that keeps the current action needs no new potential.
     """
     if g.tau <= 0:
         raise ValueError(f"tau must be positive, got {g.tau}")
@@ -120,29 +132,27 @@ def max_logit(g: GameInstance, seed: int | random.Random) -> tuple[JointAction, 
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
 
     current = list(g.initial)
-    trace: list[tuple[JointAction, float]] = []
     best_a = tuple(current)
     best_phi = potential(g, best_a)
-    trace.append((best_a, best_phi))
 
     for _ in range(g.cycles):
         i = rng.randrange(len(g.players))
         alt = g.actions[rng.randrange(len(g.actions))]
-        if alt != current[i]:
-            cur_u = utility(g, i, tuple(current))
-            trial = list(current)
-            trial[i] = alt
-            alt_u = utility(g, i, tuple(trial))
-            mu = math.exp(min(0.0, (alt_u - cur_u) / g.tau))
-            if rng.random() < mu:
-                current[i] = alt
-        visited = tuple(current)
-        phi = potential(g, visited)
-        trace.append((visited, phi))
-        if phi > best_phi:
-            best_phi = phi
-            best_a = visited
-    return best_a, trace
+        if alt == current[i]:
+            continue
+        cur_u = utility(g, i, tuple(current))
+        trial = list(current)
+        trial[i] = alt
+        visited = tuple(trial)
+        alt_u = utility(g, i, visited)
+        mu = math.exp(min(0.0, (alt_u - cur_u) / g.tau))
+        if rng.random() < mu:
+            current = trial
+            phi = potential(g, visited)
+            if phi > best_phi:
+                best_phi = phi
+                best_a = visited
+    return best_a
 
 
 def brute_force_optimum(g: GameInstance) -> tuple[JointAction, float]:

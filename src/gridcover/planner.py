@@ -20,6 +20,11 @@ from dataclasses import dataclass, field
 
 from .world import Cell, CellState, GridMap
 
+# Enum members the hot paths read, bound to module names as in `world`.
+# States from _BLOCKED up block travel.
+_UNEXPLORED = CellState.UNEXPLORED
+_BLOCKED = CellState.FORBIDDEN
+
 
 @dataclass(frozen=True)
 class Done:
@@ -47,7 +52,7 @@ def make_planner(region, pose: Cell) -> PlannerState:
 
 
 def _traversable(grid: GridMap, cell: Cell) -> bool:
-    return grid.state(cell) not in (CellState.OBSTACLE, CellState.FORBIDDEN)
+    return grid.state(cell) < _BLOCKED
 
 
 def _nearest_unexplored_path(grid: GridMap, pose: Cell, region: frozenset[Cell]) -> list[Cell] | None:
@@ -56,7 +61,7 @@ def _nearest_unexplored_path(grid: GridMap, pose: Cell, region: frozenset[Cell])
     parent: dict[Cell, Cell | None] = {pose: None}
     frontier = [pose]
     while frontier:
-        hits = [c for c in frontier if c in region and grid.state(c) is CellState.UNEXPLORED]
+        hits = [c for c in frontier if c in region and grid.state(c) is _UNEXPLORED]
         if hits:
             goal = min(hits, key=grid.idx)
             path = []
@@ -85,24 +90,24 @@ def next_waypoint(grid: GridMap, state: PlannerState, pose: Cell):
 
     A finished region is found only by the final search; callers that keep
     the region's unexplored count check it first."""
-    if pose in state.region and grid.state(pose) is CellState.UNEXPLORED:
+    if pose in state.region and grid.state(pose) is _UNEXPLORED:
         state.pending.clear()
         return pose
 
     if state.pending:
         goal = state.pending[-1]
-        if grid.state(goal) is CellState.UNEXPLORED and all(_traversable(grid, c) for c in state.pending):
+        if grid.state(goal) is _UNEXPLORED and all(_traversable(grid, c) for c in state.pending):
             return state.pending.pop(0)
         state.pending.clear()
 
     lane_dir = state.base_dir * (1 if (pose[0] - state.lane_origin) % 2 == 0 else -1)
     sweep = (pose[0], pose[1] + lane_dir)
-    if sweep in state.region and grid.in_bounds(sweep) and grid.state(sweep) is CellState.UNEXPLORED:
+    if sweep in state.region and grid.in_bounds(sweep) and grid.state(sweep) is _UNEXPLORED:
         return sweep
 
     path = _nearest_unexplored_path(grid, pose, state.region)
     if path is None:
-        return Done(unreachable=frozenset(c for c in state.region if grid.state(c) is CellState.UNEXPLORED))
+        return Done(unreachable=frozenset(c for c in state.region if grid.state(c) is _UNEXPLORED))
     state.pending = path
     return state.pending.pop(0)
 
@@ -139,7 +144,7 @@ def plan_travel_to_any(grid: GridMap, start: Cell, goals) -> tuple[list[Cell], C
     if not goals:
         return None
     w, h, cells = grid.width, grid.height, grid.cells
-    blocked = CellState.FORBIDDEN  # this state and OBSTACLE
+    blocked = _BLOCKED  # this state and OBSTACLE
     sx, sy = start
     if cells[sy * w + sx] >= blocked:
         raise ValueError(f"travel start {start} is a blocked cell")

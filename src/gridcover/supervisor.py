@@ -124,9 +124,50 @@ class TeamSnapshot:
     robots: dict[int, RobotView]  # live robots only
 
 
+class _ProbRow(dict):
+    """One robot's row of `TeamModel.prob`: an entry is computed on its
+    first read, from inputs taken at build time, and then kept."""
+
+    __slots__ = ("view", "pending_s", "tasks", "u", "omega")
+
+    def __init__(self, view: RobotView, pending_s: float, tasks, u: float, omega: float) -> None:
+        super().__init__()
+        self.view = view
+        self.pending_s = pending_s
+        self.tasks = tasks  # task -> (centroid_m, n_unexplored) at build time
+        self.u = u
+        self.omega = omega
+
+    def __missing__(self, r: int) -> float:
+        centroid, n_unexplored = self.tasks[r]
+        view = self.view
+        # the robot's own task pays no near-finish remainder on top
+        extra = self.pending_s if view.task != r else 0.0
+        p = self[r] = success_probability(
+            view.battery,
+            view.tasking_time_s,
+            math.dist(view.pos_m, centroid),
+            self.u,
+            n_unexplored,
+            self.omega,
+            extra,
+        )
+        return p
+
+
 @dataclass(frozen=True)
 class TeamModel:
-    """Worths, time-to-complete and success probabilities at game time."""
+    """Worths, time-to-complete and success probabilities at game time.
+
+    `remaining`, `t_c`, `pending_s` and `assigned` cover every task and
+    robot when the model is built. `prob[v][r]` is filled on its first read
+    from build-time inputs (the robot's view and `pending_s`, the task's
+    centroid and unexplored count), then kept, so a read gives the same
+    float whenever it happens. A game reads only its players' menu entries
+    and the occupants of those tasks, a small share of robots x tasks.
+    Rows are read by task id, never iterated: an iterated row would show
+    only the entries computed so far.
+    """
 
     remaining: dict[int, float]  # task -> expected undiscovered targets
     t_c: dict[int, float]  # task -> remaining completion time, n_U / omega
@@ -140,27 +181,16 @@ def build_team_model(snap: TeamSnapshot) -> TeamModel:
     grid = snap.grid
     remaining = {r: remaining_worth(t.lam, t.found) for r, t in grid.tasks.items()}
     t_c = {r: t.n_unexplored / p.omega for r, t in grid.tasks.items()}
+    tasks = {r: (t.centroid_m, t.n_unexplored) for r, t in grid.tasks.items()}
 
     pending_s: dict[int, float] = {}
     for v, view in snap.robots.items():
         rem = view.region_unexplored / p.omega
         pending_s[v] = rem if (view.task is not None and 0.0 < rem <= p.eta) else 0.0
 
-    prob: dict[int, dict[int, float]] = {}
-    for v, view in sorted(snap.robots.items()):
-        row: dict[int, float] = {}
-        for r, task in grid.tasks.items():
-            extra = pending_s[v] if view.task != r else 0.0
-            row[r] = success_probability(
-                view.battery,
-                view.tasking_time_s,
-                math.dist(view.pos_m, task.centroid_m),
-                p.u,
-                task.n_unexplored,
-                p.omega,
-                extra,
-            )
-        prob[v] = row
+    prob: dict[int, dict[int, float]] = {
+        v: _ProbRow(view, pending_s[v], tasks, p.u, p.omega) for v, view in sorted(snap.robots.items())
+    }
 
     assigned: dict[int, list[int]] = {r: [] for r in grid.tasks}
     for v, view in sorted(snap.robots.items()):
@@ -224,7 +254,7 @@ def build_noidling_game(
         players=tuple(players),
         actions=tuple(menu),
         worth=worth,
-        prob={v: dict(model.prob[v]) for v in players},
+        prob={v: {r: model.prob[v][r] for r in menu} for v in players},
         cycles=p.L,
         tau=p.tau,
         initial=initial,
@@ -260,7 +290,7 @@ def build_resilience_game(
         players=tuple(players),
         actions=tuple(menu),
         worth=worth,
-        prob={v: dict(model.prob[v]) for v in players},
+        prob={v: {r: model.prob[v][r] for r in menu} for v in players},
         cycles=p.L,
         tau=p.tau,
         initial=initial,

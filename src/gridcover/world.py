@@ -37,9 +37,13 @@ class CellState(IntEnum):
     OBSTACLE = 3
 
 
-# States from this one up block travel. A module name, because reading an
-# enum member off its class costs about 0.2 us on CPython 3.11.
-_BLOCKED = CellState.FORBIDDEN
+# Module names for the members the hot paths read, because reading an enum
+# member off its class costs about 0.2 us on CPython 3.11.
+_UNEXPLORED = CellState.UNEXPLORED
+_EXPLORED = CellState.EXPLORED
+_FORBIDDEN = CellState.FORBIDDEN
+_OBSTACLE = CellState.OBSTACLE
+_BLOCKED = _FORBIDDEN  # states from this one up block travel
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ class GridMap:
     def watch(self, region) -> None:
         """Watch a new region (empty for none) and count its unexplored cells."""
         self.watched = frozenset(region)
-        self.watched_unexplored = sum(1 for c in self.watched if self.state(c) is CellState.UNEXPLORED)
+        self.watched_unexplored = sum(1 for c in self.watched if self.state(c) is _UNEXPLORED)
 
     def belief_copy(self) -> "GridMap":
         """Per-robot planning map: same cell states, no task records, no
@@ -129,7 +133,7 @@ class GridMap:
         leaves UNEXPLORED, once, and of `n_blocked`."""
         if new >= _BLOCKED:
             self.n_blocked += 1
-        if self.cells[i] is CellState.UNEXPLORED:
+        if self.cells[i] is _UNEXPLORED:
             self.unexplored_total -= 1
             task = self.tasks.get(self.task_of[i])
             if task is not None:
@@ -299,19 +303,19 @@ def mark_sensed(grid: GridMap, readings) -> list[Change]:
         if not occupied:
             continue
         i = grid.idx(cell)
-        if grid.cells[i] is not CellState.UNEXPLORED:
+        if grid.cells[i] is not _UNEXPLORED:
             continue
-        grid._set_state(i, cell, CellState.OBSTACLE)
-        changes.append(Change(cell, CellState.UNEXPLORED, CellState.OBSTACLE))
+        grid._set_state(i, cell, _OBSTACLE)
+        changes.append(Change(cell, _UNEXPLORED, _OBSTACLE))
         marked.append(cell)
     # buffers go in a second pass so adjacent obstacles within one batch
     # never shadow each other into Forbidden
     for cell in marked:
         for nb in neighbors8(cell, grid.width, grid.height):
             i = grid.idx(nb)
-            if grid.cells[i] is CellState.UNEXPLORED:
-                grid._set_state(i, nb, CellState.FORBIDDEN)
-                changes.append(Change(nb, CellState.UNEXPLORED, CellState.FORBIDDEN))
+            if grid.cells[i] is _UNEXPLORED:
+                grid._set_state(i, nb, _FORBIDDEN)
+                changes.append(Change(nb, _UNEXPLORED, _FORBIDDEN))
     return changes
 
 
@@ -319,11 +323,11 @@ def mark_covered(grid: GridMap, cell: Cell) -> tuple[Change | None, int]:
     """Mark a visited cell explored and surface any targets hidden there."""
     i = grid.idx(cell)
     state = grid.cells[i]
-    if state in (CellState.OBSTACLE, CellState.FORBIDDEN):
+    if state >= _BLOCKED:
         raise ValueError(f"covering a blocked cell {cell} ({state.name}): planner bug")
-    if state is CellState.EXPLORED:
+    if state is _EXPLORED:
         return None, 0
-    grid._set_state(i, cell, CellState.EXPLORED)
+    grid._set_state(i, cell, _EXPLORED)
     discovered = 0
     for t_index in grid.targets_at.get(cell, ()):
         target = grid.targets[t_index]
@@ -332,7 +336,7 @@ def mark_covered(grid: GridMap, cell: Cell) -> tuple[Change | None, int]:
             discovered += 1
     if discovered:
         grid.tasks[grid.task_of[i]].found += discovered
-    return Change(cell, CellState.UNEXPLORED, CellState.EXPLORED), discovered
+    return Change(cell, _UNEXPLORED, _EXPLORED), discovered
 
 
 def merge_maps(grid: GridMap, remote_changes) -> GridMap:

@@ -341,3 +341,38 @@ class TestAssignments:
         t.park(1, 4)
         t.assign(1, 4, 0)
         assert list(t.standby[4]) == []
+
+
+class TestBenchmarkHooks:
+    def test_tracer_sees_the_game_layer_and_restores_it(self, digest):
+        # the benchmark's tracer patches these names by attribute; a refactor
+        # that renames them or stops calling them blinds its trace
+        from gridcover import engine, supervisor
+
+        tracing = perfbench("tracing")
+        tracer = tracing.Tracer()
+        simulation, parse, _write, restore = tracing.instrument(tracer)
+        traced_build = engine.build_team_model
+        eager_total = 0  # live robots x tasks, summed over the builds
+
+        def counted_build(snap):
+            nonlocal eager_total
+            eager_total += len(snap.robots) * len(snap.grid.tasks)
+            return traced_build(snap)
+
+        doc = json.loads((SCENARIOS / "scenario2.json").read_text())
+        doc["seed"] = 1
+        doc["strategy"] = "CARE"
+        engine.build_team_model = counted_build
+        try:
+            result = simulation(parse(doc)).run()
+        finally:
+            engine.build_team_model = traced_build
+            restore()
+
+        times = tracer.layer_times()
+        assert times["supervisor.team_model"][0] > 0
+        assert times["game.max_logit"][0] > 0
+        assert 0 < tracer.counts["models.success_probability_calls"] < eager_total
+        assert engine.build_team_model is supervisor.build_team_model
+        assert digest(result) == committed_digests("paper")["scenario2/CARE"]

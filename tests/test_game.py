@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcover.game import (
     GameInstance,
@@ -17,6 +19,47 @@ from gridcover.game import (
     team_potential,
     utility,
 )
+
+
+def menu_potential(g: GameInstance, a) -> float:
+    """Oracle: the potential summed over the whole menu, in menu order."""
+    total = 0.0
+    for r in g.actions:
+        miss = 1.0
+        for v, act in zip(g.players, a):
+            if act == r:
+                miss *= 1.0 - g.prob[v][r]
+        total += g.worth[r] * (1.0 - miss)
+    return total
+
+
+def traced_max_logit(g: GameInstance, seed):
+    """Oracle: Max-Logit that evaluates the potential of every visited joint
+    action and returns (best action, trace of (action, potential))."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    current = list(g.initial)
+    trace = []
+    best_a = tuple(current)
+    best_phi = menu_potential(g, best_a)
+    trace.append((best_a, best_phi))
+    for _ in range(g.cycles):
+        i = rng.randrange(len(g.players))
+        alt = g.actions[rng.randrange(len(g.actions))]
+        if alt != current[i]:
+            cur_u = utility(g, i, tuple(current))
+            trial = list(current)
+            trial[i] = alt
+            alt_u = utility(g, i, tuple(trial))
+            mu = math.exp(min(0.0, (alt_u - cur_u) / g.tau))
+            if rng.random() < mu:
+                current[i] = alt
+        visited = tuple(current)
+        phi = menu_potential(g, visited)
+        trace.append((visited, phi))
+        if phi > best_phi:
+            best_phi = phi
+            best_a = visited
+    return best_a, trace
 
 
 def random_instance(rng: random.Random, n_players=3, n_actions=4, cycles=50, tau=0.05):
@@ -138,9 +181,7 @@ class TestMaxLogit:
             tau=0.05,
             initial=(9, 9),
         )
-        a_star, trace = max_logit(g, seed=0)
-        assert a_star == (9, 9)
-        assert all(a == (9, 9) for a, _ in trace)
+        assert max_logit(g, seed=0) == (9, 9)
 
     def test_single_player_finds_dominant_action(self):
         g = GameInstance(
@@ -153,16 +194,43 @@ class TestMaxLogit:
             initial=(2,),
         )
         for seed in range(10):
-            a_star, _ = max_logit(g, seed=seed)
-            assert a_star == (1,)
+            assert max_logit(g, seed=seed) == (1,)
 
     def test_best_visited_never_below_initial(self):
         rng = random.Random(11)
         for trial in range(100):
             g = random_instance(rng)
-            a_star, trace = max_logit(g, seed=trial)
+            a_star = max_logit(g, seed=trial)
             assert potential(g, a_star) >= potential(g, g.initial) - 1e-12
-            assert trace[0][0] == g.initial
+
+    def test_matches_traced_oracle(self):
+        # coarse probabilities and worths make equal potentials, so the
+        # earliest-visit tie rule is exercised too
+        rng = random.Random(17)
+        for trial in range(200):
+            n_players = rng.randint(1, 5)
+            actions = tuple(rng.sample(range(1, 30), rng.randint(1, 6)))
+            players = tuple(range(1, n_players + 1))
+            coarse = trial % 2 == 0
+            worth = {r: rng.choice((1.0, 2.0, 4.0)) if coarse else rng.uniform(0.0, 10.0) for r in actions}
+            prob = {
+                v: {r: rng.choice((0.25, 0.5, 1.0)) if coarse else rng.random() for r in actions}
+                for v in players
+            }
+            initial = tuple(rng.choice(actions + (None, 99)) for _ in players)
+            g = GameInstance(
+                players=players,
+                actions=actions,
+                worth=worth,
+                prob=prob,
+                cycles=rng.randint(1, 60),
+                tau=rng.choice((0.01, 0.05, 0.5)),
+                initial=initial,
+            )
+            ours, theirs = random.Random(trial), random.Random(trial)
+            assert max_logit(g, ours) == traced_max_logit(g, theirs)[0]
+            assert ours.getstate() == theirs.getstate()
+            assert max_logit(g, seed=trial) == traced_max_logit(g, seed=trial)[0]
 
     def test_fixed_seed_reproducible(self):
         g = random_instance(random.Random(12))
@@ -177,6 +245,47 @@ class TestMaxLogit:
         g.cycles = 0
         with pytest.raises(ValueError):
             max_logit(g, seed=0)
+
+
+@st.composite
+def games_and_actions(draw):
+    """A game over an unsorted menu and a joint action whose entries may be
+    None, off the menu or repeated."""
+    actions = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=8, unique=True)))
+    players = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True)))
+    unit = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+    worth = {r: draw(st.floats(0.0, 100.0)) for r in actions}
+    prob = {v: {r: draw(unit) for r in actions} for v in players}
+    entries = st.one_of(st.sampled_from(actions), st.none(), st.integers(13, 15))
+    joint = tuple(draw(entries) for _ in players)
+    game = GameInstance(players=players, actions=actions, worth=worth, prob=prob, cycles=1, tau=0.05)
+    return game, joint
+
+
+class TestPotentialOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(games_and_actions())
+    def test_equals_full_menu_sum_bit_for_bit(self, case):
+        g, a = case
+        assert potential(g, a) == menu_potential(g, a)
+
+    def test_sums_in_menu_order(self):
+        # (0.1 + 0.2) + 0.4 != (0.1 + 0.4) + 0.2 in floating point
+        g = GameInstance(
+            players=(1, 2, 3),
+            actions=(1, 2, 3),
+            worth={1: 0.1, 2: 0.2, 3: 0.4},
+            prob={v: {1: 1.0, 2: 1.0, 3: 1.0} for v in (1, 2, 3)},
+            cycles=1,
+            tau=0.05,
+        )
+        assert potential(g, (1, 3, 2)) == menu_potential(g, (1, 3, 2)) == (0.1 + 0.2) + 0.4
+
+    def test_repeated_menu_task_rejected(self):
+        with pytest.raises(ValueError, match="repeats"):
+            GameInstance(
+                players=(1,), actions=(3, 3), worth={3: 1.0}, prob={1: {3: 0.5}}, cycles=1, tau=0.05
+            )
 
 
 class TestBruteForce:

@@ -1,10 +1,13 @@
 """Supervisor automaton, failure confirmation, game construction, strips."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridcover.models import BatteryParams
+from gridcover.models import BatteryParams, success_probability
 from gridcover.scenario import Params
 from gridcover.supervisor import (
     DesState,
@@ -155,6 +158,119 @@ class TestTeamModel:
         base = build_team_model(snap)
         assert model.prob[1][1] == base.prob[1][1]  # own task: no extra
         assert model.prob[1][2] < base.prob[1][2]  # other task pays the remainder
+
+
+def eager_prob(snap):
+    """Oracle: every live robot x every task, computed at once."""
+    p = snap.params
+    grid = snap.grid
+    pending_s = {}
+    for v, view in snap.robots.items():
+        rem = view.region_unexplored / p.omega
+        pending_s[v] = rem if (view.task is not None and 0.0 < rem <= p.eta) else 0.0
+    prob = {}
+    for v, view in sorted(snap.robots.items()):
+        row = {}
+        for r, task in grid.tasks.items():
+            extra = pending_s[v] if view.task != r else 0.0
+            row[r] = success_probability(
+                view.battery,
+                view.tasking_time_s,
+                math.dist(view.pos_m, task.centroid_m),
+                p.u,
+                task.n_unexplored,
+                p.omega,
+                extra,
+            )
+        prob[v] = row
+    return prob
+
+
+@st.composite
+def team_snapshots(draw):
+    """A 4-12 x 6 grid of 1-4 column tasks, some partly or fully covered, and
+    1-6 live robots, some on a task with a near-finish remainder."""
+    n_tasks = draw(st.integers(1, 4))
+    widths = [draw(st.integers(1, 3)) for _ in range(n_tasks)]
+    tasks, x = [], 0
+    for w in widths:
+        tasks.append({"x": x, "y": 0, "w": w, "h": 6})
+        x += w
+    grid = make_world(width=x, height=6, tasks=tasks)
+    for task in grid.tasks.values():
+        for cell in task.cells[: draw(st.integers(0, len(task.cells)))]:
+            mark_covered(grid, cell)
+    views = {}
+    for v in draw(st.lists(st.integers(1, 20), min_size=1, max_size=6, unique=True)):
+        task = draw(st.one_of(st.none(), st.sampled_from(sorted(grid.tasks))))
+        views[v] = RobotView(
+            v,
+            (draw(st.floats(0.0, 20.0)), draw(st.floats(0.0, 10.0))),
+            task,
+            draw(st.integers(0, 20)),  # up to 62 s: both sides of eta = 30 s
+            "idle" if task is None else "tasking",
+            draw(st.sampled_from((DesState.WK, DesState.ID))),
+            BatteryParams(rho0=draw(st.floats(1e-4, 1e-2)), rho1=draw(st.floats(100.0, 3000.0))),
+            draw(st.floats(0.0, 3000.0)),
+        )
+    return TeamSnapshot(grid=grid, params=Params(), robots=views)
+
+
+def cover_all(grid):
+    for task in grid.tasks.values():
+        for cell in task.cells:
+            mark_covered(grid, cell)
+
+
+class TestLazyTeamModel:
+    @settings(max_examples=100, deadline=None)
+    @given(team_snapshots(), st.randoms(use_true_random=False))
+    def test_entries_equal_eager_oracle_bit_for_bit(self, snap, rnd):
+        model = build_team_model(snap)
+        want = eager_prob(snap)
+        keys = [(v, r) for v in want for r in want[v]]
+        rnd.shuffle(keys)
+        half = len(keys) // 2
+        for v, r in keys[:half]:
+            assert model.prob[v][r] == want[v][r]
+        cover_all(snap.grid)  # entries read later still see the build-time grid
+        for v, r in keys[half:] + keys:
+            assert model.prob[v][r] == want[v][r]
+        assert set(model.prob) == set(want)
+
+    def test_grid_mutated_after_build(self):
+        snap = snapshot_for_games()
+        views = dict(snap.robots)
+        views[1] = RobotView(1, (1.5, 1.5), 1, 9, "tasking", DesState.WK, BAT, 100.0)
+        snap = TeamSnapshot(snap.grid, snap.params, views)
+        model = build_team_model(snap)
+        assert model.pending_s[1] > 0.0
+        want = eager_prob(snap)
+        cover_all(snap.grid)
+        assert eager_prob(snap) != want
+        for v in want:
+            for r in want[v]:
+                assert model.prob[v][r] == want[v][r]
+
+    def test_unknown_task_raises(self):
+        model = build_team_model(snapshot_for_games())
+        with pytest.raises(KeyError):
+            model.prob[1][99]
+
+    @settings(max_examples=100, deadline=None)
+    @given(team_snapshots(), st.integers(0, 2**32 - 1))
+    def test_games_hold_players_by_menu(self, snap, seed):
+        model = build_team_model(snap)
+        want = eager_prob(snap)
+        trigger = min(snap.robots)
+        games = [build_noidling_game(trigger, snap, model, random.Random(seed))]
+        games.append(build_resilience_game(99, (0.5, 0.5), min(snap.grid.tasks), snap, model))
+        for game in games:
+            if game is None:
+                continue
+            assert set(game.prob) == set(game.players)
+            for v in game.players:
+                assert game.prob[v] == {r: want[v][r] for r in game.actions}
 
 
 class TestNoidlingGame:
