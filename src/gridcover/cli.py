@@ -242,7 +242,13 @@ def cmd_sweep(args) -> int:
     if len(dims) != 1:
         raise ScenarioError("sweep needs exactly one of --team-sizes/--kappa1/--kappa2")
     dim = dims[0]
-    values = _parse_int_list(getattr(args, dim), f"--{dim.replace('_', '-')}")
+    flag = f"--{dim.replace('_', '-')}"
+    values = _parse_int_list(getattr(args, dim), flag)
+    for value in values:
+        if dim == "team_sizes" and not 1 <= value <= len(config.robots):
+            raise ScenarioError(f"{flag}: {value} outside 1..{len(config.robots)}")
+        if value < 1:
+            raise ScenarioError(f"{flag}: expected a positive integer, got {value}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -251,8 +257,6 @@ def cmd_sweep(args) -> int:
         for seed in seeds:
             cfg = dataclasses.replace(config, seed=seed)
             if dim == "team_sizes":
-                if value < 1 or value > len(config.robots):
-                    raise ScenarioError(f"--team-sizes: {value} outside 1..{len(config.robots)}")
                 cfg = dataclasses.replace(cfg, robots=config.robots[:value])
                 kept = {r.id for r in cfg.robots}
                 cfg = dataclasses.replace(

@@ -1,9 +1,15 @@
 """Deterministic discrete-time simulation of the robot team.
 
 One-second ticks (configurable) drive message delivery, scheduled failures,
-heartbeat-based failure confirmation, robot motion and covering, event
-generation, and game resolution (at most one game per tick, FIFO). Runs are
-bit-reproducible for a fixed (scenario, seed).
+failure confirmation, robot motion and covering, event generation, and game
+resolution (at most one game per tick, FIFO). Runs are bit-reproducible for a
+fixed (scenario, seed).
+
+Failure confirmation is a heartbeat timeout. Live robots start together and
+beat every `heartbeat_s`, so the team keeps one heartbeat clock, and a robot
+that fails keeps the clock's last beat as the start of its silence. It is
+confirmed on the first tick its silence exceeds `t0_s` while some robot is
+still alive to hear it.
 
 A robot's region, the task or strip it works, is the region its belief map
 watches (`GridMap.watch`). The belief counts the region's unexplored cells
@@ -259,7 +265,9 @@ class RunLogs:
     changes: list[tuple[int, int, Change]] = field(default_factory=list)  # (tick, robot, change)
     trajectories: list[tuple[int, int, float, float, int, int, str]] = field(default_factory=list)
     discoveries: list[tuple[int, int]] = field(default_factory=list)  # (tick, cumulative found)
-    detector: list[tuple[int, int, int, int]] = field(default_factory=list)  # (tick, robot, yes, jury)
+    # (tick, robot, min(kappa2, live), min(kappa2, live)) per confirmation; the
+    # run digests hash these rows, so the repeated field stays
+    detector: list[tuple[int, int, int, int]] = field(default_factory=list)
     snapshots: list[tuple[int, str]] = field(default_factory=list)
     end_reason: str = ""
     ticks: int = 0
@@ -309,11 +317,10 @@ class Simulation:
         self._strips: dict[int, list[list[Cell]]] = {}
         self.table = Assignments()
         self.queue: list[tuple[str, int]] = []
-        self.confirmed: set[int] = set()
         self.failures = sorted(config.failures, key=lambda f: (f.time_s, f.robot))
         self._failure_i = 0
-        self.last_beat_sent: dict[int, float] = {r: 0.0 for r in self.order}
-        self.last_beat_recv: dict[int, float] = {r: 0.0 for r in self.order}
+        self._last_beat = 0.0  # the team's last heartbeat: live robots all beat together
+        self._silent_since: dict[int, float] = {}  # failed, unconfirmed robot -> its last beat
         self._next_sync = 0.0
         self.outbox: list[Change] = []  # the team's belief changes since the last sync
 
@@ -533,12 +540,8 @@ class Simulation:
         return RunResult(config=self.config, grid=self.grid, metrics=metrics, logs=self.logs)
 
     def _deliver_messages(self) -> None:
-        hb = self.params.heartbeat_s
-        for rid in self.order:
-            r = self.robots[rid]
-            if r.alive and self.now - self.last_beat_sent[rid] >= hb - 1e-9:
-                self.last_beat_sent[rid] = self.now
-                self.last_beat_recv[rid] = self.now
+        if self.now - self._last_beat >= self.params.heartbeat_s - 1e-9:
+            self._last_beat = self.now
         if self.now + 1e-9 >= self._next_sync:
             self._next_sync += self.params.sync_every_s
             if self.outbox:
@@ -559,31 +562,24 @@ class Simulation:
                 continue
             self._fire(r, "e7")
             r.alive = False
+            self._silent_since[r.id] = self._last_beat
             r.mode = "idle"
             r.path = []
             r.planner = None
             self.table.release(r.id)
 
     def _detection_pass(self) -> None:
-        # no suspicion, no vote: nothing can be confirmed this tick
-        t0 = self.params.t0_s
-        if all(self.now - self.last_beat_recv[u] <= t0 for u in self.order if u not in self.confirmed):
+        """Confirm, in id order, the failed robots silent for more than `t0_s`
+        if a live robot is left to hear the silence."""
+        if not self._silent_since:
             return
-        live = [rid for rid in self.order if self.robots[rid].alive]
-        subjects = [rid for rid in self.order if rid not in self.confirmed]
-        votes = {
-            l: {u: self.now - self.last_beat_recv[u] > self.params.t0_s for u in subjects if u != l}
-            for l in live
-        }
-        positions = {rid: self.robots[rid].pos_m for rid in self.order}
-        newly = detect_failures(subjects, live, votes, positions, self.params.kappa2, self.confirmed)
-        for u in sorted(newly):
-            self.confirmed.add(u)
-            jury = [l for l in live if l != u]
-            jury.sort(key=lambda l: (math.dist(positions[l], positions[u]), l))
-            jury = jury[: self.params.kappa2]
-            yes = sum(1 for l in jury if votes[l].get(u, False))
-            self.logs.detector.append((self.tick, u, yes, len(jury)))
+        live = sum(1 for r in self.robots.values() if r.alive)
+        if not live:
+            return
+        heard = min(self.params.kappa2, live)
+        for u in detect_failures(self._silent_since, self.now, self.params.t0_s):
+            del self._silent_since[u]
+            self.logs.detector.append((self.tick, u, heard, heard))
             log.info("t=%d: robot %d confirmed failed", self.tick, u)
             if self.strategy == "CARE":
                 self._handle_confirmed_failure(u)

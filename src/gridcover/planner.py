@@ -112,16 +112,6 @@ def next_waypoint(grid: GridMap, state: PlannerState, pose: Cell):
     return state.pending.pop(0)
 
 
-def plan_travel(grid: GridMap, start: Cell, goal: Cell) -> list[Cell] | None:
-    """Shortest 4-connected path over cells not known blocked. Excludes the
-    start cell; returns None when the goal is unreachable on the current
-    map. Among equal paths, the one the tie-breaks of `plan_travel_to_any`
-    give: (x, y)-ordered frontiers, neighbours tried (x-1, y), (x, y-1),
-    (x, y+1), (x+1, y), first expander as parent."""
-    found = plan_travel_to_any(grid, start, {goal})
-    return None if found is None else found[0]
-
-
 def plan_travel_to_any(grid: GridMap, start: Cell, goals) -> tuple[list[Cell], Cell] | None:
     """Multi-target shortest path over cells not known blocked. Returns
     (path, goal), the path excluding the start, or None when no goal is

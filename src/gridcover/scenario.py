@@ -28,7 +28,7 @@ PARAM_DEFAULTS: dict[str, float] = {
     "L": 50,  # learning cycles per game
     "tau": 0.05,  # learning temperature
     "heartbeat_s": 5.0,
-    "t0_s": 15.0,  # silence timeout before suspicion
+    "t0_s": 15.0,  # silence timeout before a failure is confirmed
     "sync_every_s": 1.0,  # map-change broadcast period
     "tick_s": 1.0,
     "noise_sigma_m": 0.0,  # localization noise

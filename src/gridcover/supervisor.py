@@ -1,6 +1,6 @@
-"""Per-robot discrete event supervision: the state machine, heartbeat-based
-failure detection, reallocation-game construction, and post-game sub-region
-coordination.
+"""Per-robot discrete event supervision: the state machine, failure
+detection by heartbeat timeout, reallocation-game construction, and post-game
+sub-region coordination.
 
 Supervisors interact only through what the engine relays: heartbeats, map
 changes and game outcomes. The state machine is deliberately partial; the
@@ -72,35 +72,10 @@ def step(state: DesState, event: str) -> DesState:
         raise ValueError(f"transition ({state.value}, {event}) is undefined") from None
 
 
-def detect_failures(
-    subjects,
-    listeners,
-    votes: dict[int, dict[int, bool]],
-    positions: dict[int, tuple[float, float]],
-    kappa2: int,
-    confirmed: set[int],
-) -> set[int]:
-    """Majority-confirm silent robots.
-
-    A subject is confirmed failed when strictly more than half of its
-    kappa2 nearest listeners (fewer if fewer exist) currently suspect it.
-    Already-confirmed subjects stay confirmed; the caller keeps the sticky
-    set.
-    """
-    newly: set[int] = set()
-    for u in subjects:
-        if u in confirmed:
-            continue
-        candidates = [l for l in listeners if l != u]
-        if not candidates:
-            continue
-        ux, uy = positions[u]
-        candidates.sort(key=lambda l: (math.dist(positions[l], (ux, uy)), l))
-        jury = candidates[:kappa2]
-        count = sum(1 for l in jury if votes.get(l, {}).get(u, False))
-        if count > len(jury) / 2:
-            newly.add(u)
-    return newly
+def detect_failures(silent_since: dict[int, float], now: float, t0_s: float) -> list[int]:
+    """The failed robots, in id order, whose heartbeat has been silent for
+    more than `t0_s` at time `now`; `silent_since` maps each to its last beat."""
+    return sorted(u for u, last in silent_since.items() if now - last > t0_s)
 
 
 @dataclass(frozen=True)

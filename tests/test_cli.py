@@ -1,4 +1,5 @@
-"""The run outputs the CLI writes, checked against the run they came from."""
+"""The run outputs the CLI writes, checked against the run they came from,
+and the sweep arguments it rejects."""
 
 import csv
 import dataclasses
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gridcover import load_scenario, run
+from gridcover import cli, load_scenario, run
 from gridcover.cli import write_run_outputs
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios" / "scenario2.json"
@@ -82,3 +83,22 @@ def test_metrics_csv_matches_the_run(written):
     expected = {**metrics, **{f"totd_{p}": totd[p] for p in range(10, 101, 10)}}
     assert sorted(header) == sorted(expected)
     assert dict(zip(header, row)) == {k: "" if v is None else str(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [
+        ("--kappa2", "0,-1"),
+        ("--kappa2", "3,0"),  # rejected before the good value runs
+        ("--kappa1", "-2"),
+        ("--team-sizes", "0"),
+        ("--team-sizes", "2,11"),  # scenario2 has 10 robots
+    ],
+)
+def test_sweep_rejects_values_outside_their_range(tmp_path, monkeypatch, flag, values):
+    def no_run(_config):
+        raise AssertionError("a sweep run started")
+
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    assert cli.main(["sweep", str(SCENARIO), flag, values, "--seeds", "1", "--out-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "sweep.csv").exists()

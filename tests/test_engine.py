@@ -240,6 +240,42 @@ class TestRuns:
         assert runs["scenario2/CARE"].logs.detector == [(446, 7, 3, 3), (461, 4, 3, 3)]
 
 
+def open_task(robots: int, failures: list[tuple[int, float]], **params) -> dict:
+    """A 20x20 obstacle-free task, robots 1..n starting in its first column."""
+    return {
+        "world": {
+            "width": 20,
+            "height": 20,
+            "tasks": [{"x": 0, "y": 0, "w": 20, "h": 20}],
+            "targets": {"mode": "sampled", "lambda": 0.0},
+        },
+        "robots": [{"id": i, "start": [0, i - 1]} for i in range(1, robots + 1)],
+        "failures": [{"robot": r, "time_s": t} for r, t in failures],
+        "params": params,
+        "strategy": "CARE",
+    }
+
+
+class TestFailureDetection:
+    def test_ticks_that_do_not_divide_the_heartbeat(self):
+        # 2 s ticks, 5 s beats: the team beats at 0, 6 and 12 s. Robot 3
+        # fails at 12 s after that tick's beat, robot 2 at 14 s (its 13 s
+        # failure waits for the next tick); both were last heard at 12 s and
+        # are confirmed once silent for more than 15 s, at 28 s (tick 14),
+        # with robot 1 the one listener left
+        sim = CheckedSimulation(parse_scenario(open_task(3, [(2, 13), (3, 12)], tick_s=2, heartbeat_s=5)))
+        sim.run()
+        assert sim.logs.detector == [(14, 2, 1, 1), (14, 3, 1, 1)]
+
+    def test_no_confirmation_once_no_robot_is_left_to_hear_it(self):
+        # robot 1, last heard at 100 s, is silent for more than 15 s at 116 s,
+        # the tick robot 2 fails too
+        sim = CheckedSimulation(parse_scenario(open_task(2, [(1, 101), (2, 116)])))
+        sim.run()
+        assert sim.result.metrics.end_reason == "all_failed"
+        assert sim.logs.detector == []
+
+
 class TestAssignments:
     def test_assign_takes_the_slot_over(self):
         t = Assignments()
@@ -374,5 +410,8 @@ class TestBenchmarkHooks:
         assert times["supervisor.team_model"][0] > 0
         assert times["game.max_logit"][0] > 0
         assert 0 < tracer.counts["models.success_probability_calls"] < eager_total
+        assert times["supervisor.detect_failures"][0] > 0
+        assert tracer.counts["supervisor.confirmed"] == 2
         assert engine.build_team_model is supervisor.build_team_model
+        assert engine.detect_failures is supervisor.detect_failures
         assert digest(result) == committed_digests("paper")["scenario2/CARE"]

@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcover.planner import Done, make_planner, next_waypoint, plan_travel, plan_travel_to_any
+from gridcover.planner import Done, make_planner, next_waypoint, plan_travel_to_any
 from gridcover.world import CellState, mark_covered, mark_sensed
 from tests.test_world import make_world
 
@@ -196,21 +196,21 @@ class TestNextWaypoint:
 class TestPlanTravel:
     def test_same_cell_empty_path(self):
         grid = make_world()
-        assert plan_travel(grid, (3, 3), (3, 3)) == []
+        assert plan_travel_to_any(grid, (3, 3), {(3, 3)}) == ([], (3, 3))
 
     def test_corridor_straight_line(self):
         grid = make_world(width=5, height=1, tasks=[{"x": 0, "y": 0, "w": 5, "h": 1}])
-        path = plan_travel(grid, (0, 0), (4, 0))
-        assert path == [(1, 0), (2, 0), (3, 0), (4, 0)]
+        found = plan_travel_to_any(grid, (0, 0), {(4, 0)})
+        assert found == ([(1, 0), (2, 0), (3, 0), (4, 0)], (4, 0))
 
     def test_detour_matches_bfs_oracle(self):
         # wall across the middle column except the top cell
         grid = make_world(width=3, height=3)
         grid.cells[grid.idx((1, 0))] = CellState.OBSTACLE
         grid.cells[grid.idx((1, 1))] = CellState.OBSTACLE
-        path = plan_travel(grid, (0, 1), (2, 1))
-        assert path is not None
-        assert len(path) == bfs_oracle(grid, (0, 1), (2, 1)) == 4
+        found = plan_travel_to_any(grid, (0, 1), {(2, 1)})
+        assert found is not None
+        assert len(found[0]) == bfs_oracle(grid, (0, 1), (2, 1)) == 4
 
     def test_random_maps_match_oracle(self):
         import random
@@ -223,11 +223,13 @@ class TestPlanTravel:
                 if cell not in ((0, 0), (7, 7)):
                     grid.cells[grid.idx(cell)] = CellState.OBSTACLE
             expected = bfs_oracle(grid, (0, 0), (7, 7))
-            path = plan_travel(grid, (0, 0), (7, 7))
+            found = plan_travel_to_any(grid, (0, 0), {(7, 7)})
             if expected is None:
-                assert path is None
+                assert found is None
             else:
-                assert path is not None and len(path) == expected
+                assert found is not None
+                path, _goal = found
+                assert len(path) == expected
                 assert path[-1] == (7, 7)
                 prev = (0, 0)
                 for cell in path:
@@ -238,18 +240,18 @@ class TestPlanTravel:
     def test_unreachable_returns_none(self):
         grid = make_world(width=3, height=1, tasks=[{"x": 0, "y": 0, "w": 3, "h": 1}])
         grid.cells[grid.idx((1, 0))] = CellState.OBSTACLE
-        assert plan_travel(grid, (0, 0), (2, 0)) is None
+        assert plan_travel_to_any(grid, (0, 0), {(2, 0)}) is None
 
     def test_unknown_cells_optimistically_traversable(self):
         grid = make_world(width=4, height=4)
-        path = plan_travel(grid, (0, 0), (3, 3))
+        path, _goal = plan_travel_to_any(grid, (0, 0), {(3, 3)})
         assert len(path) == 6
 
     def test_blocked_start_rejected(self):
         grid = make_world()
         mark_sensed(grid, [((2, 2), True)])
         with pytest.raises(ValueError):
-            plan_travel(grid, (2, 2), (0, 0))
+            plan_travel_to_any(grid, (2, 2), {(0, 0)})
 
     def test_multi_target_picks_nearest(self):
         grid = make_world(width=6, height=6)

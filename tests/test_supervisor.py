@@ -73,45 +73,17 @@ class TestStateMachine:
 
 
 class TestHeartbeatDetection:
-    def positions(self, n):
-        return {v: (float(v), 0.0) for v in range(1, n + 1)}
+    def test_silence_must_exceed_the_timeout(self):
+        assert detect_failures({4: 100.0}, 115.0, 15.0) == []
+        assert detect_failures({4: 100.0}, 116.0, 15.0) == [4]
+        assert detect_failures({4: 100.0}, 115.5, 15.0) == [4]
 
-    def test_silent_robot_confirmed_by_all(self):
-        # robot 4 silent past the timeout; 3 nearest of 3 live all suspect
-        votes = {l: {4: True} for l in (1, 2, 3)}
-        got = detect_failures([4], [1, 2, 3], votes, self.positions(4), 3, set())
-        assert got == {4}
+    def test_confirmed_in_id_order(self):
+        silent = {9: 50.0, 2: 80.0, 5: 60.0, 7: 100.0}
+        assert detect_failures(silent, 110.0, 15.0) == [2, 5, 9]
 
-    def test_minority_suspicion_not_confirmed(self):
-        votes = {1: {4: True}, 2: {4: False}, 3: {4: False}}
-        got = detect_failures([4], [1, 2, 3], votes, self.positions(4), 3, set())
-        assert got == set()
-
-    def test_strict_majority_required(self):
-        # 2 of 4 listeners is not a strict majority
-        votes = {1: {5: True}, 2: {5: True}, 3: {5: False}, 4: {5: False}}
-        got = detect_failures([5], [1, 2, 3, 4], votes, self.positions(5), 4, set())
-        assert got == set()
-        votes[3] = {5: True}
-        got = detect_failures([5], [1, 2, 3, 4], votes, self.positions(5), 4, set())
-        assert got == {5}
-
-    def test_only_nearest_kappa2_vote(self):
-        # distant listeners suspect, but the 3 nearest do not
-        positions = {1: (1.0, 0.0), 2: (2.0, 0.0), 3: (3.0, 0.0), 4: (50.0, 0.0), 5: (60.0, 0.0), 6: (0.0, 0.0)}
-        votes = {1: {6: False}, 2: {6: False}, 3: {6: False}, 4: {6: True}, 5: {6: True}}
-        got = detect_failures([6], [1, 2, 3, 4, 5], votes, positions, 3, set())
-        assert got == set()
-
-    def test_confirmed_is_sticky(self):
-        votes = {1: {4: False}, 2: {4: False}, 3: {4: False}}
-        got = detect_failures([4], [1, 2, 3], votes, self.positions(4), 3, {4})
-        assert got == set()  # not re-reported, caller keeps it confirmed
-
-    def test_single_survivor_confirms_alone(self):
-        votes = {1: {2: True}}
-        got = detect_failures([2], [1], votes, self.positions(2), 3, set())
-        assert got == {2}
+    def test_no_failed_robot_confirms_none(self):
+        assert detect_failures({}, 1e9, 15.0) == []
 
 
 def snapshot_for_games():
