@@ -244,6 +244,8 @@ def cmd_sweep(args) -> int:
     dim = dims[0]
     flag = f"--{dim.replace('_', '-')}"
     values = _parse_int_list(getattr(args, dim), flag)
+    if not values or not seeds:
+        raise ScenarioError(f"sweep needs at least one {flag} value and one seed")
     for value in values:
         if dim == "team_sizes" and not 1 <= value <= len(config.robots):
             raise ScenarioError(f"{flag}: {value} outside 1..{len(config.robots)}")

@@ -11,15 +11,18 @@ that fails keeps the clock's last beat as the start of its silence. It is
 confirmed on the first tick its silence exceeds `t0_s` while some robot is
 still alive to hear it.
 
-A robot's region, the task or strip it works, is the region its belief map
-watches (`GridMap.watch`). The belief counts the region's unexplored cells
-as sensing, covering and merged changes reach it, so `Robot.region` and
-`Robot.region_unexplored()` are reads and no tick rescans a region.
+A robot's region, the task or strip it works, is the region its belief
+watches (`BeliefView.watch`). The belief counts the region's unexplored
+cells as sensing, covering and synced changes reach it, so `Robot.region`
+and `Robot.region_unexplored()` are reads and no tick rescans a region.
 
 A robot's belief takes its own sensing and covering at once and the rest
-of the team's at each sync: every belief change goes into one shared outbox,
-which each sync merges once into every live robot's belief, its sender's
-included (as no-ops under the merge precedence), and then empties.
+of the team's at each sync: every belief change goes into one shared
+outbox, and each sync leaves every live robot knowing the same map. So the
+beliefs are stored once (`world.Beliefs`): one synced map, into which each
+sync merges the outbox once before emptying it, and per robot a view that
+lays the robot's own writes since the last sync over that map. A robot
+that fails keeps its view as it was at its `e7`.
 
 A travelling robot's path was free of blocked cells when it was planned,
 and only a cell of its belief turning FORBIDDEN or OBSTACLE can block it.
@@ -73,6 +76,8 @@ from .supervisor import (
     step,
 )
 from .world import (
+    BeliefView,
+    Beliefs,
     Cell,
     CellState,
     Change,
@@ -119,7 +124,7 @@ class Robot:
     battery: BatteryParams
     pos_m: tuple[float, float]
     cell: Cell
-    belief: GridMap
+    belief: BeliefView  # the synced map plus the robot's own writes since the last sync
     des: DesState = DesState.ST
     planner: PlannerState | None = None
     mode: str = "idle"  # tasking | traveling | idle
@@ -295,6 +300,7 @@ class Simulation:
         self.rng_noise = random.Random(f"{config.seed}:noise")
         rng_battery = random.Random(f"{config.seed}:battery")
 
+        self.beliefs = Beliefs(self.grid)
         self.robots: dict[int, Robot] = {}
         for spec in config.robots:
             rho0 = spec.rho0
@@ -309,7 +315,7 @@ class Simulation:
                 battery=BatteryParams(rho0=rho0, rho1=rho1),
                 pos_m=self.grid.cell_center(cell),
                 cell=cell,
-                belief=self.grid.belief_copy(),
+                belief=self.beliefs.view(spec.id),
             )
         self.order = sorted(self.robots)
 
@@ -413,9 +419,8 @@ class Simulation:
         if found:
             self.found_total += found
             self.logs.discoveries.append((self.tick, self.found_total))
-        local = Change(cell=mcell, old=_UNEXPLORED, new=_EXPLORED)
-        merge_maps(r.belief, [local])
-        self.outbox.append(local)
+        r.belief.explore(mcell)
+        self.outbox.append(Change(cell=mcell, old=_UNEXPLORED, new=_EXPLORED))
 
     def _assign_region(self, r: Robot, task_id: int, strip_idx: int | None) -> None:
         """Point a robot at a task (whole) or one strip of it and get it going."""
@@ -545,11 +550,7 @@ class Simulation:
         if self.now + 1e-9 >= self._next_sync:
             self._next_sync += self.params.sync_every_s
             if self.outbox:
-                # own changes come back to their sender as no-ops: its belief
-                # already holds each such cell at `new` or higher
-                for r in self.robots.values():
-                    if r.alive:
-                        merge_maps(r.belief, self.outbox)
+                self.beliefs.sync(self.outbox, merge_maps)
                 self.outbox = []
 
     def _apply_scheduled_failures(self) -> None:
@@ -562,6 +563,7 @@ class Simulation:
                 continue
             self._fire(r, "e7")
             r.alive = False
+            self.beliefs.detach(r.id)
             self._silent_since[r.id] = self._last_beat
             r.mode = "idle"
             r.path = []

@@ -1,4 +1,5 @@
-"""Grid tiling, per-cell state, task partition, targets, and map merging.
+"""Grid tiling, per-cell state, task partition, targets, map merging and
+the robots' beliefs.
 
 The team's symbolic map starts fully unexplored; obstacle and forbidden
 cells are discovered online from sensor readings against a hidden ground
@@ -6,14 +7,21 @@ truth layer. Cell states only ever move away from Unexplored and never
 change again afterwards, which makes merging change sets a simple
 precedence join.
 
-Only the team map keeps per-task records (unexplored and found counts). A
-robot's belief map counts only its unexplored total and the unexplored
-cells of one watched region, the cells the robot is working, so "is my
-region done?" is a read, never a rescan. The team map watches nothing.
+Only the team map keeps per-task records (unexplored and found counts).
 
-Every map also counts its writes of FORBIDDEN or OBSTACLE (`n_blocked`).
-Only such a write can block a path planned on the map, so the engine
-re-checks a travelling robot's path only when its belief's count has moved.
+Every sync leaves every live robot's belief the same map, so `Beliefs`
+stores that map once: the synced map, what every live robot knew at the
+last sync, and per robot a `BeliefView` that lays the robot's own writes
+since then over it. A sync merges the team's changes into the synced map
+once and drops the views' own writes. A view counts the unexplored cells of
+one watched region, the cells the robot is working, so "is my region
+done?" is a read, never a rescan; a cell -> watching robots index lets the
+sync update those counts from the changes alone.
+
+Every map counts its writes of FORBIDDEN or OBSTACLE (`n_blocked`), and a
+view counts the synced map's and its own. Only such a write can block a
+path planned on the map, so the engine re-checks a travelling robot's path
+only when its belief's count has moved.
 """
 
 from __future__ import annotations
@@ -90,8 +98,6 @@ class GridMap:
     targets_at: dict[Cell, list[int]] = field(default_factory=dict)
     ground_truth: GroundTruth | None = None
     unexplored_total: int = 0
-    watched: frozenset[Cell] = frozenset()  # region whose unexplored cells are counted
-    watched_unexplored: int = 0
     n_blocked: int = 0  # writes of FORBIDDEN or OBSTACLE so far
 
     def idx(self, cell: Cell) -> int:
@@ -103,20 +109,18 @@ class GridMap:
     def state(self, cell: Cell) -> CellState:
         return self.cells[self.idx(cell)]
 
+    def at(self, i: int) -> CellState:
+        return self.cells[i]
+
     def cell_center(self, cell: Cell) -> tuple[float, float]:
         return ((cell[0] + 0.5) * self.epsilon, (cell[1] + 0.5) * self.epsilon)
 
     def cell_of_position(self, x_m: float, y_m: float) -> Cell:
         return (int(x_m // self.epsilon), int(y_m // self.epsilon))
 
-    def watch(self, region) -> None:
-        """Watch a new region (empty for none) and count its unexplored cells."""
-        self.watched = frozenset(region)
-        self.watched_unexplored = sum(1 for c in self.watched if self.state(c) is _UNEXPLORED)
-
     def belief_copy(self) -> "GridMap":
-        """Per-robot planning map: same cell states, no task records, no
-        targets, no truth, no watched region."""
+        """A planning map: same cell states and counts, no task records, no
+        targets, no truth."""
         return GridMap(
             width=self.width,
             height=self.height,
@@ -125,6 +129,7 @@ class GridMap:
             task_of=self.task_of,
             tasks={},
             unexplored_total=self.unexplored_total,
+            n_blocked=self.n_blocked,
         )
 
     def _set_state(self, i: int, cell: Cell, new: CellState) -> None:
@@ -138,9 +143,102 @@ class GridMap:
             task = self.tasks.get(self.task_of[i])
             if task is not None:
                 task.n_unexplored -= 1
-            if cell in self.watched:
-                self.watched_unexplored -= 1
         self.cells[i] = new
+
+
+class BeliefView:
+    """One robot's belief: the synced map's cells overlaid with the robot's
+    own writes since the last sync (`own`, flat index -> state).
+
+    It reads like a `GridMap` (`state`, `at`, `idx`, `in_bounds`, `width`,
+    `height`, `n_blocked`), but `cells` builds a new list. Its writes
+    (`mark_sensed`, `explore`) go to `own` and only ever replace an
+    UNEXPLORED cell, so a cell's state is its own write if it has one, else
+    the synced one. Made by `Beliefs.view`.
+    """
+
+    __slots__ = (
+        "rid",
+        "width",
+        "height",
+        "known",
+        "synced",
+        "own",
+        "own_blocked",
+        "watchers",
+        "watched",
+        "watched_unexplored",
+    )
+
+    def __init__(self, rid: int, known: GridMap, watchers: list[tuple[int, ...]]) -> None:
+        self.rid = rid
+        self.width = known.width
+        self.height = known.height
+        self.known = known  # the synced map, which holds no reference back
+        self.synced = known.cells
+        self.own: dict[int, CellState] = {}
+        self.own_blocked = 0  # own writes of FORBIDDEN or OBSTACLE, all time
+        self.watchers = watchers  # the shared index: flat index -> watching robots
+        self.watched: frozenset[Cell] = frozenset()  # region whose unexplored cells are counted
+        self.watched_unexplored = 0
+
+    def idx(self, cell: Cell) -> int:
+        return cell[1] * self.width + cell[0]
+
+    def in_bounds(self, cell: Cell) -> bool:
+        return 0 <= cell[0] < self.width and 0 <= cell[1] < self.height
+
+    def at(self, i: int) -> CellState:
+        # an own write is never UNEXPLORED, the only false state
+        return self.own.get(i) or self.synced[i]
+
+    def state(self, cell: Cell) -> CellState:
+        i = cell[1] * self.width + cell[0]
+        return self.own.get(i) or self.synced[i]
+
+    @property
+    def cells(self) -> list[CellState]:
+        """A new list of the view's cell states."""
+        cells = list(self.synced)
+        for i, state in self.own.items():
+            cells[i] = state
+        return cells
+
+    @property
+    def n_blocked(self) -> int:
+        """Moves whenever a blocked cell lands in the view, and also when a
+        sync brings one the view already held."""
+        return self.known.n_blocked + self.own_blocked
+
+    def watch(self, region) -> None:
+        """Watch a new region (empty for none) and count its unexplored cells."""
+        self._leave_index()
+        self.watched = frozenset(region)
+        watchers, width, me = self.watchers, self.width, (self.rid,)
+        for x, y in self.watched:
+            watchers[y * width + x] += me  # a cell's first watcher shares `me`
+        self.watched_unexplored = sum(1 for c in self.watched if self.state(c) is _UNEXPLORED)
+
+    def explore(self, cell: Cell) -> None:
+        """Mark the cell explored if the view holds it unexplored."""
+        i = self.idx(cell)
+        if self.at(i) is _UNEXPLORED:
+            self._set_state(i, cell, _EXPLORED)
+
+    def _set_state(self, i: int, cell: Cell, new: CellState) -> None:
+        """Write `new` (never UNEXPLORED) to `cell`, whose index is i and
+        which the view holds UNEXPLORED."""
+        if new >= _BLOCKED:
+            self.own_blocked += 1
+        self.own[i] = new
+        if cell in self.watched:
+            self.watched_unexplored -= 1
+
+    def _leave_index(self) -> None:
+        watchers, width, rid = self.watchers, self.width, self.rid
+        for x, y in self.watched:
+            i = y * width + x
+            watchers[i] = tuple(v for v in watchers[i] if v != rid)
 
 
 def neighbors8(cell: Cell, width: int, height: int) -> list[Cell]:
@@ -297,13 +395,14 @@ def mark_sensed(grid: GridMap, readings) -> list[Change]:
     unexplored cells ever change state."""
     changes: list[Change] = []
     marked: list[Cell] = []
+    at = grid.at
     for cell, occupied in readings:
         if not grid.in_bounds(cell):
             raise ValueError(f"reading outside the grid: {cell}")
         if not occupied:
             continue
         i = grid.idx(cell)
-        if grid.cells[i] is not _UNEXPLORED:
+        if at(i) is not _UNEXPLORED:
             continue
         grid._set_state(i, cell, _OBSTACLE)
         changes.append(Change(cell, _UNEXPLORED, _OBSTACLE))
@@ -313,7 +412,7 @@ def mark_sensed(grid: GridMap, readings) -> list[Change]:
     for cell in marked:
         for nb in neighbors8(cell, grid.width, grid.height):
             i = grid.idx(nb)
-            if grid.cells[i] is _UNEXPLORED:
+            if at(i) is _UNEXPLORED:
                 grid._set_state(i, nb, _FORBIDDEN)
                 changes.append(Change(nb, _UNEXPLORED, _FORBIDDEN))
     return changes
@@ -355,6 +454,66 @@ def merge_maps(grid: GridMap, remote_changes) -> GridMap:
         if change.new > cells[i]:
             grid._set_state(i, cell, change.new)
     return grid
+
+
+class Beliefs:
+    """The robots' beliefs, stored once: the synced map (`known`), what every
+    live robot knew at the last sync, and a view over it per live robot.
+
+    Nothing in the synced map or the views refers back to this object or to
+    another view, so a finished run is freed without the cyclic collector.
+    The index holds tuples, mostly shared one-robot ones, because nearly
+    every task cell is watched at some time and a set per cell would cost
+    more memory than the belief copies this replaces.
+    """
+
+    def __init__(self, grid: GridMap) -> None:
+        self.known = grid.belief_copy()
+        # flat index -> robots whose view watches the cell
+        self.watchers: list[tuple[int, ...]] = [()] * len(self.known.cells)
+        self.views: dict[int, BeliefView] = {}  # the live robots' views
+
+    def view(self, rid: int) -> BeliefView:
+        """A new robot's view, which watches nothing yet."""
+        self.views[rid] = view = BeliefView(rid, self.known, self.watchers)
+        return view
+
+    def sync(self, changes, merge) -> None:
+        """Merge the team's changes since the last sync into the synced map,
+        once, with `merge` (`merge_maps`, passed in so that the caller's
+        name for it is the one called), and bring every live view to it.
+
+        A view loses from its watched count each watched cell the merge
+        takes out of UNEXPLORED, unless its own write already had; then the
+        views drop their own writes, which are all among `changes`.
+        """
+        known, watchers, views = self.known, self.watchers, self.views
+        cells, width, height = known.cells, known.width, known.height
+        fresh = set()
+        for change in changes:
+            x, y = change.cell
+            if 0 <= x < width and 0 <= y < height:  # `merge` rejects the rest
+                i = y * width + x
+                if watchers[i] and cells[i] is _UNEXPLORED:
+                    fresh.add(i)
+        merge(known, changes)
+        for i in fresh:
+            for rid in watchers[i]:
+                view = views[rid]
+                if i not in view.own:
+                    view.watched_unexplored -= 1
+        for view in views.values():
+            view.own.clear()
+
+    def detach(self, rid: int) -> None:
+        """Stop syncing a failed robot's view. It keeps what it holds now,
+        over a private copy of the synced map, and leaves the index; its own
+        writes still reach the team through the changes it sent."""
+        view = self.views.pop(rid)
+        view._leave_index()
+        view.watchers = None  # a failed robot watches no new region
+        view.known = self.known.belief_copy()
+        view.synced = view.known.cells
 
 
 def coverage_fraction(truth: GroundTruth, visited: set[Cell]) -> float:

@@ -93,6 +93,7 @@ def test_metrics_csv_matches_the_run(written):
         ("--kappa1", "-2"),
         ("--team-sizes", "0"),
         ("--team-sizes", "2,11"),  # scenario2 has 10 robots
+        ("--kappa2", ","),  # no value at all
     ],
 )
 def test_sweep_rejects_values_outside_their_range(tmp_path, monkeypatch, flag, values):
@@ -101,4 +102,13 @@ def test_sweep_rejects_values_outside_their_range(tmp_path, monkeypatch, flag, v
 
     monkeypatch.setattr(cli, "run_engine", no_run)
     assert cli.main(["sweep", str(SCENARIO), flag, values, "--seeds", "1", "--out-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_rejects_an_empty_seed_list(tmp_path, monkeypatch):
+    def no_run(_config):
+        raise AssertionError("a sweep run started")
+
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    assert cli.main(["sweep", str(SCENARIO), "--kappa2", "2", "--seeds", ",", "--out-dir", str(tmp_path)]) == 1
     assert not (tmp_path / "sweep.csv").exists()

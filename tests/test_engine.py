@@ -2,8 +2,10 @@
 region counters and beliefs, and the failure detector's timeout as the
 engine drives it."""
 
+import gc
 import importlib.util
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -169,6 +171,9 @@ DOTTED_WALL = {
     "strategy": "NONCO",
 }
 DOTTED_WALL_DIGEST = "cee8e93e02a8c4b3b622a8dd7d5bb81f2b4b0b6f595c4d8cdf4bf5a56072c53b"
+# `crowd` seed 1 with a sync every 3 s, recorded while every robot still kept
+# a full belief copy
+CROWD_SYNC3_DIGEST = "4c744466b53c9beac043a7e85dbfcec1623bdcb5bee9958e84ab442efd2613d5"
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +238,32 @@ class TestRuns:
     def test_dotted_wall_run_is_unchanged_by_the_gate(self, dotted_wall, digest):
         # recorded before travel re-checked paths only after a blocked-cell write
         assert digest(dotted_wall.result) == DOTTED_WALL_DIGEST
+
+    def test_crowd_syncing_every_third_tick(self, digest):
+        # robots write for three ticks between syncs; every sync still
+        # leaves each live belief equal to the team map
+        ((_name, doc),) = perfbench("workloads").crowd(1)
+        doc["params"] = {**doc.get("params", {}), "sync_every_s": 3}
+        sim = CrowdSimulation(parse_scenario(doc))
+        sim.run()
+        assert sim.params.sync_every_s == 3 and sim.params.tick_s == 1
+        assert digest(sim.result) == CROWD_SYNC3_DIGEST
+        assert sim.result.metrics.end_reason == "complete"
+
+    def test_finished_simulation_is_freed_without_the_cyclic_collector(self):
+        # robot 1 fails, so its belief is detached from the synced map too
+        sim = Simulation(parse_scenario(open_task(3, [(1, 20)])))
+        result = sim.run()
+        assert result.metrics.end_reason == "complete" and len(sim.logs.detector) == 1
+        # the synced map is freed too, so nothing the views refer to holds
+        # a reference cycle
+        collected = [weakref.ref(sim), weakref.ref(sim.beliefs.known)]
+        gc.disable()
+        try:
+            del sim
+            assert [ref() for ref in collected] == [None, None]
+        finally:
+            gc.enable()
 
     def test_heartbeat_timeout_confirms_silent_robots(self, runs):
         # scenario2: robots 7 and 4 fail at 430 s and 445 s, beat every 5 s,
@@ -383,7 +414,7 @@ class TestBenchmarkHooks:
     def test_tracer_sees_the_game_layer_and_restores_it(self, digest):
         # the benchmark's tracer patches these names by attribute; a refactor
         # that renames them or stops calling them blinds its trace
-        from gridcover import engine, supervisor
+        from gridcover import engine, supervisor, world
 
         tracing = perfbench("tracing")
         tracer = tracing.Tracer()
@@ -401,7 +432,8 @@ class TestBenchmarkHooks:
         doc["strategy"] = "CARE"
         engine.build_team_model = counted_build
         try:
-            result = simulation(parse(doc)).run()
+            sim = simulation(parse(doc))
+            result = sim.run()
         finally:
             engine.build_team_model = traced_build
             restore()
@@ -412,6 +444,12 @@ class TestBenchmarkHooks:
         assert 0 < tracer.counts["models.success_probability_calls"] < eager_total
         assert times["supervisor.detect_failures"][0] > 0
         assert tracer.counts["supervisor.confirmed"] == 2
+        # one merge per sync that has changes to broadcast; the run syncs on
+        # every tick
+        assert sim.params.sync_every_s == sim.params.tick_s
+        assert 0 < times["world.merge_maps"][0] <= result.logs.ticks
+        assert tracer.counts["world.merge_changes_offered"] > 0
+        assert engine.merge_maps is world.merge_maps
         assert engine.build_team_model is supervisor.build_team_model
         assert engine.detect_failures is supervisor.detect_failures
         assert digest(result) == committed_digests("paper")["scenario2/CARE"]

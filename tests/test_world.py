@@ -1,4 +1,4 @@
-"""Tiling, sensing, covering, merging, and sub-region partitioning."""
+"""Tiling, sensing, covering, merging, the belief views, and sub-region partitioning."""
 
 import math
 import random
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridcover.scenario import parse_scenario
 from gridcover.world import (
+    Beliefs,
     CellState,
     Change,
     RangeSensor,
@@ -226,7 +227,6 @@ class TestMergeMaps:
         return (
             list(grid.cells),
             grid.unexplored_total,
-            grid.watched_unexplored,
             [t.n_unexplored for t in grid.tasks.values()],
         )
 
@@ -241,11 +241,8 @@ class TestMergeMaps:
         )
         lists = data.draw(st.lists(st.lists(change, max_size=12), min_size=1, max_size=5))
         order = data.draw(st.permutations(range(len(lists))))
-        region = data.draw(st.sets(st.sampled_from(self.CELLS)))
         whole = make_world(width=6, height=6, tasks=self.HALVES)
         by_list = make_world(width=6, height=6, tasks=self.HALVES)
-        for grid in (whole, by_list):
-            grid.watch(region)
         merge_maps(whole, [c for changes in lists for c in changes])
         for k in order:
             merge_maps(by_list, lists[k])
@@ -255,7 +252,6 @@ class TestMergeMaps:
     @given(st.data())
     def test_own_changes_come_back_as_no_ops(self, data):
         grid = make_world(width=6, height=6, tasks=self.HALVES)
-        grid.watch(data.draw(st.sets(st.sampled_from(self.CELLS))))
         own = []
         for cell, occupied in data.draw(st.lists(st.tuples(st.sampled_from(self.CELLS), st.booleans()))):
             if occupied:
@@ -346,66 +342,83 @@ class TestCoverageAccounting:
 
 
 class TestWatchedRegion:
-    def fresh_count(self, grid):
-        return sum(1 for c in grid.watched if grid.state(c) is CellState.UNEXPLORED)
+    """A robot's view counts the unexplored cells of the region it watches."""
+
+    def fresh_count(self, view):
+        return sum(1 for c in view.watched if view.state(c) is CellState.UNEXPLORED)
 
     def test_count_follows_sensing_covering_and_merging(self):
-        grid = make_world(obstacles=[[2, 2]])
-        grid.watch([(x, y) for x in range(4) for y in range(4)])
-        assert grid.watched_unexplored == 16
-        mark_sensed(grid, [((2, 2), True)])  # obstacle plus 8 buffer cells, all watched
-        assert grid.watched_unexplored == 16 - 9
-        mark_covered(grid, (0, 0))
-        mark_covered(grid, (0, 0))
-        assert grid.watched_unexplored == 16 - 10
-        merge_maps(
-            grid,
-            [
+        beliefs = Beliefs(make_world(obstacles=[[2, 2]]))
+        view = beliefs.view(1)
+        view.watch([(x, y) for x in range(4) for y in range(4)])
+        assert view.watched_unexplored == 16
+        outbox = mark_sensed(view, [((2, 2), True)])  # obstacle plus 8 buffer cells, all watched
+        assert view.watched_unexplored == 16 - 9
+        view.explore((0, 0))
+        view.explore((0, 0))
+        outbox.append(Change((0, 0), CellState.UNEXPLORED, CellState.EXPLORED))
+        assert view.watched_unexplored == 16 - 10
+        beliefs.sync(
+            outbox
+            + [
                 Change((0, 3), CellState.UNEXPLORED, CellState.EXPLORED),
                 Change((0, 3), CellState.UNEXPLORED, CellState.OBSTACLE),  # upgrade, no second count
                 Change((9, 9), CellState.UNEXPLORED, CellState.EXPLORED),  # outside the region
             ],
+            merge_maps,
         )
-        assert grid.watched_unexplored == 16 - 11 == self.fresh_count(grid)
-        assert grid.unexplored_total == 100 - 12
+        assert view.own == {}  # its own writes are in the synced map now, counted once
+        assert view.watched_unexplored == 16 - 11 == self.fresh_count(view)
+        assert beliefs.known.unexplored_total == 100 - 12
 
     def test_watching_a_new_region_recounts(self):
-        grid = make_world()
-        grid.watch([(0, 0), (1, 0)])
-        mark_covered(grid, (0, 0))
-        mark_covered(grid, (5, 5))
-        grid.watch([(5, 5), (6, 6), (7, 7)])
-        assert grid.watched_unexplored == 2
-        mark_covered(grid, (1, 0))  # the old region is no longer counted
-        assert grid.watched_unexplored == 2
-        grid.watch(())
-        assert grid.watched == frozenset() and grid.watched_unexplored == 0
+        view = Beliefs(make_world()).view(1)
+        view.watch([(0, 0), (1, 0)])
+        view.explore((0, 0))
+        view.explore((5, 5))
+        view.watch([(5, 5), (6, 6), (7, 7)])
+        assert view.watched_unexplored == 2
+        view.explore((1, 0))  # the old region is no longer counted
+        assert view.watched_unexplored == 2
+        view.watch(())
+        assert view.watched == frozenset() and view.watched_unexplored == 0
 
     def test_belief_copy_watches_nothing(self):
+        # a new view watches nothing, and one view's writes reach neither
+        # the synced map nor another view until a sync
         grid = make_world()
-        grid.watch([(0, 0), (1, 0)])
-        belief = grid.belief_copy()
-        assert belief.watched == frozenset() and belief.watched_unexplored == 0
-        mark_covered(belief, (0, 0))
-        assert grid.watched_unexplored == 2
+        beliefs = Beliefs(grid)
+        first, second = beliefs.view(1), beliefs.view(2)
+        assert second.watched == frozenset() and second.watched_unexplored == 0
+        first.watch([(0, 0), (1, 0)])
+        second.watch([(0, 0), (1, 0)])
+        first.explore((0, 0))
+        assert (first.watched_unexplored, second.watched_unexplored) == (1, 2)
+        assert beliefs.known.state((0, 0)) is CellState.UNEXPLORED
+        assert second.state((0, 0)) is CellState.UNEXPLORED
+        beliefs.sync([Change((0, 0), CellState.UNEXPLORED, CellState.EXPLORED)], merge_maps)
+        assert (first.watched_unexplored, second.watched_unexplored) == (1, 1)
+        assert grid.state((0, 0)) is CellState.UNEXPLORED  # the team map is not a belief
 
     def test_belief_copy_carries_no_task_records(self):
         grid = make_world(tasks=[{"x": 0, "y": 0, "w": 5, "h": 10}, {"x": 5, "y": 0, "w": 5, "h": 10}])
-        belief = grid.belief_copy()
-        assert belief.tasks == {}
-        mark_sensed(belief, [((5, 5), True)])
-        mark_covered(belief, (0, 0))
-        merge_maps(belief, [Change((9, 0), CellState.UNEXPLORED, CellState.EXPLORED)])
-        assert belief.tasks == {}
-        assert belief.unexplored_total == 100 - 11
+        beliefs = Beliefs(grid)
+        view = beliefs.view(1)
+        assert beliefs.known.tasks == {}
+        outbox = mark_sensed(view, [((5, 5), True)])
+        view.explore((0, 0))
+        outbox.append(Change((0, 0), CellState.UNEXPLORED, CellState.EXPLORED))
+        beliefs.sync(outbox + [Change((9, 0), CellState.UNEXPLORED, CellState.EXPLORED)], merge_maps)
+        assert beliefs.known.tasks == {}
+        assert beliefs.known.unexplored_total == 100 - 11
         assert [t.n_unexplored for t in grid.tasks.values()] == [50, 50]
 
     def test_mark_sensed_on_a_belief_keeps_its_watched_count(self):
-        belief = make_world().belief_copy()
-        belief.watch([(x, y) for x in range(4) for y in range(4)])
-        mark_sensed(belief, [((3, 3), True)])  # the obstacle and 3 of its 8 buffer cells are watched
-        assert belief.watched_unexplored == 16 - 4 == self.fresh_count(belief)
-        assert belief.unexplored_total == 100 - 9
+        view = Beliefs(make_world()).view(1)
+        view.watch([(x, y) for x in range(4) for y in range(4)])
+        mark_sensed(view, [((3, 3), True)])  # the obstacle and 3 of its 8 buffer cells are watched
+        assert view.watched_unexplored == 16 - 4 == self.fresh_count(view)
+        assert view.cells.count(CellState.UNEXPLORED) == 100 - 9
 
 
 class TestBlockedCount:
@@ -447,6 +460,74 @@ class TestBlockedCount:
         belief = grid.belief_copy()
         mark_sensed(belief, [((5, 5), True)])
         assert (belief.n_blocked, grid.n_blocked) == (9, 0)
+
+
+class TestBeliefViews:
+    """The views against the model they replace: a full belief copy per
+    robot, merged with every sync's changes (`merge_maps`), whose watched
+    count is a fresh count of its region."""
+
+    CELLS = [(x, y) for x in range(6) for y in range(6)]
+
+    def op(self, robots):
+        cells = st.sampled_from(self.CELLS)
+        robot = st.integers(0, robots - 1)
+        return st.one_of(
+            st.tuples(st.just("sense"), robot, st.lists(cells, min_size=1, max_size=3)),
+            st.tuples(st.just("cover"), robot, cells),
+            st.tuples(st.just("watch"), robot, st.sets(cells, max_size=12)),
+            st.tuples(st.just("fail"), robot),
+            st.just(("sync",)),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_views_read_like_full_belief_copies(self, data):
+        k = data.draw(st.integers(1, 4))
+        grid = make_world(width=6, height=6)
+        beliefs = Beliefs(grid)
+        views = [beliefs.view(j) for j in range(k)]
+        refs = [grid.belief_copy() for _ in range(k)]
+        regions = [frozenset()] * k
+        live = set(range(k))
+        outbox = []
+        for op in data.draw(st.lists(self.op(k), max_size=40)):
+            blocked = [(v.n_blocked, ref.n_blocked) for v, ref in zip(views, refs)]
+            kind, j = op[0], op[1] if len(op) > 1 else None
+            if kind == "sync":
+                for i in live:
+                    merge_maps(refs[i], outbox)
+                beliefs.sync(outbox, merge_maps)
+                outbox = []
+            elif j not in live:
+                continue  # a failed robot neither senses, covers nor watches
+            elif kind == "sense":
+                readings = [(c, True) for c in op[2]]
+                changes = mark_sensed(views[j], readings)
+                assert changes == mark_sensed(refs[j], readings)
+                outbox += changes
+            elif kind == "cover":
+                local = Change(op[2], CellState.UNEXPLORED, CellState.EXPLORED)
+                views[j].explore(op[2])
+                merge_maps(refs[j], [local])
+                outbox.append(local)
+            elif kind == "watch":
+                views[j].watch(op[2])
+                regions[j] = op[2]
+            else:
+                live.discard(j)
+                beliefs.detach(j)
+            for v, ref, region, (v_before, ref_before) in zip(views, refs, regions, blocked):
+                assert v.cells == ref.cells
+                assert [v.state(c) for c in self.CELLS] == [ref.state(c) for c in self.CELLS]
+                assert v.watched == region
+                assert v.watched_unexplored == sum(1 for c in region if ref.state(c) is CellState.UNEXPLORED)
+                assert v.n_blocked >= v_before
+                if ref.n_blocked != ref_before:
+                    assert v.n_blocked != v_before
+            assert [sorted(beliefs.watchers[y * 6 + x]) for x, y in self.CELLS] == [
+                [i for i in sorted(live) if c in regions[i]] for c in self.CELLS
+            ]
 
 
 class TestRangeSensor:
