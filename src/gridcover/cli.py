@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .engine import LivenessError, RunResult, run as run_engine
 from .render import render_svg
-from .scenario import ScenarioConfig, ScenarioError, load_scenario
+from .scenario import STRATEGIES, ScenarioConfig, ScenarioError, load_scenario
 from .world import map_text
 
 log = logging.getLogger("gridcover.cli")
@@ -164,6 +164,8 @@ def _print_summary(result: RunResult) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.snapshot_every < 0:
+        raise ScenarioError(f"--snapshot-every: expected a non-negative integer, got {args.snapshot_every}")
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -189,6 +191,10 @@ def cmd_compare(args) -> int:
     seeds = _parse_int_list(args.seeds, "--seeds")
     if not strategies or not seeds:
         raise ScenarioError("compare needs at least one strategy and one seed")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        got = ", ".join(map(repr, unknown))
+        raise ScenarioError(f"--strategies: expected names from {list(STRATEGIES)}, got {got}")
 
     results: dict[str, list[RunResult]] = {s: [] for s in strategies}
     for strategy in strategies:
@@ -281,8 +287,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as the module docstring says, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gridcover", description=__doc__)
+    parser = _Parser(prog="gridcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario")

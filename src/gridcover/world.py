@@ -9,19 +9,19 @@ precedence join.
 
 Only the team map keeps per-task records (unexplored and found counts).
 
-Every sync leaves every live robot's belief the same map, so `Beliefs`
-stores that map once: the synced map, what every live robot knew at the
-last sync, and per robot a `BeliefView` that lays the robot's own writes
-since then over it. A sync merges the team's changes into the synced map
-once and drops the views' own writes. A view counts the unexplored cells of
-one watched region, the cells the robot is working, so "is my region
-done?" is a read, never a rescan; a cell -> watching robots index lets the
-sync update those counts from the changes alone.
+Every sync leaves every live robot's belief the team map, so the team map
+is the only map. It keeps the state each cell written since the last sync
+had then (`since_sync`), and a robot's belief is a `BeliefView`: the
+robot's own writes since the last sync over the team map as of that sync.
+A view counts the unexplored cells of one watched region, the cells the
+robot is working, so "is my region done?" is a read, never a rescan; a
+cell -> watching robots index lets a sync update those counts from
+`since_sync`.
 
 Every map counts its writes of FORBIDDEN or OBSTACLE (`n_blocked`), and a
-view counts the synced map's and its own. Only such a write can block a
-path planned on the map, so the engine re-checks a travelling robot's path
-only when its belief's count has moved.
+view counts the team map's as of the last sync and its own. Only such a
+write can block a path planned on the map, so the engine re-checks a
+travelling robot's path only when its belief's count has moved.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ class GridMap:
     ground_truth: GroundTruth | None = None
     unexplored_total: int = 0
     n_blocked: int = 0  # writes of FORBIDDEN or OBSTACLE so far
+    # flat index -> state at the last sync, for each cell written since
+    since_sync: dict[int, CellState] = field(default_factory=dict)
 
     def idx(self, cell: Cell) -> int:
         return cell[1] * self.width + cell[0]
@@ -118,27 +120,16 @@ class GridMap:
     def cell_of_position(self, x_m: float, y_m: float) -> Cell:
         return (int(x_m // self.epsilon), int(y_m // self.epsilon))
 
-    def belief_copy(self) -> "GridMap":
-        """A planning map: same cell states and counts, no task records, no
-        targets, no truth."""
-        return GridMap(
-            width=self.width,
-            height=self.height,
-            epsilon=self.epsilon,
-            cells=list(self.cells),
-            task_of=self.task_of,
-            tasks={},
-            unexplored_total=self.unexplored_total,
-            n_blocked=self.n_blocked,
-        )
-
     def _set_state(self, i: int, cell: Cell, new: CellState) -> None:
         """Write `new` (never UNEXPLORED) to `cell`, whose index is i. The
-        only writer of the unexplored counters, which a cell leaves when it
-        leaves UNEXPLORED, once, and of `n_blocked`."""
+        only writer of the cells, of `since_sync`, of the unexplored
+        counters, which a cell leaves when it leaves UNEXPLORED, once, and
+        of `n_blocked`."""
         if new >= _BLOCKED:
             self.n_blocked += 1
-        if self.cells[i] is _UNEXPLORED:
+        old = self.cells[i]
+        self.since_sync.setdefault(i, old)
+        if old is _UNEXPLORED:
             self.unexplored_total -= 1
             task = self.tasks.get(self.task_of[i])
             if task is not None:
@@ -147,8 +138,9 @@ class GridMap:
 
 
 class BeliefView:
-    """One robot's belief: the synced map's cells overlaid with the robot's
-    own writes since the last sync (`own`, flat index -> state).
+    """One robot's belief: the robot's own writes since the last sync
+    (`own`, flat index -> state) over the team map as of that sync, which
+    is the team map's cells (`base`) under its `since_sync` (`since`).
 
     It reads like a `GridMap` (`state`, `at`, `idx`, `in_bounds`, `width`,
     `height`, `n_blocked`), but `cells` builds a new list. Its writes
@@ -161,22 +153,24 @@ class BeliefView:
         "rid",
         "width",
         "height",
-        "known",
-        "synced",
+        "base",
+        "since",
         "own",
+        "synced_blocked",
         "own_blocked",
         "watchers",
         "watched",
         "watched_unexplored",
     )
 
-    def __init__(self, rid: int, known: GridMap, watchers: list[tuple[int, ...]]) -> None:
+    def __init__(self, rid: int, grid: GridMap, synced_blocked: int, watchers: list[tuple[int, ...]]) -> None:
         self.rid = rid
-        self.width = known.width
-        self.height = known.height
-        self.known = known  # the synced map, which holds no reference back
-        self.synced = known.cells
+        self.width = grid.width
+        self.height = grid.height
+        self.base = grid.cells  # the team map's cells; a snapshot once detached
+        self.since = grid.since_sync
         self.own: dict[int, CellState] = {}
+        self.synced_blocked = synced_blocked  # the team map's `n_blocked` at the last sync
         self.own_blocked = 0  # own writes of FORBIDDEN or OBSTACLE, all time
         self.watchers = watchers  # the shared index: flat index -> watching robots
         self.watched: frozenset[Cell] = frozenset()  # region whose unexplored cells are counted
@@ -190,25 +184,26 @@ class BeliefView:
 
     def at(self, i: int) -> CellState:
         # an own write is never UNEXPLORED, the only false state
-        return self.own.get(i) or self.synced[i]
+        return self.own.get(i) or self.since.get(i, self.base[i])
 
     def state(self, cell: Cell) -> CellState:
         i = cell[1] * self.width + cell[0]
-        return self.own.get(i) or self.synced[i]
+        return self.own.get(i) or self.since.get(i, self.base[i])
 
     @property
     def cells(self) -> list[CellState]:
         """A new list of the view's cell states."""
-        cells = list(self.synced)
-        for i, state in self.own.items():
-            cells[i] = state
+        cells = list(self.base)
+        for layer in (self.since, self.own):
+            for i, state in layer.items():
+                cells[i] = state
         return cells
 
     @property
     def n_blocked(self) -> int:
         """Moves whenever a blocked cell lands in the view, and also when a
         sync brings one the view already held."""
-        return self.known.n_blocked + self.own_blocked
+        return self.synced_blocked + self.own_blocked
 
     def watch(self, region) -> None:
         """Watch a new region (empty for none) and count its unexplored cells."""
@@ -457,63 +452,56 @@ def merge_maps(grid: GridMap, remote_changes) -> GridMap:
 
 
 class Beliefs:
-    """The robots' beliefs, stored once: the synced map (`known`), what every
-    live robot knew at the last sync, and a view over it per live robot.
+    """The robots' beliefs over the team map: a view per live robot.
 
-    Nothing in the synced map or the views refers back to this object or to
+    Nothing in the team map or the views refers back to this object or to
     another view, so a finished run is freed without the cyclic collector.
     The index holds tuples, mostly shared one-robot ones, because nearly
     every task cell is watched at some time and a set per cell would cost
-    more memory than the belief copies this replaces.
+    more memory.
     """
 
     def __init__(self, grid: GridMap) -> None:
-        self.known = grid.belief_copy()
+        self.grid = grid
+        self.n_blocked = grid.n_blocked  # the team map's at the last sync
         # flat index -> robots whose view watches the cell
-        self.watchers: list[tuple[int, ...]] = [()] * len(self.known.cells)
+        self.watchers: list[tuple[int, ...]] = [()] * len(grid.cells)
         self.views: dict[int, BeliefView] = {}  # the live robots' views
 
     def view(self, rid: int) -> BeliefView:
         """A new robot's view, which watches nothing yet."""
-        self.views[rid] = view = BeliefView(rid, self.known, self.watchers)
+        self.views[rid] = view = BeliefView(rid, self.grid, self.n_blocked, self.watchers)
         return view
 
-    def sync(self, changes, merge) -> None:
-        """Merge the team's changes since the last sync into the synced map,
-        once, with `merge` (`merge_maps`, passed in so that the caller's
-        name for it is the one called), and bring every live view to it.
-
-        A view loses from its watched count each watched cell the merge
-        takes out of UNEXPLORED, unless its own write already had; then the
-        views drop their own writes, which are all among `changes`.
-        """
-        known, watchers, views = self.known, self.watchers, self.views
-        cells, width, height = known.cells, known.width, known.height
-        fresh = set()
-        for change in changes:
-            x, y = change.cell
-            if 0 <= x < width and 0 <= y < height:  # `merge` rejects the rest
-                i = y * width + x
-                if watchers[i] and cells[i] is _UNEXPLORED:
-                    fresh.add(i)
-        merge(known, changes)
-        for i in fresh:
-            for rid in watchers[i]:
-                view = views[rid]
-                if i not in view.own:
-                    view.watched_unexplored -= 1
-        for view in views.values():
+    def sync(self) -> None:
+        """Bring every live view to the team map. A view drops its own
+        writes, each of a cell UNEXPLORED at the last sync, which its
+        watched count takes back: the team map may not have written the
+        cell, as it skips a reading on a cell it wrote since. Then each cell
+        the team map took out of UNEXPLORED since lowers its watchers'
+        counts."""
+        grid, watchers, views = self.grid, self.watchers, self.views
+        self.n_blocked = n_blocked = grid.n_blocked
+        for rid, view in views.items():
+            for i in view.own:
+                if rid in watchers[i]:
+                    view.watched_unexplored += 1
             view.own.clear()
+            view.synced_blocked = n_blocked
+        for i, old in grid.since_sync.items():
+            if old is _UNEXPLORED:
+                for rid in watchers[i]:
+                    views[rid].watched_unexplored -= 1
+        grid.since_sync.clear()
 
     def detach(self, rid: int) -> None:
         """Stop syncing a failed robot's view. It keeps what it holds now,
-        over a private copy of the synced map, and leaves the index; its own
-        writes still reach the team through the changes it sent."""
+        as a snapshot list of its cells, and leaves the index."""
         view = self.views.pop(rid)
         view._leave_index()
         view.watchers = None  # a failed robot watches no new region
-        view.known = self.known.belief_copy()
-        view.synced = view.known.cells
+        view.base = view.cells
+        view.since, view.own = {}, {}
 
 
 def coverage_fraction(truth: GroundTruth, visited: set[Cell]) -> float:

@@ -1,5 +1,5 @@
 """The run outputs the CLI writes, checked against the run they came from,
-and the sweep arguments it rejects."""
+and the arguments it rejects."""
 
 import csv
 import dataclasses
@@ -112,3 +112,42 @@ def test_sweep_rejects_an_empty_seed_list(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_engine", no_run)
     assert cli.main(["sweep", str(SCENARIO), "--kappa2", "2", "--seeds", ",", "--out-dir", str(tmp_path)]) == 1
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def no_run(_config):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("names, named", [("CARE,Bogus", "'Bogus'"), ("care", "'care'")])
+def test_compare_rejects_unknown_strategy_names(tmp_path, monkeypatch, capsys, names, named):
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    argv = ["compare", str(SCENARIO), "--strategies", names, "--seeds", "1", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_rejects_a_negative_snapshot_interval(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    assert cli.main(["run", str(SCENARIO), "--snapshot-every", "-1", "--out-dir", str(tmp_path)]) == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", str(SCENARIO), "--seed", "abc"], 1),
+        (["run"], 1),  # no scenario
+        (["bogus"], 1),
+        ([], 1),
+        (["--help"], 0),
+        (["compare", "--help"], 0),
+    ],
+)
+def test_usage_errors_exit_1(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert "usage:" in (err if code else out)

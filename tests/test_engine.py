@@ -251,13 +251,13 @@ class TestRuns:
         assert sim.result.metrics.end_reason == "complete"
 
     def test_finished_simulation_is_freed_without_the_cyclic_collector(self):
-        # robot 1 fails, so its belief is detached from the synced map too
+        # robot 1 fails, so its belief is detached from the team map too
         sim = Simulation(parse_scenario(open_task(3, [(1, 20)])))
         result = sim.run()
         assert result.metrics.end_reason == "complete" and len(sim.logs.detector) == 1
-        # the synced map is freed too, so nothing the views refer to holds
-        # a reference cycle
-        collected = [weakref.ref(sim), weakref.ref(sim.beliefs.known)]
+        # the beliefs are freed too, so neither they nor the views hold a
+        # reference cycle
+        collected = [weakref.ref(sim), weakref.ref(sim.beliefs)]
         gc.disable()
         try:
             del sim
@@ -444,11 +444,8 @@ class TestBenchmarkHooks:
         assert 0 < tracer.counts["models.success_probability_calls"] < eager_total
         assert times["supervisor.detect_failures"][0] > 0
         assert tracer.counts["supervisor.confirmed"] == 2
-        # one merge per sync that has changes to broadcast; the run syncs on
-        # every tick
-        assert sim.params.sync_every_s == sim.params.tick_s
-        assert 0 < times["world.merge_maps"][0] <= result.logs.ticks
-        assert tracer.counts["world.merge_changes_offered"] > 0
+        # a sync merges nothing: the beliefs read the team map itself
+        assert times["engine.sync"][0] > 0 and "world.merge_maps" not in times
         assert engine.merge_maps is world.merge_maps
         assert engine.build_team_model is supervisor.build_team_model
         assert engine.detect_failures is supervisor.detect_failures

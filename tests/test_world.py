@@ -11,6 +11,7 @@ from gridcover.world import (
     Beliefs,
     CellState,
     Change,
+    GridMap,
     RangeSensor,
     build_world,
     coverage_fraction,
@@ -348,28 +349,29 @@ class TestWatchedRegion:
         return sum(1 for c in view.watched if view.state(c) is CellState.UNEXPLORED)
 
     def test_count_follows_sensing_covering_and_merging(self):
-        beliefs = Beliefs(make_world(obstacles=[[2, 2]]))
+        grid = make_world(obstacles=[[2, 2]])
+        beliefs = Beliefs(grid)
         view = beliefs.view(1)
         view.watch([(x, y) for x in range(4) for y in range(4)])
         assert view.watched_unexplored == 16
-        outbox = mark_sensed(view, [((2, 2), True)])  # obstacle plus 8 buffer cells, all watched
+        readings = [((2, 2), True)]  # obstacle plus 8 buffer cells, all watched
+        mark_sensed(view, readings)
+        mark_sensed(grid, readings)  # the team map takes each write as the view does
         assert view.watched_unexplored == 16 - 9
-        view.explore((0, 0))
-        view.explore((0, 0))
-        outbox.append(Change((0, 0), CellState.UNEXPLORED, CellState.EXPLORED))
+        for _ in range(2):
+            mark_covered(grid, (0, 0))
+            view.explore((0, 0))
         assert view.watched_unexplored == 16 - 10
-        beliefs.sync(
-            outbox
-            + [
-                Change((0, 3), CellState.UNEXPLORED, CellState.EXPLORED),
-                Change((0, 3), CellState.UNEXPLORED, CellState.OBSTACLE),  # upgrade, no second count
-                Change((9, 9), CellState.UNEXPLORED, CellState.EXPLORED),  # outside the region
-            ],
-            merge_maps,
-        )
-        assert view.own == {}  # its own writes are in the synced map now, counted once
+        # the rest of the team's writes reach the view at the sync
+        mark_covered(grid, (0, 3))
+        merge_maps(grid, [Change((0, 3), CellState.UNEXPLORED, CellState.OBSTACLE)])  # upgrade, no second count
+        mark_covered(grid, (9, 9))  # outside the region
+        assert grid.since_sync[grid.idx((0, 3))] is CellState.UNEXPLORED  # the state at the last sync
+        assert view.watched_unexplored == 16 - 10
+        beliefs.sync()
+        assert view.own == {} and grid.since_sync == {}  # own writes are the team map's now, counted once
         assert view.watched_unexplored == 16 - 11 == self.fresh_count(view)
-        assert beliefs.known.unexplored_total == 100 - 12
+        assert view.cells == grid.cells and grid.unexplored_total == 100 - 12
 
     def test_watching_a_new_region_recounts(self):
         view = Beliefs(make_world()).view(1)
@@ -384,34 +386,40 @@ class TestWatchedRegion:
         assert view.watched == frozenset() and view.watched_unexplored == 0
 
     def test_belief_copy_watches_nothing(self):
-        # a new view watches nothing, and one view's writes reach neither
-        # the synced map nor another view until a sync
+        # a new view watches nothing, and another robot's write reaches a
+        # view only at a sync
         grid = make_world()
         beliefs = Beliefs(grid)
         first, second = beliefs.view(1), beliefs.view(2)
         assert second.watched == frozenset() and second.watched_unexplored == 0
         first.watch([(0, 0), (1, 0)])
         second.watch([(0, 0), (1, 0)])
+        mark_covered(grid, (0, 0))
         first.explore((0, 0))
         assert (first.watched_unexplored, second.watched_unexplored) == (1, 2)
-        assert beliefs.known.state((0, 0)) is CellState.UNEXPLORED
         assert second.state((0, 0)) is CellState.UNEXPLORED
-        beliefs.sync([Change((0, 0), CellState.UNEXPLORED, CellState.EXPLORED)], merge_maps)
+        assert grid.state((0, 0)) is CellState.EXPLORED and grid.since_sync == {0: CellState.UNEXPLORED}
+        beliefs.sync()
         assert (first.watched_unexplored, second.watched_unexplored) == (1, 1)
-        assert grid.state((0, 0)) is CellState.UNEXPLORED  # the team map is not a belief
+        assert second.state((0, 0)) is CellState.EXPLORED
 
     def test_belief_copy_carries_no_task_records(self):
+        # a view's writes leave the team map's task records alone; the team
+        # map's own writes keep them
         grid = make_world(tasks=[{"x": 0, "y": 0, "w": 5, "h": 10}, {"x": 5, "y": 0, "w": 5, "h": 10}])
         beliefs = Beliefs(grid)
         view = beliefs.view(1)
-        assert beliefs.known.tasks == {}
-        outbox = mark_sensed(view, [((5, 5), True)])
+        mark_sensed(view, [((5, 5), True)])
         view.explore((0, 0))
-        outbox.append(Change((0, 0), CellState.UNEXPLORED, CellState.EXPLORED))
-        beliefs.sync(outbox + [Change((9, 0), CellState.UNEXPLORED, CellState.EXPLORED)], merge_maps)
-        assert beliefs.known.tasks == {}
-        assert beliefs.known.unexplored_total == 100 - 11
         assert [t.n_unexplored for t in grid.tasks.values()] == [50, 50]
+        assert grid.unexplored_total == 100
+        mark_sensed(grid, [((5, 5), True)])  # 3 cells in the left task, 6 in the right one
+        mark_covered(grid, (0, 0))
+        mark_covered(grid, (9, 0))
+        beliefs.sync()
+        assert [t.n_unexplored for t in grid.tasks.values()] == [50 - 3 - 1, 50 - 6 - 1]
+        assert grid.unexplored_total == 100 - 11
+        assert view.cells == grid.cells
 
     def test_mark_sensed_on_a_belief_keeps_its_watched_count(self):
         view = Beliefs(make_world()).view(1)
@@ -457,15 +465,21 @@ class TestBlockedCount:
 
     def test_each_map_counts_its_own_writes(self):
         grid = make_world(obstacles=[[5, 5]])
-        belief = grid.belief_copy()
-        mark_sensed(belief, [((5, 5), True)])
-        assert (belief.n_blocked, grid.n_blocked) == (9, 0)
+        beliefs = Beliefs(grid)
+        view = beliefs.view(1)
+        mark_sensed(view, [((5, 5), True)])
+        assert (view.n_blocked, grid.n_blocked) == (9, 0)
+        mark_sensed(grid, [((5, 5), True)])
+        assert (view.n_blocked, grid.n_blocked) == (9, 9)
+        beliefs.sync()  # the view's count takes the team map's, as of the sync
+        assert (view.n_blocked, grid.n_blocked) == (9 + 9, 9)
 
 
 class TestBeliefViews:
-    """The views against the model they replace: a full belief copy per
-    robot, merged with every sync's changes (`merge_maps`), whose watched
-    count is a fresh count of its region."""
+    """The views against the model they replace: a full copy of the team map
+    per live robot, reset to the team map at each sync, that takes the
+    robot's own writes, and whose watched count is a fresh count of its
+    region. The ops write the team map as the engine does."""
 
     CELLS = [(x, y) for x in range(6) for y in range(6)]
 
@@ -480,6 +494,14 @@ class TestBeliefViews:
             st.just(("sync",)),
         )
 
+    @staticmethod
+    def full_copy(grid):
+        return GridMap(grid.width, grid.height, grid.epsilon, list(grid.cells), grid.task_of, tasks={})
+
+    @staticmethod
+    def blocked(ref):
+        return {i for i, state in enumerate(ref.cells) if state >= CellState.FORBIDDEN}
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_views_read_like_full_belief_copies(self, data):
@@ -487,47 +509,89 @@ class TestBeliefViews:
         grid = make_world(width=6, height=6)
         beliefs = Beliefs(grid)
         views = [beliefs.view(j) for j in range(k)]
-        refs = [grid.belief_copy() for _ in range(k)]
+        refs = [self.full_copy(grid) for _ in range(k)]
         regions = [frozenset()] * k
         live = set(range(k))
-        outbox = []
+        synced = list(grid.cells)
         for op in data.draw(st.lists(self.op(k), max_size=40)):
-            blocked = [(v.n_blocked, ref.n_blocked) for v, ref in zip(views, refs)]
+            before = [(v.n_blocked, self.blocked(ref)) for v, ref in zip(views, refs)]
             kind, j = op[0], op[1] if len(op) > 1 else None
             if kind == "sync":
+                if grid.since_sync:  # the engine syncs only then
+                    beliefs.sync()
                 for i in live:
-                    merge_maps(refs[i], outbox)
-                beliefs.sync(outbox, merge_maps)
-                outbox = []
+                    refs[i] = self.full_copy(grid)
+                synced = list(grid.cells)
             elif j not in live:
                 continue  # a failed robot neither senses, covers nor watches
             elif kind == "sense":
                 readings = [(c, True) for c in op[2]]
                 changes = mark_sensed(views[j], readings)
                 assert changes == mark_sensed(refs[j], readings)
-                outbox += changes
+                mark_sensed(grid, readings)
             elif kind == "cover":
-                local = Change(op[2], CellState.UNEXPLORED, CellState.EXPLORED)
+                if grid.state(op[2]) >= CellState.FORBIDDEN:
+                    continue  # the engine covers no cell the team map holds blocked
+                mark_covered(grid, op[2])
                 views[j].explore(op[2])
-                merge_maps(refs[j], [local])
-                outbox.append(local)
+                merge_maps(refs[j], [Change(op[2], CellState.UNEXPLORED, CellState.EXPLORED)])
             elif kind == "watch":
                 views[j].watch(op[2])
                 regions[j] = op[2]
             else:
                 live.discard(j)
                 beliefs.detach(j)
-            for v, ref, region, (v_before, ref_before) in zip(views, refs, regions, blocked):
+            assert grid.since_sync == {i: old for i, old in enumerate(synced) if grid.cells[i] != old}
+            for v, ref, region, (v_before, blocked_before) in zip(views, refs, regions, before):
                 assert v.cells == ref.cells
                 assert [v.state(c) for c in self.CELLS] == [ref.state(c) for c in self.CELLS]
                 assert v.watched == region
                 assert v.watched_unexplored == sum(1 for c in region if ref.state(c) is CellState.UNEXPLORED)
                 assert v.n_blocked >= v_before
-                if ref.n_blocked != ref_before:
+                if self.blocked(ref) - blocked_before:
                     assert v.n_blocked != v_before
             assert [sorted(beliefs.watchers[y * 6 + x]) for x, y in self.CELLS] == [
                 [i for i in sorted(live) if c in regions[i]] for c in self.CELLS
             ]
+
+    def test_a_cell_covered_before_a_buffering_reading_stays_explored(self):
+        # robot 1 covers (1, 1); before the next sync robot 2, which still
+        # holds it UNEXPLORED, senses the obstacle next to it and buffers it.
+        # The team map keeps (1, 1) EXPLORED, and so does every belief after
+        # the sync: no belief is ever split from the team map there
+        grid = make_world(obstacles=[[2, 2]])
+        beliefs = Beliefs(grid)
+        first, second = beliefs.view(1), beliefs.view(2)
+        mark_covered(grid, (1, 1))
+        first.explore((1, 1))
+        readings = [((2, 2), True)]
+        mark_sensed(second, readings)
+        mark_sensed(grid, readings)
+        assert second.state((1, 1)) is CellState.FORBIDDEN
+        assert grid.state((1, 1)) is CellState.EXPLORED
+        beliefs.sync()
+        assert [m.state((1, 1)) for m in (first, second, grid)] == [CellState.EXPLORED] * 3
+        assert first.cells == second.cells == grid.cells
+
+
+    def test_a_write_the_team_map_skipped_is_unexplored_again_after_the_sync(self):
+        # robot 1 covers (0, 0); robot 2, which still holds it UNEXPLORED,
+        # reads it as an obstacle and buffers (0, 1). The team map skips
+        # the reading, so after the sync robot 2 holds (0, 1) UNEXPLORED
+        # again and counts it
+        grid = make_world()
+        beliefs = Beliefs(grid)
+        first, second = beliefs.view(1), beliefs.view(2)
+        mark_covered(grid, (0, 0))
+        first.explore((0, 0))
+        readings = [((0, 0), True)]
+        mark_sensed(second, readings)
+        assert mark_sensed(grid, readings) == []
+        second.watch([(0, 0), (0, 1)])
+        assert second.watched_unexplored == 0
+        beliefs.sync()
+        assert second.cells == grid.cells
+        assert second.watched_unexplored == 1
 
 
 class TestRangeSensor:
