@@ -4,7 +4,9 @@ Coverage inside a region follows a boustrophedon sweep: advance along the
 current column, direction alternating with column parity; whenever the sweep
 continuation is blocked or already explored, fall back to the nearest
 unexplored region cell by breadth-first distance (unknown cells count as
-traversable) and walk the detour path one cell per call.
+traversable) and walk the detour path one cell per call. That search stays
+a loop over cell tuples: its detours are a few cells long, so building the
+whole grid's bit masks on each call would cost more than it saves.
 
 Travel between regions is a shortest 4-connected path over cells not
 currently known to be blocked. Its ties break by a fixed contract, and the
@@ -12,11 +14,26 @@ run digests depend on it: each distance's frontier is expanded in (x, y)
 order, neighbours are tried in the order (x-1, y), (x, y-1), (x, y+1),
 (x+1, y), a cell's first expander becomes its parent, and among the goals
 at the minimal distance the one with the lowest row-major index wins.
+
+`plan_travel_to_any` runs that search one distance layer at a time on
+Python ints, bit y*w + x per cell (a bit-parallel BFS, as in Beamer,
+Asanovic & Patterson, "Direction-Optimizing Breadth-First Search", SC 2012).
+Each clause of the contract maps to a bit operation:
+
+- Expansion: the next layer is the layer shifted by +1 and -1, each masked
+  so that a row's end cannot wrap into the next row, and by +w and -w,
+  ANDed with the free cells not reached yet. A cell joins the layer after
+  the first one it neighbours, whatever the expansion order.
+- Goal: the lowest set bit of `layer & goals`, the lowest row-major index.
+- Parent: walking back from the goal, the first cell of (x-1, y), (x, y-1),
+  (x, y+1), (x+1, y) set in the layer before. Those four are in (x, y)
+  order, so this is the cell's first expander.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .world import Cell, CellState, GridMap
 
@@ -24,6 +41,8 @@ from .world import Cell, CellState, GridMap
 # States from _BLOCKED up block travel.
 _UNEXPLORED = CellState.UNEXPLORED
 _BLOCKED = CellState.FORBIDDEN
+# bytes.translate table from a cell state to its free-cell bit digit
+_FREE_DIGIT = bytes.maketrans(bytes(CellState), b"".join(b"1" if s < _BLOCKED else b"0" for s in CellState))
 
 
 @dataclass(frozen=True)
@@ -112,6 +131,14 @@ def next_waypoint(grid: GridMap, state: PlannerState, pose: Cell):
     return state.pending.pop(0)
 
 
+@lru_cache(maxsize=16)
+def _column_masks(width: int, height: int) -> tuple[int, int]:
+    """Bit masks of the cells off the first column and off the last column
+    of a width x height grid, bit y*width + x per cell."""
+    row = b"1" * (width - 1)
+    return int((row + b"0") * height, 2), int((b"0" + row) * height, 2)
+
+
 def plan_travel_to_any(grid: GridMap, start: Cell, goals) -> tuple[list[Cell], Cell] | None:
     """Multi-target shortest path over cells not known blocked. Returns
     (path, goal), the path excluding the start, or None when no goal is
@@ -124,57 +151,65 @@ def plan_travel_to_any(grid: GridMap, start: Cell, goals) -> tuple[list[Cell], C
     with the lowest row-major index wins. Goals outside the grid are never
     reached.
 
-    Cells are numbered column-major, t = x*h + y, so ascending t is (x, y)
-    order: the frontier sorts as plain ints, the four neighbours are t-h,
-    t-1, t+1, t+h in that order, and `parent` is a list indexed by t. The
-    next frontier is sorted before it is expanded, so the neighbour order
-    decides nothing beyond the frontier order.
+    Each distance layer is one int with bit y*w + x set for its cells (see
+    the module docstring for the clause-by-clause mapping). `open_` holds
+    the free cells not reached yet; the next layer is the last one shifted
+    by +-1 under the column masks and by +-w, ANDed with `open_`. The goal
+    is the lowest set bit of `layer & goal_bits`, and the path walks back
+    through the layers taking the first set cell of (x-1, y), (x, y-1),
+    (x, y+1), (x+1, y) in each.
     """
     goals = set(goals)
     if not goals:
         return None
     w, h, cells = grid.width, grid.height, grid.cells
-    blocked = _BLOCKED  # this state and OBSTACLE
     sx, sy = start
-    if cells[sy * w + sx] >= blocked:
+    if cells[sy * w + sx] >= _BLOCKED:
         raise ValueError(f"travel start {start} is a blocked cell")
     if start in goals:
         return [], start
-    goal_ts = {x * h + y for x, y in goals if 0 <= x < w and 0 <= y < h}
-    top = h - 1
-    parent = [-2] * (w * h)  # -2: not reached; the start's parent is -1
-    t0 = sx * h + sy
-    parent[t0] = -1
-    frontier = [t0]
-    while frontier and goal_ts:
-        nxt = []
-        add = nxt.append
-        for t in frontier:
-            x, y = divmod(t, h)
-            i = y * w + x  # row-major index into `cells`
-            if x and parent[t - h] == -2 and cells[i - 1] < blocked:
-                parent[t - h] = t
-                add(t - h)
-            if y and parent[t - 1] == -2 and cells[i - w] < blocked:
-                parent[t - 1] = t
-                add(t - 1)
-            if y < top and parent[t + 1] == -2 and cells[i + w] < blocked:
-                parent[t + 1] = t
-                add(t + 1)
-            if x + 1 < w and parent[t + h] == -2 and cells[i + 1] < blocked:
-                parent[t + h] = t
-                add(t + h)
-        hits = goal_ts.intersection(nxt)
+    goal_bits = 0
+    for x, y in goals:
+        if 0 <= x < w and 0 <= y < h:
+            goal_bits |= 1 << (y * w + x)
+    if not goal_bits:
+        return None
+    off_first, off_last = _column_masks(w, h)
+    # the free cells, bit i from cells[i]: the digit string is reversed
+    # because int() reads the highest bit first
+    start_bit = 1 << (sy * w + sx)
+    open_ = int(bytearray(cells)[::-1].translate(_FREE_DIGIT), 2) ^ start_bit
+    layers = []  # the layers between the start and the goal
+    layer = start_bit
+    while True:
+        layer = (
+            ((layer << 1) & off_first) | ((layer >> 1) & off_last) | (layer << w) | (layer >> w)
+        ) & open_
+        if not layer:
+            return None
+        hits = layer & goal_bits
         if hits:
-            goal = min(hits, key=lambda t: (t % h, t // h))
-            path = []
-            node = goal
-            while node != -1:
-                path.append(divmod(node, h))
-                node = parent[node]
-            path.pop()  # the start
-            path.reverse()
-            return path, path[-1]
-        nxt.sort()
-        frontier = nxt
-    return None
+            break
+        open_ ^= layer
+        layers.append(layer)
+    i = (hits & -hits).bit_length() - 1
+    y, x = divmod(i, w)
+    goal = (x, y)
+    path = [goal]
+    top = h - 1
+    for before in reversed(layers):
+        if x and before >> (i - 1) & 1:
+            x -= 1
+            i -= 1
+        elif y and before >> (i - w) & 1:
+            y -= 1
+            i -= w
+        elif y < top and before >> (i + w) & 1:
+            y += 1
+            i += w
+        else:
+            x += 1
+            i += 1
+        path.append((x, y))
+    path.reverse()
+    return path, goal

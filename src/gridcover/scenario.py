@@ -9,6 +9,7 @@ section reproduces the reference parameter set exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -145,9 +146,17 @@ def _as_rect(value: Any, where: str) -> Rect:
 
 
 def _as_number(value: Any, where: str) -> float:
+    """`value` as a finite float. Python's json reads NaN and Infinity, and
+    an integer too large for a float, none of which a run can use."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_world(obj: Any) -> WorldSpec:
@@ -341,4 +350,6 @@ def load_scenario(path: str) -> ScenarioConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # not UTF-8, or an integer of over 4,300 digits
+            raise ScenarioError(f"{path}: unreadable JSON: {exc}") from exc
     return parse_scenario(doc)

@@ -3,6 +3,8 @@ and the arguments it rejects."""
 
 import csv
 import dataclasses
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -114,7 +116,7 @@ def test_sweep_rejects_an_empty_seed_list(tmp_path, monkeypatch):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def no_run(_config):
+def no_run(_config, **_options):
     raise AssertionError("a run started")
 
 
@@ -131,6 +133,19 @@ def test_run_rejects_a_negative_snapshot_interval(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_engine", no_run)
     assert cli.main(["run", str(SCENARIO), "--snapshot-every", "-1", "--out-dir", str(tmp_path)]) == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_run_refuses_an_infinite_tick(tmp_path, monkeypatch, capsys):
+    # with tick_s = Infinity the tasking loop never ended
+    doc = json.loads((SCENARIO.parent / "scenario1.json").read_text())
+    doc.setdefault("params", {})["tick_s"] = math.inf
+    scenario = tmp_path / "infinite-tick.json"
+    scenario.write_text(json.dumps(doc))  # writes the literal Infinity
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    assert cli.main(["run", str(scenario), "--out-dir", str(out_dir)]) == 1
+    assert "params.tick_s: expected a finite number" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

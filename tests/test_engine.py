@@ -206,6 +206,14 @@ class TestRuns:
         assert digest(crowd[seed].result) == committed_digests("crowd", seed)["crowd/CARE"]
         assert crowd[seed].result.metrics.end_reason == "complete"
 
+    def test_open_field_digest_matches_benchmark(self, digest):
+        # the benchmark's largest travel searches: 80x80, 32 robots
+        ((name, doc),) = perfbench("workloads").open_field(1)
+        sim = CheckedSimulation(parse_scenario(doc))
+        sim.run()
+        assert digest(sim.result) == committed_digests("open-field")[name]
+        assert sim.result.metrics.end_reason == "complete"
+
     def test_crowd_runs_fail_over_and_reactivate(self, crowd):
         assert all(len(sim.logs.detector) == 10 for sim in crowd.values())
         assert all(sim.result.metrics.games_resilience > 0 for sim in crowd.values())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcover.planner import Done, make_planner, next_waypoint, plan_travel_to_any
-from gridcover.world import CellState, mark_covered, mark_sensed
+from gridcover.world import Beliefs, CellState, GridMap, mark_covered, mark_sensed
 from tests.test_world import make_world
 
 
@@ -70,26 +70,44 @@ def tuple_travel_to_any(grid, start, goals):
 
 
 @st.composite
-def travel_cases(draw):
+def travel_cases(draw, max_side=12):
     """A non-square grid with random blocked cells, a start and a goal set
     that may hold blocked, unreachable and out-of-grid cells and the start."""
-    width = draw(st.integers(1, 12))
-    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
     grid = make_world(width=width, height=height)
     cells = [(x, y) for x in range(width) for y in range(height)]
     density = draw(st.sampled_from((0.0, 0.15, 0.35, 0.6)))
-    rng = draw(st.randoms(use_true_random=False))
+    # a seeded random.Random: hypothesis's shrinkable one draws mostly
+    # zeros, which put most starts and goals at (0, 0)
+    rng = draw(st.randoms(use_true_random=True))
     for cell in cells:
         if rng.random() < density:
             grid.cells[grid.idx(cell)] = rng.choice((CellState.FORBIDDEN, CellState.OBSTACLE))
         elif rng.random() < 0.3:
             grid.cells[grid.idx(cell)] = CellState.EXPLORED
-    start = draw(st.sampled_from(cells))
-    outside = st.tuples(st.integers(-2, width + 2), st.integers(-2, height + 2))
-    goals = set(draw(st.lists(st.one_of(st.sampled_from(cells), outside), max_size=8)))
-    if draw(st.booleans()):
+    start = rng.choice(cells)
+    if rng.random() < 0.9:  # mostly a free start: a blocked one only raises
+        grid.cells[grid.idx(start)] = CellState.UNEXPLORED
+    goals = {
+        rng.choice(cells) if rng.random() < 0.8 else (rng.randint(-2, width + 2), rng.randint(-2, height + 2))
+        for _ in range(rng.randint(0, 8))
+    }
+    if rng.random() < 0.1:
         goals.add(start)
     return grid, start, goals
+
+
+def assert_plans_like(reference, grid, start, goals):
+    """`plan_travel_to_any` returns what `reference` returns, or raises
+    ValueError where it does."""
+    try:
+        expected = reference(grid, start, goals)
+    except ValueError:
+        with pytest.raises(ValueError):
+            plan_travel_to_any(grid, start, goals)
+        return
+    assert plan_travel_to_any(grid, start, goals) == expected
 
 
 def sweep_region(grid, region, start):
@@ -264,14 +282,47 @@ class TestPlanTravel:
     @settings(max_examples=200, deadline=None)
     @given(travel_cases())
     def test_matches_the_tuple_oracle(self, case):
-        grid, start, goals = case
-        try:
-            expected = tuple_travel_to_any(grid, start, goals)
-        except ValueError:
-            with pytest.raises(ValueError):
-                plan_travel_to_any(grid, start, goals)
-            return
-        assert plan_travel_to_any(grid, start, goals) == expected
+        assert_plans_like(tuple_travel_to_any, *case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(travel_cases(max_side=70))
+    def test_matches_the_tuple_oracle_on_wide_grids(self, case):
+        # rows of up to 70 cells straddle the 30-bit digits of CPython's ints
+        assert_plans_like(tuple_travel_to_any, *case)
+
+    @pytest.mark.parametrize(
+        "start, goal, path",
+        [
+            # the cell after (3, 0) in row-major order is (0, 1), a row below
+            ((3, 0), (0, 1), [(2, 0), (1, 0), (0, 0), (0, 1)]),
+            # and the cell before (0, 1) is (3, 0), a row above
+            ((0, 1), (3, 0), [(0, 0), (1, 0), (2, 0), (3, 0)]),
+        ],
+    )
+    def test_a_row_end_does_not_wrap_into_the_next_row(self, start, goal, path):
+        grid = make_world(width=4, height=3)
+        assert plan_travel_to_any(grid, start, {goal}) == (path, goal)
+
+    def test_goals_at_the_first_and_the_last_cell(self):
+        grid = make_world(width=5, height=3)
+        ends = {(0, 0), (4, 2)}
+        assert plan_travel_to_any(grid, (1, 0), ends) == ([(0, 0)], (0, 0))
+        assert plan_travel_to_any(grid, (4, 1), ends) == ([(4, 2)], (4, 2))
+        # both 3 steps from (2, 1): the lowest index wins
+        assert plan_travel_to_any(grid, (2, 1), ends) == ([(1, 1), (0, 1), (0, 0)], (0, 0))
+        assert plan_travel_to_any(grid, (3, 1), ends) == ([(3, 2), (4, 2)], (4, 2))
+
+    @pytest.mark.parametrize("width, height", [(1, 7), (7, 1), (1, 1)])
+    def test_one_cell_wide_grids(self, width, height):
+        grid = make_world(width=width, height=height)
+        last = (width - 1, height - 1)
+        line = [(x, y) for x in range(width) for y in range(height)]
+        assert plan_travel_to_any(grid, (0, 0), {last}) == (line[1:], last)
+        assert plan_travel_to_any(grid, last, {(0, 0)}) == (line[-2::-1], (0, 0))
+        if len(line) > 2:
+            grid.cells[grid.idx(line[1])] = CellState.OBSTACLE
+            assert plan_travel_to_any(grid, (0, 0), {last}) is None
+            assert plan_travel_to_any(grid, last, {line[2]}) == (line[-2:1:-1], line[2])
 
     def test_blocked_start_raises_in_both(self):
         grid = make_world(width=5, height=3)
@@ -321,3 +372,44 @@ class TestPlanTravel:
         found = plan_travel_to_any(grid, (0, 0), {(0, 2), (2, 0)})
         _, goal = found
         assert goal == (2, 0)
+
+
+@st.composite
+def belief_cases(draw):
+    """A team map and two robots' views of it after random sensing,
+    covering and syncs; robot 1's view may be detached."""
+    width = draw(st.integers(1, 14))
+    height = draw(st.integers(1, 14))
+    grid = make_world(width=width, height=height)
+    beliefs = Beliefs(grid)
+    views = [beliefs.view(1), beliefs.view(2)]
+    cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    kinds = st.sampled_from(("sense", "cover", "sync", "detach"))
+    # who writes: the team map (None) or a robot's view
+    ops = st.tuples(kinds, st.sampled_from((None, 0, 1)), cells)
+    for op, who, cell in draw(st.lists(ops, max_size=20)):
+        target = grid if who is None else views[who]
+        if op == "sense":
+            mark_sensed(target, [(cell, True)])
+        elif op == "cover":
+            if target.state(cell) is CellState.UNEXPLORED:
+                if who is None:
+                    mark_covered(grid, cell)
+                else:
+                    target.explore(cell)
+        elif op == "sync":
+            beliefs.sync()
+        elif op == "detach" and 1 in beliefs.views:
+            beliefs.detach(1)
+    start = draw(cells)
+    goals = set(draw(st.lists(cells, max_size=6)))
+    return grid, views, start, goals
+
+
+@settings(max_examples=150, deadline=None)
+@given(belief_cases())
+def test_planning_on_a_belief_view_equals_planning_on_its_cells(case):
+    grid, views, start, goals = case
+    for view in views:
+        copy = GridMap(grid.width, grid.height, grid.epsilon, view.cells, grid.task_of, tasks={})
+        assert_plans_like(lambda _view, s, g: plan_travel_to_any(copy, s, g), view, start, goals)

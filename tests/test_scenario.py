@@ -2,6 +2,8 @@
 raising ScenarioError that names its field."""
 
 import copy
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -94,3 +96,52 @@ class TestRejections:
         params = parse_scenario(doc).params
         assert (params.eta, params.heartbeat_s, params.t0_s) == (199.0, 14.0, PARAM_DEFAULTS["t0_s"])
         assert parse_scenario(edited(set_key(["strategy"], "FR"))).strategy == "FR"
+
+
+NON_FINITE = {
+    "params.tick_s Infinity": (["params"], {"tick_s": math.inf}, "params.tick_s"),
+    "params.tick_s NaN": (["params"], {"tick_s": math.nan}, "params.tick_s"),
+    "params.sense_radius_m NaN": (["params"], {"sense_radius_m": math.nan}, "params.sense_radius_m"),
+    "params.n_max -Infinity": (["params"], {"n_max": -math.inf}, "params.n_max"),
+    "world.epsilon_m NaN": (["world", "epsilon_m"], math.nan, "world.epsilon_m"),
+    "world.epsilon_m too large for a float": (["world", "epsilon_m"], 10**400, "world.epsilon_m"),
+    "robot rho1 Infinity": (["robots", 0, "rho1"], math.inf, "robots[0].rho1"),
+    "robot rho0 NaN": (["robots", 1, "rho0"], math.nan, "robots[1].rho0"),
+    "failure time_s NaN": (["failures"], [{"robot": 1, "time_s": math.nan}], "failures[0].time_s"),
+    "failure time_s Infinity": (["failures"], [{"robot": 1, "time_s": math.inf}], "failures[0].time_s"),
+    "targets.lambda Infinity": (
+        ["world", "targets"],
+        {"mode": "sampled", "lambda": math.inf},
+        "world.targets.lambda",
+    ),
+    "targets.lambda list NaN": (
+        ["world", "targets"],
+        {"mode": "sampled", "lambda": [0.5, math.nan]},
+        "world.targets.lambda[1]",
+    ),
+}
+
+
+class TestFiniteNumbers:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_number_names_its_field(self, case):
+        path, value, field = NON_FINITE[case]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(edited(set_key(path, value)))
+        assert str(err.value).startswith(f"{field}: expected a finite number")
+
+    def test_json_infinity_and_nan_are_refused_on_load(self, tmp_path):
+        # Python's json reads both literals as floats
+        path = tmp_path / "scenario.json"
+        for key, literal in (("tick_s", "Infinity"), ("sense_radius_m", "NaN")):
+            text = json.dumps(edited(set_key(["params"], {key: 0.5})))
+            path.write_text(text.replace("0.5", literal))
+            with pytest.raises(ScenarioError, match=f"^params.{key}: expected a finite number"):
+                load_scenario(str(path))
+
+    def test_an_integer_too_long_to_read_is_refused_on_load(self, tmp_path):
+        # json stops at sys.get_int_max_str_digits() (4,300) with a plain ValueError
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(edited(set_key(["params"], {"tick_s": 0.5}))).replace("0.5", "1" * 5000))
+        with pytest.raises(ScenarioError, match="unreadable JSON"):
+            load_scenario(str(path))
