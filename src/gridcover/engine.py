@@ -30,6 +30,12 @@ So the robot keeps its belief's `n_blocked` from when it last planned or
 checked the path (`Robot.path_checked_at`), and `_advance_travel` tests the
 path's cells only when that count has moved.
 
+Every reallocation takes one game path. CARE's no-idling and resilience
+games are solved with Max-Logit; FR's one-player game is solved by the
+idler's best response, with no draw from the game generator. Both settle
+in `_apply_game`, which places, parks or idles the players and logs the
+game with the potentials its solver reported.
+
 Who works, has committed to and waits on each task strip lives in one
 `Assignments` table, written only by `assign`, `commit`, `release` and
 `park`. A robot's recorded task (`Assignments.task`) means one of three
@@ -58,8 +64,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .game import gain_of_players, gain_of_team, max_logit, potential, team_potential
-from .models import BatteryParams, available_worth, reliability, success_probability
+from .game import gain, max_logit, potential, utility
+from .models import BatteryParams, reliability, success_probability
 from .planner import Done, PlannerState, make_planner, next_waypoint, plan_travel_to_any
 from .scenario import DEFAULT_RHO0, DEFAULT_RHO1, ScenarioConfig
 from .supervisor import (
@@ -67,13 +73,14 @@ from .supervisor import (
     EventRecord,
     RobotView,
     TeamSnapshot,
+    build_first_responder_game,
     build_noidling_game,
     build_resilience_game,
     build_team_model,
     detect_failures,
-    noidling_action_menu,
     post_game_assign,
     step,
+    team_phi,
 )
 from .world import (
     BeliefView,
@@ -699,14 +706,13 @@ class Simulation:
     # ------------------------------------------------------------------ games
 
     def _team_model(self):
-        """Snapshot of the live team and its model. Robots committed to a
-        task they have not switched to yet count as assigned there for worth
-        discounting and the orphan rule."""
+        """Snapshot of the live team and its model."""
         views = {}
         for rid in self.order:
             r = self.robots[rid]
             if not r.alive:
                 continue
+            nxt = self.table.next.get(rid)
             views[rid] = RobotView(
                 id=rid,
                 pos_m=r.pos_m,
@@ -716,13 +722,10 @@ class Simulation:
                 des=r.des,
                 battery=r.battery,
                 tasking_time_s=r.t_k,
+                next_task=None if nxt is None else nxt[0],
             )
         snap = TeamSnapshot(grid=self.grid, params=self.params, robots=views)
-        model = build_team_model(snap)
-        for rid, (task, _strip) in sorted(self.table.next.items()):
-            if rid not in model.assigned[task]:
-                model.assigned[task].append(rid)
-        return snap, model
+        return snap, build_team_model(snap)
 
     def _resolve_one_game(self) -> None:
         retry: list[tuple[str, int]] = []
@@ -743,12 +746,17 @@ class Simulation:
                     continue
                 if self._working_in(task, exclude=subject):
                     continue  # taken over meanwhile, nothing to re-optimize
-                outcome = self._resolve_resilience(self.robots[subject], task)
-                if outcome == "retry":
-                    retry.append((kind, subject))
-                    continue
-                resolved = outcome
+                resolved = self._resolve_resilience(self.robots[subject], task)
+                if not resolved:
+                    retry.append((kind, subject))  # no eligible players right now
         self.queue = retry + self.queue
+
+    def _solve(self, game) -> tuple[tuple, float, float, float]:
+        """Max-Logit solve: (final action, initial and final potential, wall time)."""
+        t0 = time.perf_counter()
+        a_star = max_logit(game, self.rng_game)
+        wall = time.perf_counter() - t0
+        return a_star, potential(game, game.initial), potential(game, a_star), wall
 
     def _resolve_noidling(self, trigger: Robot) -> bool:
         snap, model = self._team_model()
@@ -759,17 +767,30 @@ class Simulation:
         for v in game.players:
             if v != trigger.id:
                 self._fire(self.robots[v], "e5", payload=(trigger.id,))
-        self._apply_game(game, snap, model, kind="noidle", trigger=trigger.id)
+        self._apply_game(game, snap, model, "noidle", trigger.id, self._solve(game))
         return True
 
-    def _resolve_resilience(self, dead: Robot, task: int):
+    def _resolve_fr(self, trigger: Robot) -> bool:
+        """First responder: the idler's best response in its one-player game,
+        the menu task that pays it most, ties to the lowest task id."""
+        snap, model = self._team_model()
+        game = build_first_responder_game(trigger.id, snap, model)
+        if game is None:
+            self._go_idle(trigger)
+            return False
+        pay = {r: utility(game, 0, (r,)) for r in game.actions}
+        best = min(game.actions, key=lambda r: (-pay[r], r))
+        self._apply_game(game, snap, model, "noidle", trigger.id, ((best,), 0.0, pay[best], 0.0))
+        return True
+
+    def _resolve_resilience(self, dead: Robot, task: int) -> bool:
         snap, model = self._team_model()
         game = build_resilience_game(dead.id, dead.pos_m, task, snap, model)
         if game is None:
-            return "retry"  # no eligible players right now
+            return False
         for v in game.players:
             self._fire(self.robots[v], "e1", payload=(dead.id,))
-        self._apply_game(game, snap, model, kind="resilience", trigger=dead.id)
+        self._apply_game(game, snap, model, "resilience", dead.id, self._solve(game))
         return True
 
     def _place_incoming(
@@ -804,57 +825,27 @@ class Simulation:
                     self._assign_region(self.robots[rid], task, placement[rid])
         return {v: placement[v] for v in arrivals if v in placement}
 
-    def _team_phi_baseline(self, snap: TeamSnapshot, model, players, actions) -> float:
-        """Team potential with players at the given game actions.
-
-        Each robot contributes to its assigned/committed tasks; a player
-        additionally contributes to its game action. Near-finishing players
-        keep contributing to the current task they will complete first.
-        """
-        players = list(players)
-        assignment: dict[int, object] = {}
-        for v in snap.robots:
-            tasks: set[int] = set()
-            if v in players:
-                act = actions[players.index(v)]
-                if act is not None:
-                    tasks.add(act)
-                if model.pending_s[v] > 0.0 and snap.robots[v].task is not None:
-                    tasks.add(snap.robots[v].task)
-            else:
-                if snap.robots[v].task is not None:
-                    tasks.add(snap.robots[v].task)
-                if v in self.table.next:
-                    tasks.add(self.table.next[v][0])
-            assignment[v] = tasks or None
-        return team_potential(assignment, model.remaining, model.prob)
-
-    def _apply_game(self, game, snap: TeamSnapshot, model, kind: str, trigger: int) -> None:
-        t0 = time.perf_counter()
-        a_star = max_logit(game, self.rng_game)
-        wall = time.perf_counter() - t0
-        phi_init = potential(game, game.initial)
-        phi_star = potential(game, a_star)
-        worth_sum = sum(game.worth.values())
-        gp = gain_of_players(phi_star, phi_init, worth_sum)
+    def _apply_game(self, game, snap: TeamSnapshot, model, kind: str, trigger: int, solved: tuple) -> None:
+        """Settle a solved game: place, park or idle its players and log it.
+        `solved` is the solver's (final action, initial and final potential,
+        wall time); the potentials are logged as given, never recomputed."""
+        a_star, phi_init, phi_star, solve_wall_s = solved
+        gp = gain(phi_star, phi_init, sum(game.worth.values()))
 
         # The reallocation changes only the players' slice of the team
         # potential: non-player and finish-first contributions are invariant,
         # so the team potential moves exactly with the players' potential.
-        team_sum = sum(model.remaining.values())
-        team_init = self._team_phi_baseline(snap, model, game.players, game.initial)
+        team_init = team_phi(snap, model, game.players, game.initial)
         team_star = team_init + (phi_star - phi_init)
-        gt = gain_of_team(team_star, team_init, team_sum)
+        gt = gain(team_star, team_init, sum(model.remaining.values()))
 
         players = list(game.players)
         assigned_log: dict[int, int | None] = {}
         standby_log: list[int] = []
-        menu = set(game.actions)
         stay: dict[int, bool] = {}
         incoming_by_task: dict[int, list[int]] = {}
-        for i, v in enumerate(players):
-            act = a_star[i]
-            if act not in menu:
+        for v, act in zip(players, a_star):
+            if act not in game.rank:
                 assigned_log[v] = None
                 continue
             assigned_log[v] = act
@@ -863,9 +854,9 @@ class Simulation:
             else:
                 incoming_by_task.setdefault(act, []).append(v)
 
+        skip = {v for v in players if not stay.get(v)}
         for task in sorted(incoming_by_task):
             arrivals = incoming_by_task[task]
-            skip = {v for v in players if not stay.get(v)}
             placements = self._place_incoming(task, arrivals, model, skip)
             for v in arrivals:
                 r = self.robots[v]
@@ -894,21 +885,26 @@ class Simulation:
             else:
                 self._go_idle(r)
 
-        self._log_game(
-            kind=kind,
-            trigger=trigger,
-            players=tuple(players),
-            initial=tuple(game.initial),
-            final=tuple(a_star),
-            phi_init=phi_init,
-            phi_star=phi_star,
-            gain_players=gp,
-            team_phi_init=team_init,
-            team_phi_star=team_star,
-            gain_team=gt,
-            assigned=assigned_log,
-            standby=tuple(standby_log),
-            solve_wall_s=wall,
+        self._gid += 1
+        self.logs.games.append(
+            GameRecord(
+                gid=self._gid,
+                kind=kind,
+                tick=self.tick,
+                trigger=trigger,
+                players=tuple(players),
+                initial=tuple(game.initial),
+                final=tuple(a_star),
+                phi_init=phi_init,
+                phi_star=phi_star,
+                gain_players=gp,
+                team_phi_init=team_init,
+                team_phi_star=team_star,
+                gain_team=gt,
+                assigned=assigned_log,
+                standby=tuple(standby_log),
+                solve_wall_s=solve_wall_s,
+            )
         )
         log.info(
             "t=%d: %s game %d players=%s G_P=%.4f G_T=%.4f",
@@ -919,61 +915,6 @@ class Simulation:
             gp,
             gt,
         )
-
-    def _resolve_fr(self, trigger: Robot) -> bool:
-        """First-responder pick: the idler alone maximizes its own payoff."""
-        snap, model = self._team_model()
-        menu = noidling_action_menu(model, self.params.gamma)
-        if not menu:
-            self._go_idle(trigger)
-            return False
-        worth = {
-            rtask: available_worth(
-                model.remaining[rtask], [model.prob[v][rtask] for v in model.assigned[rtask] if v != trigger.id]
-            )
-            for rtask in menu
-        }
-        scores = {rtask: worth[rtask] * model.prob[trigger.id][rtask] for rtask in menu}
-        best = min(menu, key=lambda rtask: (-scores[rtask], rtask))
-
-        team_sum = sum(model.remaining.values())
-        # the idler has no region left, so it contributes nothing at baseline
-        team_init = self._team_phi_baseline(snap, model, (trigger.id,), (None,))
-        team_star = team_init + scores[best]
-
-        standby_log: list[int] = []
-        placements = self._place_incoming(best, [trigger.id], model, {trigger.id})
-        if trigger.id in placements:
-            self._fire(trigger, "e3", payload=(best,))
-            self._assign_region(trigger, best, placements[trigger.id])
-            placed: int | None = best
-        else:
-            self._go_idle(trigger)
-            self.table.park(trigger.id, best)
-            standby_log.append(trigger.id)
-            placed = None
-
-        self._log_game(
-            kind="noidle",
-            trigger=trigger.id,
-            players=(trigger.id,),
-            initial=(None,),
-            final=(best,),
-            phi_init=0.0,
-            phi_star=scores[best],
-            gain_players=gain_of_players(scores[best], 0.0, sum(worth.values())),
-            team_phi_init=team_init,
-            team_phi_star=team_star,
-            gain_team=gain_of_team(team_star, team_init, team_sum),
-            assigned={trigger.id: placed},
-            standby=tuple(standby_log),
-            solve_wall_s=0.0,
-        )
-        return True
-
-    def _log_game(self, **fields) -> None:
-        self._gid += 1
-        self.logs.games.append(GameRecord(gid=self._gid, tick=self.tick, **fields))
 
     # ------------------------------------------------------------- accounting
 

@@ -175,37 +175,33 @@ def brute_force_optimum(g: GameInstance) -> tuple[JointAction, float]:
     return best_a, best_phi
 
 
-def gain_of_players(phi_star: float, phi_init: float, worth_sum: float) -> float:
-    """Normalized potential gain of the players from a reallocation."""
+def gain(phi_star: float, phi_init: float, worth_sum: float) -> float:
+    """Normalized potential gain from a reallocation: of the players (G_P)
+    over their game's worth, or of the team (G_T) over all remaining worth."""
     if worth_sum <= 0:
         return 0.0
     return (phi_star - phi_init) / worth_sum
 
 
 def team_potential(
-    assignment: dict[int, object],
+    assignment: dict[int, set[int]],
     worth_remaining: dict[int, float],
     prob: dict[int, dict[int, float]],
 ) -> float:
     """Total expected worth achievable by the whole team.
 
-    `assignment` maps each live robot to a task id, None, or an iterable of
-    task ids (a robot that will finish its near-done current task before
-    moving contributes to both). Tasks absent from every robot's assignment
-    contribute nothing beyond zero collection probability.
+    `assignment` maps each live robot to the set of tasks it contributes to
+    (a robot that will finish its near-done current task before moving
+    contributes to both; one with no task maps to an empty set). Each task's
+    miss product is taken in `assignment` order. Tasks absent from every
+    robot's set contribute nothing.
     """
     on_task: dict[int, list[int]] = {r: [] for r in worth_remaining}
-    for v, assigned in assignment.items():
-        if assigned is None:
-            continue
-        tasks = assigned if isinstance(assigned, (tuple, list, set, frozenset)) else (assigned,)
+    for v, tasks in assignment.items():
         for r in tasks:
-            if r is None:
-                continue
             if r not in on_task:
                 raise ValueError(f"robot {v} assigned to unknown task {r}")
-            if v not in on_task[r]:
-                on_task[r].append(v)
+            on_task[r].append(v)
     total = 0.0
     for r, w in worth_remaining.items():
         miss = 1.0
@@ -213,10 +209,3 @@ def team_potential(
             miss *= 1.0 - prob[v][r]
         total += w * (1.0 - miss)
     return total
-
-
-def gain_of_team(phi_star: float, phi_init: float, worth_sum: float) -> float:
-    """Normalized team-potential gain from a reallocation."""
-    if worth_sum <= 0:
-        return 0.0
-    return (phi_star - phi_init) / worth_sum

@@ -145,6 +145,12 @@ def _as_rect(value: Any, where: str) -> Rect:
     return Rect(value["x"], value["y"], value["w"], value["h"])
 
 
+def _as_robot_id(value: Any, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ScenarioError(f"{where}: expected a positive integer, got {value!r}")
+    return value
+
+
 def _as_number(value: Any, where: str) -> float:
     """`value` as a finite float. Python's json reads NaN and Infinity, and
     an integer too large for a float, none of which a run can use."""
@@ -246,9 +252,7 @@ def _parse_robot(obj: Any, where: str, world: WorldSpec) -> RobotSpec:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object")
     _require_keys(obj, {"id", "start", "rho0", "rho1"}, {"id", "start"}, where)
-    rid = obj["id"]
-    if not isinstance(rid, int) or isinstance(rid, bool) or rid < 1:
-        raise ScenarioError(f"{where}.id: expected a positive integer, got {rid!r}")
+    rid = _as_robot_id(obj["id"], f"{where}.id")
     start = _as_cell(obj["start"], f"{where}.start")
     if not (0 <= start[0] < world.width and 0 <= start[1] < world.height):
         raise ScenarioError(f"{where}.start: cell {list(start)} outside the grid")
@@ -319,7 +323,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         if not isinstance(entry, dict):
             raise ScenarioError(f"{where}: expected an object")
         _require_keys(entry, {"robot", "time_s"}, {"robot", "time_s"}, where)
-        rid = entry["robot"]
+        rid = _as_robot_id(entry["robot"], f"{where}.robot")
         if rid not in ids:
             raise ScenarioError(f"{where}.robot: unknown robot id {rid!r}")
         t = _as_number(entry["time_s"], f"{where}.time_s")

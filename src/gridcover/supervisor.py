@@ -5,6 +5,12 @@ sub-region coordination.
 Supervisors interact only through what the engine relays: heartbeats, map
 changes and game outcomes. The state machine is deliberately partial; the
 engine may only drive transitions along the defined arrows.
+
+The first responder (FR) plays a one-player game: the idler alone on the
+no-idling menu, starting from no task, with no random draw. Its best
+response, the menu task that pays it most, needs no learning loop. All
+games take their worths from the team model, the one place that decides
+who counts on a task: its holders, then the robots committed to it next.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import world as world_mod
-from .game import GameInstance
+from .game import GameInstance, team_potential
 from .models import BatteryParams, available_worth, remaining_worth, success_probability
 from .scenario import Params
 from .world import Cell, CellState, GridMap
@@ -90,6 +96,7 @@ class RobotView:
     des: DesState
     battery: BatteryParams
     tasking_time_s: float
+    next_task: int | None = None  # task committed to once the current region is done
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ class TeamModel:
     t_c: dict[int, float]  # task -> remaining completion time, n_U / omega
     prob: dict[int, dict[int, float]]  # robot -> task -> success probability
     pending_s: dict[int, float]  # robot -> near-finish remainder (0 if none)
-    assigned: dict[int, list[int]]  # task -> live robots currently holding it
+    assigned: dict[int, list[int]]  # task -> live holders in id order, then committed robots in id order
 
 
 def build_team_model(snap: TeamSnapshot) -> TeamModel:
@@ -167,27 +174,62 @@ def build_team_model(snap: TeamSnapshot) -> TeamModel:
         v: _ProbRow(view, pending_s[v], tasks, p.u, p.omega) for v, view in sorted(snap.robots.items())
     }
 
+    # holders first, then commitments: `available_worth` multiplies in this order
     assigned: dict[int, list[int]] = {r: [] for r in grid.tasks}
-    for v, view in sorted(snap.robots.items()):
+    robots = sorted(snap.robots.items())
+    for v, view in robots:
         if view.task is not None:
             assigned[view.task].append(v)
+    for v, view in robots:
+        if view.next_task is not None and v not in assigned[view.next_task]:
+            assigned[view.next_task].append(v)
     return TeamModel(remaining=remaining, t_c=t_c, prob=prob, pending_s=pending_s, assigned=assigned)
 
 
-def _nearest(
-    snap: TeamSnapshot, anchor: tuple[float, float], candidates: list[int], k: int
-) -> list[int]:
-    ordered = sorted(candidates, key=lambda v: (math.dist(snap.robots[v].pos_m, anchor), v))
-    return ordered[:k]
+def team_phi(snap: TeamSnapshot, model: TeamModel, players, actions) -> float:
+    """Team potential with the players at the given joint action.
+
+    A non-player counts on its task and the task it has committed to. A
+    player counts on its action, whether on the game's menu or not, and
+    also on its current task while it finishes a near-done region there
+    first. Each task's miss product is taken in ascending robot id.
+    """
+    action_of = dict(zip(players, actions))
+    assignment: dict[int, set[int]] = {}
+    for v, view in sorted(snap.robots.items()):
+        if v in action_of:
+            tasks = {action_of[v]}
+            if model.pending_s[v] > 0.0:
+                tasks.add(view.task)
+        else:
+            tasks = {view.task, view.next_task}
+        tasks.discard(None)
+        assignment[v] = tasks
+    return team_potential(assignment, model.remaining, model.prob)
 
 
-def _contested_worths(model: TeamModel, menu: list[int], players: list[int]) -> dict[int, float]:
-    player_set = set(players)
-    worth: dict[int, float] = {}
-    for r in menu:
-        occupants = [v for v in model.assigned[r] if v not in player_set]
-        worth[r] = available_worth(model.remaining[r], [model.prob[v][r] for v in occupants])
-    return worth
+def _nearest(snap: TeamSnapshot, anchor: tuple[float, float], candidates: list[int], k: int) -> list[int]:
+    return sorted(candidates, key=lambda v: (math.dist(snap.robots[v].pos_m, anchor), v))[:k]
+
+
+def _game(
+    snap: TeamSnapshot, model: TeamModel, players: list[int], menu: list[int], initial: tuple
+) -> GameInstance:
+    """The game of the players over the menu, each task worth what the
+    robots counted on it, players aside, leave uncollected."""
+    worth = {
+        r: available_worth(model.remaining[r], [model.prob[v][r] for v in model.assigned[r] if v not in players])
+        for r in menu
+    }
+    return GameInstance(
+        players=tuple(players),
+        actions=tuple(menu),
+        worth=worth,
+        prob={v: {r: model.prob[v][r] for r in menu} for v in players},
+        cycles=snap.params.L,
+        tau=snap.params.tau,
+        initial=initial,
+    )
 
 
 def noidling_action_menu(model: TeamModel, gamma: float) -> list[int]:
@@ -197,13 +239,7 @@ def noidling_action_menu(model: TeamModel, gamma: float) -> list[int]:
     gamma seconds of work left, or has no live robot assigned at all; a
     task nobody holds never finishes by itself, whatever its size.
     """
-    menu = []
-    for r, t in sorted(model.t_c.items()):
-        if t <= 0:
-            continue
-        if t >= gamma or not model.assigned[r]:
-            menu.append(r)
-    return menu
+    return [r for r, t in sorted(model.t_c.items()) if t > 0 and (t >= gamma or not model.assigned[r])]
 
 
 def build_noidling_game(
@@ -223,17 +259,18 @@ def build_noidling_game(
         and (view.task is None or (view.mode == "tasking" and model.pending_s[v] > 0.0))
     ]
     players = [trigger] + _nearest(snap, snap.robots[trigger].pos_m, eligible, p.kappa1)
-    worth = _contested_worths(model, menu, players)
     initial = tuple(menu[rng.randrange(len(menu))] for _ in players)
-    return GameInstance(
-        players=tuple(players),
-        actions=tuple(menu),
-        worth=worth,
-        prob={v: {r: model.prob[v][r] for r in menu} for v in players},
-        cycles=p.L,
-        tau=p.tau,
-        initial=initial,
-    )
+    return _game(snap, model, players, menu, initial)
+
+
+def build_first_responder_game(trigger: int, snap: TeamSnapshot, model: TeamModel) -> GameInstance | None:
+    """The idler alone over the no-idling menu, starting from no task; None
+    when the menu is empty. Draws nothing: the idler's best response is
+    deterministic."""
+    menu = noidling_action_menu(model, snap.params.gamma)
+    if not menu:
+        return None
+    return _game(snap, model, [trigger], menu, (None,))
 
 
 def build_resilience_game(
@@ -243,9 +280,10 @@ def build_resilience_game(
     snap: TeamSnapshot,
     model: TeamModel,
 ) -> GameInstance | None:
-    """Game among the failed robot's nearest neighbors over their current
-    tasks plus the orphaned one. The caller has already ruled out takeover
-    (no live robot holds the failed task) and checked it is incomplete."""
+    """Game among the failed robot's nearest neighbors over the orphaned
+    task plus their current tasks with more than eta left. The caller has
+    already ruled out takeover (no live robot holds the failed task) and
+    checked it is incomplete."""
     p = snap.params
     eligible = [
         v for v, view in sorted(snap.robots.items()) if view.des in (DesState.WK, DesState.ID)
@@ -253,23 +291,9 @@ def build_resilience_game(
     players = _nearest(snap, failed_pos, eligible, p.kappa2)
     if not players:
         return None
-    menu = {failed_task}
-    for v in players:
-        task = snap.robots[v].task
-        if task is not None and model.t_c[task] > p.eta:
-            menu.add(task)
-    menu = sorted(menu)
-    worth = _contested_worths(model, menu, players)
     initial = tuple(snap.robots[v].task for v in players)
-    return GameInstance(
-        players=tuple(players),
-        actions=tuple(menu),
-        worth=worth,
-        prob={v: {r: model.prob[v][r] for r in menu} for v in players},
-        cycles=p.L,
-        tau=p.tau,
-        initial=initial,
-    )
+    menu = {failed_task} | {r for r in initial if r is not None and model.t_c[r] > p.eta}
+    return _game(snap, model, players, sorted(menu), initial)
 
 
 def post_game_assign(

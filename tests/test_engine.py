@@ -12,6 +12,7 @@ import pytest
 
 from gridcover import parse_scenario
 from gridcover.engine import Assignments, Simulation
+from gridcover.supervisor import DesState
 from gridcover.world import CellState
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -295,6 +296,86 @@ def open_task(robots: int, failures: list[tuple[int, float]], **params) -> dict:
     }
 
 
+def strip_world(widths: list[int], lam: list[float], robots: list[tuple[int, int]], **params) -> dict:
+    """Tasks of the given widths side by side in one row of height 2, each
+    with its target mean; robot i + 1 starts at cell robots[i]."""
+    tasks, x = [], 0
+    for w in widths:
+        tasks.append({"x": x, "y": 0, "w": w, "h": 2})
+        x += w
+    return {
+        "world": {"width": x, "height": 2, "tasks": tasks, "targets": {"mode": "sampled", "lambda": lam}},
+        "robots": [{"id": i, "start": list(cell)} for i, cell in enumerate(robots, start=1)],
+        "params": params,
+        "strategy": "FR",
+    }
+
+
+class GameRecordingSimulation(CheckedSimulation):
+    """Keeps every game `_apply_game` settles, in `instances`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.instances = []
+
+    def _apply_game(self, game, *args):
+        self.instances.append(game)
+        super()._apply_game(game, *args)
+
+
+def first_responder(doc: dict) -> GameRecordingSimulation:
+    sim = GameRecordingSimulation(parse_scenario(doc))
+    sim.run()
+    assert sim.result.metrics.end_reason == "complete"
+    return sim
+
+
+class TestFirstResponder:
+    # robot 1 finishes its 2-cell task first and responds alone
+
+    def test_takes_the_task_that_pays_it_most(self):
+        # task 3 is farther than task 2 but holds five times the targets
+        sim = first_responder(strip_world([1, 2, 2], [0.0, 1.0, 5.0], [(0, 0)]))
+        game, record = sim.instances[0], sim.logs.games[0]
+        pay = {r: game.worth[r] * game.prob[1][r] for r in game.actions}
+        assert game.actions == (2, 3) and pay[3] > pay[2]
+        assert record.players == (1,) and record.final == (3,)
+        assert record.assigned == {1: 3} and record.standby == ()
+
+    def test_ties_go_to_the_lowest_task_id(self):
+        # tasks 1 and 3 mirror each other around robot 1's task 2
+        sim = first_responder(strip_world([1, 1, 1], [1.0, 1.0, 1.0], [(1, 0)]))
+        game, record = sim.instances[0], sim.logs.games[0]
+        assert game.actions == (1, 3)
+        assert game.worth[1] * game.prob[1][1] == game.worth[3] * game.prob[1][3]
+        assert record.final == (1,)
+
+    def test_logs_a_one_player_game_from_no_task(self):
+        doc = strip_world([1, 2, 2], [0.0, 1.0, 5.0], [(0, 0)])
+        # a battery this worn puts p under 1/2, where w * p and the
+        # potential's w * (1 - (1 - p)) round apart
+        doc["robots"][0]["rho1"] = 5.0
+        sim = first_responder(doc)
+        game, record = sim.instances[0], sim.logs.games[0]
+        (best,) = record.final
+        w, p = game.worth[best], game.prob[1][best]
+        assert record.kind == "noidle" and record.trigger == 1
+        assert game.initial == record.initial == (None,)
+        assert record.phi_init == 0.0 and record.solve_wall_s == 0.0
+        # w * p as the idler earns it, not the potential's w * (1 - (1 - p))
+        assert record.phi_star == w * p != w * (1 - (1 - p))
+        assert record.team_phi_star == record.team_phi_init + record.phi_star
+
+    def test_idler_without_a_strip_waits_on_standby_idle(self):
+        # task 2 is one strip (n_max 1), held by robot 2 with 70 cells,
+        # 219 s, left: past gamma, so it stays on the menu
+        sim = first_responder(strip_world([1, 35], [0.0, 2.0], [(0, 0), (1, 0)], n_max=1))
+        record = sim.logs.games[0]
+        assert record.final == (2,) and record.assigned == {1: None} and record.standby == (1,)
+        events = [(e.event, e.after) for e in sim.logs.events if e.robot == 1 and e.tick == record.tick]
+        assert events == [("e2", DesState.NG), ("e4", DesState.ID)]
+
+
 class TestFailureDetection:
     def test_ticks_that_do_not_divide_the_heartbeat(self):
         # 2 s ticks, 5 s beats: the team beats at 0, 6 and 12 s. Robot 3
@@ -458,3 +539,21 @@ class TestBenchmarkHooks:
         assert engine.build_team_model is supervisor.build_team_model
         assert engine.detect_failures is supervisor.detect_failures
         assert digest(result) == committed_digests("paper")["scenario2/CARE"]
+
+    def test_first_responder_builds_models_but_never_runs_max_logit(self, digest):
+        tracing = perfbench("tracing")
+        tracer = tracing.Tracer()
+        simulation, parse, _write, restore = tracing.instrument(tracer)
+        doc = json.loads((SCENARIOS / "scenario2.json").read_text())
+        doc["seed"] = 1
+        doc["strategy"] = "FR"
+        try:
+            result = simulation(parse(doc)).run()
+        finally:
+            restore()
+
+        times = tracer.layer_times()
+        assert result.logs.games
+        assert times["supervisor.team_model"][0] > 0
+        assert times.get("game.max_logit", (0,))[0] == 0
+        assert digest(result) == committed_digests("paper")["scenario2/FR"]

@@ -12,8 +12,7 @@ from gridcover.game import (
     GameInstance,
     brute_force_optimum,
     check_potential_game,
-    gain_of_players,
-    gain_of_team,
+    gain,
     max_logit,
     potential,
     team_potential,
@@ -326,23 +325,26 @@ class TestBruteForce:
 
 
 class TestGains:
+    # one function serves both G_P (over the game's worth) and G_T (over the
+    # team's remaining worth)
     def test_no_improvement_is_zero(self):
-        assert gain_of_players(7.5, 7.5, 15.0) == 0.0
-        assert gain_of_team(20.0, 20.0, 60.0) == 0.0
+        assert gain(7.5, 7.5, 15.0) == 0.0
+        assert gain(20.0, 20.0, 60.0) == 0.0
 
     def test_arithmetic(self):
-        assert gain_of_players(12.0, 7.5, 15.0) == pytest.approx(0.30, abs=1e-12)
-        assert gain_of_team(23.0, 20.0, 60.0) == pytest.approx(0.05, abs=1e-12)
+        assert gain(12.0, 7.5, 15.0) == pytest.approx(0.30, abs=1e-12)
+        assert gain(23.0, 20.0, 60.0) == pytest.approx(0.05, abs=1e-12)
+        assert gain(7.5, 12.0, 15.0) == pytest.approx(-0.30, abs=1e-12)
 
     def test_zero_denominator_defined_as_zero(self):
-        assert gain_of_players(1.0, 0.0, 0.0) == 0.0
-        assert gain_of_team(1.0, 0.0, 0.0) == 0.0
+        assert gain(1.0, 0.0, 0.0) == 0.0
+        assert gain(1.0, 0.0, -2.0) == 0.0
 
 
 class TestTeamPotential:
     def test_empty_assignment(self):
         assert team_potential({}, {1: 5.0, 2: 3.0}, {}) == 0.0
-        assert team_potential({7: None}, {1: 5.0}, {7: {1: 0.5}}) == 0.0
+        assert team_potential({7: set()}, {1: 5.0}, {7: {1: 0.5}}) == 0.0
 
     def test_decomposition_identity(self):
         # Phi(a) = phi(a_P) + sum_{r not on menu} w_r p(r) + sum_r w~_r q(r)
@@ -393,17 +395,27 @@ class TestTeamPotential:
                 )
                 for r in tasks
             )
-            total = team_potential(assignment, worth_rem, prob)
+            total = team_potential({v: {r} - {None} for v, r in assignment.items()}, worth_rem, prob)
             assert total == pytest.approx(phi + off_menu + non_player, abs=1e-9)
 
-    def test_multi_task_contribution_deduplicated(self):
-        prob = {1: {1: 0.5, 2: 0.5}}
+    def test_robot_counts_on_each_task_of_its_set(self):
+        # a robot finishing its near-done task before moving counts on both
+        prob = {1: {1: 0.5, 2: 0.5}, 2: {1: 0.25, 2: 0.75}}
         worth = {1: 10.0, 2: 4.0}
-        assert team_potential({1: (1, 2)}, worth, prob) == pytest.approx(
-            10 * 0.5 + 4 * 0.5, abs=1e-12
-        )
-        assert team_potential({1: (1, 1)}, worth, prob) == pytest.approx(5.0, abs=1e-12)
+        assert team_potential({1: {1, 2}}, worth, prob) == 10 * 0.5 + 4 * 0.5
+        assert team_potential({1: {1, 2}, 2: {1}}, worth, prob) == 10 * (1 - 0.5 * 0.75) + 4 * 0.5
+
+    def test_miss_product_taken_in_assignment_order(self):
+        # the product's rounding depends on its order, so the caller fixes it
+        prob = {1: {1: 0.46}, 2: {1: 0.31}, 3: {1: 0.07}}
+
+        def phi(order):
+            return team_potential({v: {1} for v in order}, {1: 3.7}, prob)
+
+        assert phi((1, 2, 3)) == 3.7 * (1.0 - (1.0 - 0.46) * (1.0 - 0.31) * (1.0 - 0.07))
+        assert phi((3, 2, 1)) == 3.7 * (1.0 - (1.0 - 0.07) * (1.0 - 0.31) * (1.0 - 0.46))
+        assert phi((1, 2, 3)) != phi((3, 2, 1))
 
     def test_unknown_task_rejected(self):
-        with pytest.raises(ValueError):
-            team_potential({1: 9}, {1: 5.0}, {1: {9: 0.5}})
+        with pytest.raises(ValueError, match="robot 1 assigned to unknown task 9"):
+            team_potential({1: {9}}, {1: 5.0}, {1: {9: 0.5}})

@@ -76,6 +76,19 @@ REJECTIONS = {
         "robots[1].start: cell [3, 2] is an obstacle cell",
     ),
     "duplicate robot ids": (set_key(["robots", 1, "id"], 1), "robots: duplicate robot ids"),
+    # True == 1 and 2.0 == 2, so a lookup among the ids alone would take both
+    "failure robot true": (
+        set_key(["failures"], [{"robot": True, "time_s": 5.0}]),
+        "failures[0].robot: expected a positive integer, got True",
+    ),
+    "failure robot 2.0": (
+        set_key(["failures"], [{"robot": 2.0, "time_s": 5.0}]),
+        "failures[0].robot: expected a positive integer, got 2.0",
+    ),
+    "failure robot unknown": (
+        set_key(["failures"], [{"robot": 3, "time_s": 5.0}]),
+        "failures[0].robot: unknown robot id 3",
+    ),
     "eta >= gamma": (set_key(["params"], {"eta": 200.0, "gamma": 200.0}), "params.eta"),
     "heartbeat_s >= t0_s": (set_key(["params"], {"heartbeat_s": 15.0}), "params.heartbeat_s"),
     "unknown strategy": (set_key(["strategy"], "GREEDY"), "strategy: expected one of"),

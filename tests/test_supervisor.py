@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcover.models import BatteryParams, success_probability
+from gridcover.models import BatteryParams, available_worth, success_probability
 from gridcover.scenario import Params
 from gridcover.supervisor import (
     DesState,
@@ -20,6 +20,7 @@ from gridcover.supervisor import (
     noidling_action_menu,
     post_game_assign,
     step,
+    team_phi,
 )
 from gridcover.world import mark_covered, partition_subregions
 from tests.test_world import make_world
@@ -130,6 +131,62 @@ class TestTeamModel:
         base = build_team_model(snap)
         assert model.prob[1][1] == base.prob[1][1]  # own task: no extra
         assert model.prob[1][2] < base.prob[1][2]  # other task pays the remainder
+
+    def test_committed_robots_count_after_the_holders_once(self):
+        snap = snapshot_for_games()
+        views = {
+            1: RobotView(1, (1.5, 1.5), 1, 100, "tasking", DesState.WK, BAT, 100.0, next_task=2),
+            2: RobotView(2, (15.5, 7.5), 2, 100, "tasking", DesState.WK, BAT, 120.0, next_task=2),
+            3: RobotView(3, (9.5, 5.0), None, 0, "idle", DesState.ID, BAT, 300.0, next_task=1),
+        }
+        model = build_team_model(TeamSnapshot(snap.grid, snap.params, views))
+        # robot 1 commits to task 2 after its holder 2, who commits to its own task
+        assert model.assigned == {1: [1, 3], 2: [2, 1]}
+        # a game's worth discounts the committed robot as well as the holder
+        game = build_noidling_game(3, TeamSnapshot(snap.grid, snap.params, views), model, random.Random(0))
+        assert game.players == (3,)
+        assert game.worth[2] == available_worth(model.remaining[2], [model.prob[2][2], model.prob[1][2]])
+
+
+class TestTeamPhi:
+    def test_a_non_players_next_task_counts(self):
+        snap = snapshot_for_games()
+        views = dict(snap.robots)
+        views[2] = RobotView(2, (15.5, 7.5), 2, 100, "tasking", DesState.WK, BAT, 120.0, next_task=1)
+        snap = TeamSnapshot(snap.grid, snap.params, views)
+        model = build_team_model(snap)
+        w, p = model.remaining, model.prob
+        assert w[1] > 0 and w[2] > 0
+        want = w[1] * (1 - (1 - p[1][1]) * (1 - p[2][1])) + w[2] * (1 - (1 - p[2][2]))
+        assert team_phi(snap, model, (3,), (None,)) == want
+
+    def test_a_player_finishing_first_counts_on_its_current_task(self):
+        snap = snapshot_for_games()
+        views = dict(snap.robots)
+        views[1] = RobotView(1, (1.5, 1.5), 1, 9, "tasking", DesState.WK, BAT, 100.0)
+        snap = TeamSnapshot(snap.grid, snap.params, views)
+        model = build_team_model(snap)
+        w, p = model.remaining, model.prob
+        assert model.pending_s[1] > 0.0
+        want = w[1] * (1 - (1 - p[1][1])) + w[2] * (1 - (1 - p[1][2]) * (1 - p[2][2]))
+        assert team_phi(snap, model, (1, 3), (2, None)) == want
+        # without the near-done region robot 1 counts on its action only
+        busy = snapshot_for_games()
+        model = build_team_model(busy)
+        w, p = model.remaining, model.prob
+        assert team_phi(busy, model, (1, 3), (2, None)) == w[2] * (1 - (1 - p[1][2]) * (1 - p[2][2]))
+
+    def test_a_resilience_players_initial_action_off_the_menu_counts(self):
+        snap = snapshot_for_games()
+        for cell in list(snap.grid.tasks[1].cells)[:91]:
+            mark_covered(snap.grid, cell)  # task 1 is near done: off the menu
+        snap2 = TeamSnapshot(snap.grid, snap.params, {1: snap.robots[1], 3: snap.robots[3]})
+        model = build_team_model(snap2)
+        game = build_resilience_game(2, (15.5, 7.5), 2, snap2, model)
+        assert game.actions == (2,) and dict(zip(game.players, game.initial)) == {1: 1, 3: None}
+        want = model.remaining[1] * (1 - (1 - model.prob[1][1]))
+        assert want > 0
+        assert team_phi(snap2, model, game.players, game.initial) == want
 
 
 def eager_prob(snap):
