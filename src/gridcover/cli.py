@@ -5,6 +5,27 @@ Commands:
   compare  run a strategy x seed cross product and aggregate the metrics
   sweep    team-size / parameter studies over a base scenario
 
+Files written to --out-dir, with the record each one's columns come from:
+  run      metrics.csv          engine.MetricsRecord, totd spread into
+                                totd_10 .. totd_100
+           games.csv            engine.GameRecord, one row per game
+           events.csv           supervisor.EventRecord, one row per event
+           changes.csv          RunLogs.changes: tick, robot, x, y, old, new
+           trajectories.csv     RunLogs.trajectories: tick, robot, x_m, y_m,
+                                cell_x, cell_y, mode
+           detector.csv         RunLogs.detector: tick, robot, heard_by, one
+                                row per confirmed failure
+           map_final.txt, map_tick_NNNNNN.txt (--snapshot-every),
+           trajectories.svg
+  compare  compare_runs.csv     strategy, seed, then the metrics.csv columns
+           compare_summary.csv  strategy, metric, mean, min, max of each
+                                numeric metrics.csv column, blank where a
+                                run has no value
+  sweep    sweep.csv            dimension, value, seed, then the metrics.csv
+                                columns
+An empty cell is a metric the run has no value for: no game played, no
+robot alive at the end, or a ToTD level never reached.
+
 Exit codes: 0 success, 1 usage or schema error, 2 liveness violation.
 Set CARE_LOG_LEVEL (DEBUG/INFO/WARNING/ERROR) to control verbosity.
 """
@@ -20,125 +41,80 @@ import statistics
 import sys
 from pathlib import Path
 
-from .engine import LivenessError, RunResult, run as run_engine
+from .engine import GameRecord, LivenessError, RunResult, run as run_engine
 from .render import render_svg
-from .scenario import STRATEGIES, ScenarioConfig, ScenarioError, load_scenario
+from .scenario import STRATEGIES, ScenarioError, load_scenario
 from .world import map_text
 
-log = logging.getLogger("gridcover.cli")
 
-METRIC_COLUMNS = [
-    "cr",
-    "ct_s",
-    "rr_min",
-    "rr_mean",
-    "rr_max",
-    "notf",
-    "targets_placed",
-    *[f"totd_{p}" for p in range(10, 101, 10)],
-    "games_noidle",
-    "games_resilience",
-    "gp_min",
-    "gt_min",
-    "end_reason",
-    "ticks",
-]
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _blank(value) -> str:
-    return "" if value is None else str(value)
+def _metrics(result: RunResult) -> dict:
+    """The run's metrics by column, `totd` spread into totd_10 .. totd_100.
+    A missing metric stays None, which csv writes as an empty cell."""
+    columns = {}
+    for name, value in dataclasses.asdict(result.metrics).items():
+        if name == "totd":
+            columns.update((f"totd_{pct}", t) for pct, t in value.items())
+        else:
+            columns[name] = value
+    return columns
 
 
-def _metrics_row(result: RunResult) -> list[str]:
-    m = result.metrics
-    row = [m.cr, m.ct_s, m.rr_min, m.rr_mean, m.rr_max, m.notf, m.targets_placed]
-    row += [m.totd[p] for p in range(10, 101, 10)]
-    row += [m.games_noidle, m.games_resilience, m.gp_min, m.gt_min, m.end_reason, m.ticks]
-    return [_blank(v) for v in row]
+def _cell(value):
+    """A games.csv cell: a tuple space-joined, a dict as `k:v` pairs in key
+    order; csv writes None as empty and anything else with str()."""
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    if isinstance(value, dict):
+        return " ".join(f"{k}:{v}" for k, v in sorted(value.items()))
+    return value
 
 
 def write_run_outputs(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(METRIC_COLUMNS)
-        w.writerow(_metrics_row(result))
-
-    with open(out_dir / "events.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "robot", "event", "before", "after", "payload"])
-        for ev in result.logs.events:
-            w.writerow([ev.tick, ev.robot, ev.event, ev.before.value, ev.after.value, repr(ev.payload)])
-
-    with open(out_dir / "games.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "gid",
-                "kind",
-                "tick",
-                "trigger",
-                "players",
-                "initial",
-                "final",
-                "phi_init",
-                "phi_star",
-                "gain_players",
-                "team_phi_init",
-                "team_phi_star",
-                "gain_team",
-                "assigned",
-                "standby",
-                "solve_wall_s",
-            ]
-        )
-        for g in result.logs.games:
-            w.writerow(
-                [
-                    g.gid,
-                    g.kind,
-                    g.tick,
-                    g.trigger,
-                    " ".join(map(str, g.players)),
-                    " ".join(map(str, g.initial)),
-                    " ".join(map(str, g.final)),
-                    g.phi_init,
-                    g.phi_star,
-                    g.gain_players,
-                    g.team_phi_init,
-                    g.team_phi_star,
-                    g.gain_team,
-                    " ".join(f"{k}:{v}" for k, v in sorted(g.assigned.items())),
-                    " ".join(map(str, g.standby)),
-                    g.solve_wall_s,
-                ]
-            )
-
-    with open(out_dir / "trajectories.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "robot", "x_m", "y_m", "cell_x", "cell_y", "mode"])
-        for row in result.logs.trajectories:
-            w.writerow(row)
-
-    with open(out_dir / "changes.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "robot", "x", "y", "old", "new"])
-        for tick, robot, ch in result.logs.changes:
-            w.writerow([tick, robot, ch.cell[0], ch.cell[1], ch.old.name, ch.new.name])
+    logs = result.logs
+    metrics = _metrics(result)
+    _write_csv(out_dir / "metrics.csv", list(metrics), [metrics.values()])
+    _write_csv(
+        out_dir / "events.csv",
+        ["tick", "robot", "event", "before", "after", "payload"],
+        ((ev.tick, ev.robot, ev.event, ev.before.value, ev.after.value, repr(ev.payload)) for ev in logs.events),
+    )
+    game_columns = [f.name for f in dataclasses.fields(GameRecord)]
+    _write_csv(
+        out_dir / "games.csv",
+        game_columns,
+        ([_cell(getattr(g, name)) for name in game_columns] for g in logs.games),
+    )
+    trajectory_columns = ["tick", "robot", "x_m", "y_m", "cell_x", "cell_y", "mode"]
+    _write_csv(out_dir / "trajectories.csv", trajectory_columns, logs.trajectories)
+    _write_csv(
+        out_dir / "changes.csv",
+        ["tick", "robot", "x", "y", "old", "new"],
+        ((tick, robot, *ch.cell, ch.old.name, ch.new.name) for tick, robot, ch in logs.changes),
+    )
+    # the log repeats heard_by in a fourth field that the run digests hash
+    _write_csv(out_dir / "detector.csv", ["tick", "robot", "heard_by"], (row[:3] for row in logs.detector))
 
     (out_dir / "map_final.txt").write_text(map_text(result.grid))
 
-    for tick, snap in result.logs.snapshots:
+    for tick, snap in logs.snapshots:
         (out_dir / f"map_tick_{tick:06d}.txt").write_text(snap)
 
     failure_marks = []
     last_cell: dict[int, tuple[int, int]] = {}
-    for tick, rid, _x, _y, cx, cy, _mode in result.logs.trajectories:
+    for tick, rid, _x, _y, cx, cy, _mode in logs.trajectories:
         last_cell[rid] = (cx, cy)
-    for ev in result.logs.events:
+    for ev in logs.events:
         if ev.event == "e7":
             failure_marks.append((ev.robot, last_cell.get(ev.robot, (0, 0))))
-    svg = render_svg(result.grid, result.logs.trajectories, failure_marks)
+    svg = render_svg(result.grid, logs.trajectories, failure_marks)
     (out_dir / "trajectories.svg").write_text(svg)
 
 
@@ -196,46 +172,42 @@ def cmd_compare(args) -> int:
         got = ", ".join(map(repr, unknown))
         raise ScenarioError(f"--strategies: expected names from {list(STRATEGIES)}, got {got}")
 
-    results: dict[str, list[RunResult]] = {s: [] for s in strategies}
-    for strategy in strategies:
-        for seed in seeds:
-            cfg = dataclasses.replace(config, strategy=strategy, seed=seed)
-            results[strategy].append(run_engine(cfg))
+    results = {
+        s: [_metrics(run_engine(dataclasses.replace(config, strategy=s, seed=seed))) for seed in seeds]
+        for s in strategies
+    }
+    columns = list(results[strategies[0]][0])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "compare_runs.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["strategy", "seed"] + METRIC_COLUMNS)
-        for strategy in strategies:
-            for seed, result in zip(seeds, results[strategy]):
-                w.writerow([strategy, seed] + _metrics_row(result))
+    _write_csv(
+        out_dir / "compare_runs.csv",
+        ["strategy", "seed", *columns],
+        ([strategy, seed, *m.values()] for strategy in strategies for seed, m in zip(seeds, results[strategy])),
+    )
 
-    def agg(values):
-        vals = [v for v in values if v is not None]
-        if len(vals) != len(list(values)) or not vals:
-            return ("", "", "")
-        return (statistics.fmean(vals), min(vals), max(vals))
-
-    numeric = [c for c in METRIC_COLUMNS if c != "end_reason"]
-    with open(out_dir / "compare_summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["strategy", "metric", "mean", "min", "max"])
+    def summary():
         for strategy in strategies:
-            rows = [dict(zip(METRIC_COLUMNS, _metrics_row(r))) for r in results[strategy]]
-            for col in numeric:
-                raw = [None if row[col] == "" else float(row[col]) for row in rows]
-                mean, lo, hi = agg(raw)
-                w.writerow([strategy, col, mean, lo, hi])
+            for col in columns:
+                if col == "end_reason":
+                    continue
+                values = [m[col] for m in results[strategy]]
+                if any(v is None for v in values):
+                    yield [strategy, col, None, None, None]
+                else:
+                    values = [float(v) for v in values]
+                    yield [strategy, col, statistics.fmean(values), min(values), max(values)]
+
+    _write_csv(out_dir / "compare_summary.csv", ["strategy", "metric", "mean", "min", "max"], summary())
 
     header = f"{'strategy':>9} {'CR(mean)':>9} {'CT(mean)':>10} {'NoTF':>6} {'ToTD50':>8}"
     print(header)
     for strategy in strategies:
-        ms = [r.metrics for r in results[strategy]]
-        cr = statistics.fmean(m.cr for m in ms)
-        ct = statistics.fmean(m.ct_s for m in ms)
-        notf = statistics.fmean(m.notf for m in ms)
-        t50 = [m.totd[50] for m in ms]
+        ms = results[strategy]
+        cr = statistics.fmean(m["cr"] for m in ms)
+        ct = statistics.fmean(m["ct_s"] for m in ms)
+        notf = statistics.fmean(m["notf"] for m in ms)
+        t50 = [m["totd_50"] for m in ms]
         t50s = "-" if any(v is None for v in t50) else f"{statistics.fmean(t50):.0f}"
         print(f"{strategy:>9} {cr:>9.4f} {ct:>10.1f} {notf:>6.1f} {t50s:>8}")
     return 0
@@ -274,16 +246,10 @@ def cmd_sweep(args) -> int:
                 cfg = dataclasses.replace(
                     cfg, params=dataclasses.replace(config.params, **{dim: value})
                 )
-            result = run_engine(cfg)
-            rows.append([dim, value, seed] + _metrics_row(result))
-            print(
-                f"{dim}={value} seed={seed}: CR={result.metrics.cr:.4f} "
-                f"CT={result.metrics.ct_s:.1f}s"
-            )
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dimension", "value", "seed"] + METRIC_COLUMNS)
-        w.writerows(rows)
+            metrics = _metrics(run_engine(cfg))
+            rows.append([dim, value, seed, *metrics.values()])
+            print(f"{dim}={value} seed={seed}: CR={metrics['cr']:.4f} CT={metrics['ct_s']:.1f}s")
+    _write_csv(out_dir / "sweep.csv", ["dimension", "value", "seed", *metrics], rows)
     return 0
 
 
@@ -296,7 +262,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="gridcover", description=__doc__)
+    # the docstring's tables keep their line breaks
+    parser = _Parser(prog="gridcover", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario")

@@ -39,23 +39,6 @@ def reliability(params: BatteryParams, t: float) -> float:
     return 1.0 / (1.0 + math.exp(z))
 
 
-def fit_battery_params(t1: float, r1: float, t2: float, r2: float) -> BatteryParams:
-    """Solve the two-point sigmoid calibration in closed form.
-
-    Given R(t1) = r1 and R(t2) = r2 with t1 < t2 and 1 > r1 > r2 > 0, the
-    logit identity ln((1-R)/R) = rho0 * (t - rho1) gives a linear system.
-    """
-    if not t1 < t2:
-        raise ValueError(f"need t1 < t2, got t1={t1}, t2={t2}")
-    if not (1.0 > r1 > r2 > 0.0):
-        raise ValueError(f"need 1 > r1 > r2 > 0, got r1={r1}, r2={r2}")
-    logit1 = math.log((1.0 - r1) / r1)
-    logit2 = math.log((1.0 - r2) / r2)
-    rho0 = (logit2 - logit1) / (t2 - t1)
-    rho1 = t1 - logit1 / rho0
-    return BatteryParams(rho0=rho0, rho1=rho1)
-
-
 def success_probability(
     params: BatteryParams,
     tasking_time_s: float,

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,26 @@ OUTPUT_FILES = (
     "games.csv",
     "trajectories.csv",
     "changes.csv",
+    "detector.csv",
     "map_final.txt",
     "trajectories.svg",
 )
+METRIC_COLUMNS = [
+    "cr",
+    "ct_s",
+    "rr_min",
+    "rr_mean",
+    "rr_max",
+    "notf",
+    "targets_placed",
+    *[f"totd_{p}" for p in range(10, 101, 10)],
+    "games_noidle",
+    "games_resilience",
+    "gp_min",
+    "gt_min",
+    "end_reason",
+    "ticks",
+]
 GAME_COLUMNS = [
     "gid",
     "kind",
@@ -58,6 +76,28 @@ def read_csv(path: Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
+def metric_cells(result) -> dict[str, str]:
+    """The metrics.csv cells a run should get, by column in column order."""
+    metrics = dataclasses.asdict(result.metrics)
+    totd = metrics.pop("totd")
+    values = {**metrics, **{f"totd_{p}": totd[p] for p in range(10, 101, 10)}}
+    assert sorted(values) == sorted(METRIC_COLUMNS)
+    return {c: "" if values[c] is None else str(values[c]) for c in METRIC_COLUMNS}
+
+
+def run_cli(monkeypatch, argv) -> list:
+    """Runs the CLI on `argv` and returns the result of each run it made."""
+    results = []
+
+    def recording(config, **options):
+        results.append(run(config, **options))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_engine", recording)
+    assert cli.main(argv) == 0
+    return results
+
+
 def test_writes_every_output(written):
     _result, out_dir = written
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(OUTPUT_FILES)
@@ -80,11 +120,70 @@ def test_games_csv_has_one_row_per_game_with_its_solve_time(written):
 def test_metrics_csv_matches_the_run(written):
     result, out_dir = written
     header, row = read_csv(out_dir / "metrics.csv")
-    metrics = dataclasses.asdict(result.metrics)
-    totd = metrics.pop("totd")
-    expected = {**metrics, **{f"totd_{p}": totd[p] for p in range(10, 101, 10)}}
-    assert sorted(header) == sorted(expected)
-    assert dict(zip(header, row)) == {k: "" if v is None else str(v) for k, v in expected.items()}
+    # compare_runs.csv and sweep.csv readers index the columns by position
+    assert header == METRIC_COLUMNS
+    assert dict(zip(header, row)) == metric_cells(result)
+
+
+def test_detector_csv_has_one_row_per_confirmed_failure(written):
+    result, out_dir = written
+    header, *rows = read_csv(out_dir / "detector.csv")
+    assert header == ["tick", "robot", "heard_by"]
+    assert len(result.logs.detector) == 2
+    assert rows == [[str(tick), str(robot), str(heard)] for tick, robot, heard, _ in result.logs.detector]
+
+
+@pytest.fixture(scope="module")
+def compared(tmp_path_factory):
+    """`compare` of CARE and NONCO over seeds 1 and 2 on scenario2: the
+    (strategy, seed, result) of each run and the output directory."""
+    out_dir = tmp_path_factory.mktemp("compare")
+    argv = ["compare", str(SCENARIO), "--strategies", "CARE,NONCO", "--seeds", "1,2", "--out-dir", str(out_dir)]
+    with pytest.MonkeyPatch.context() as mp:
+        results = run_cli(mp, argv)
+    keys = [(strategy, seed) for strategy in ("CARE", "NONCO") for seed in (1, 2)]
+    assert [(r.config.strategy, r.config.seed) for r in results] == keys
+    return [(*key, result) for key, result in zip(keys, results)], out_dir
+
+
+def test_compare_runs_rows_are_the_runs_metrics_rows(compared):
+    runs, out_dir = compared
+    header, *rows = read_csv(out_dir / "compare_runs.csv")
+    assert header == ["strategy", "seed", *METRIC_COLUMNS]
+    assert rows == [[strategy, str(seed), *metric_cells(result).values()] for strategy, seed, result in runs]
+
+
+def test_compare_summary_aggregates_each_numeric_metric(compared):
+    runs, out_dir = compared
+    header, *rows = read_csv(out_dir / "compare_summary.csv")
+    assert header == ["strategy", "metric", "mean", "min", "max"]
+    numeric = [c for c in METRIC_COLUMNS if c != "end_reason"]
+    expected = []
+    for strategy in ("CARE", "NONCO"):
+        cells = [metric_cells(result) for s, _seed, result in runs if s == strategy]
+        for col in numeric:
+            if any(c[col] == "" for c in cells):
+                expected.append([strategy, col, "", "", ""])
+            else:
+                values = [float(c[col]) for c in cells]
+                stats = (statistics.fmean(values), min(values), max(values))
+                expected.append([strategy, col, *map(str, stats)])
+    assert rows == expected
+    # NONCO plays no games, so it has no minimum gain
+    assert ["NONCO", "gp_min", "", "", ""] in rows
+
+
+def test_sweep_writes_one_row_per_value_and_seed(monkeypatch, tmp_path):
+    argv = ["sweep", str(SCENARIO), "--kappa1", "2,6", "--seeds", "1,2", "--out-dir", str(tmp_path)]
+    results = run_cli(monkeypatch, argv)
+    header, *rows = read_csv(tmp_path / "sweep.csv")
+    assert header == ["dimension", "value", "seed", *METRIC_COLUMNS]
+    keys = [(value, seed) for value in (2, 6) for seed in (1, 2)]
+    assert [(r.config.params.kappa1, r.config.seed) for r in results] == keys
+    assert rows == [
+        ["kappa1", str(value), str(seed), *metric_cells(result).values()]
+        for (value, seed), result in zip(keys, results)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -133,6 +232,16 @@ def test_run_rejects_a_negative_snapshot_interval(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_engine", no_run)
     assert cli.main(["run", str(SCENARIO), "--snapshot-every", "-1", "--out-dir", str(tmp_path)]) == 1
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_run_reports_an_unreadable_scenario_path(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    path = tmp_path / name
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {path}: cannot read the file: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_refuses_an_infinite_tick(tmp_path, monkeypatch, capsys):

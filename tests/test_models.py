@@ -3,12 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from gridcover.models import (
     BatteryParams,
     available_worth,
-    fit_battery_params,
     reliability,
     remaining_worth,
     success_probability,
@@ -54,40 +52,6 @@ class TestReliability:
             BatteryParams(rho0=0.0, rho1=100.0)
         with pytest.raises(ValueError):
             BatteryParams(rho0=1e-3, rho1=-5.0)
-
-
-class TestFitBatteryParams:
-    def test_calibration_anchors_round_trip(self):
-        fit = fit_battery_params(780.0, 0.9, 1560.0, 0.4)
-        assert reliability(fit, 780.0) == pytest.approx(0.9, abs=1e-12)
-        assert reliability(fit, 1560.0) == pytest.approx(0.4, abs=1e-12)
-
-    def test_calibration_closed_form_values(self):
-        fit = fit_battery_params(780.0, 0.9, 1560.0, 0.4)
-        assert fit.rho0 == pytest.approx(3.336e-3, rel=1e-3)
-        assert fit.rho1 == pytest.approx(1438.6, rel=1e-3)
-
-    def test_symmetric_pair_recovers_midpoint(self):
-        fit = fit_battery_params(1000.0, 0.8, 1800.0, 0.2)
-        assert fit.rho1 == pytest.approx(1400.0, abs=1e-9)
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            fit_battery_params(1000.0, 0.9, 1000.0, 0.4)
-        with pytest.raises(ValueError):
-            fit_battery_params(780.0, 0.4, 1560.0, 0.9)
-
-    @given(
-        t1=st.floats(10, 2000),
-        dt=st.floats(10, 2000),
-        r1=st.floats(0.55, 0.99),
-        dr=st.floats(0.05, 0.5),
-    )
-    def test_round_trip_property(self, t1, dt, r1, dr):
-        r2 = max(r1 - dr, 0.01)
-        fit = fit_battery_params(t1, r1, t1 + dt, r2)
-        assert reliability(fit, t1) == pytest.approx(r1, abs=1e-9)
-        assert reliability(fit, t1 + dt) == pytest.approx(r2, abs=1e-9)
 
 
 class TestSuccessProbability:

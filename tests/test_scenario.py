@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gridcover.scenario import PARAM_DEFAULTS, Params, ScenarioError, load_scenario, parse_scenario
+from gridcover.scenario import Params, ScenarioError, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios"
 
@@ -92,6 +92,27 @@ REJECTIONS = {
     "eta >= gamma": (set_key(["params"], {"eta": 200.0, "gamma": 200.0}), "params.eta"),
     "heartbeat_s >= t0_s": (set_key(["params"], {"heartbeat_s": 15.0}), "params.heartbeat_s"),
     "unknown strategy": (set_key(["strategy"], "GREEDY"), "strategy: expected one of"),
+    "tasks not a list": (set_key(["world", "tasks"], 5), "world.tasks: expected a list, got 5"),
+    "obstacles not a list": (set_key(["world", "obstacles"], 5), "world.obstacles: expected a list, got 5"),
+    "target cells not a list": (
+        set_key(["world", "targets"], {"mode": "explicit", "cells": 5}),
+        "world.targets.cells: expected a list, got 5",
+    ),
+    "failures not a list": (set_key(["failures"], 5), "failures: expected a list, got 5"),
+    # the key sets and the integer params come from the spec dataclasses
+    "unknown robot key": (set_key(["robots", 0, "colour"], "red"), "robots[0]: unknown key 'colour'"),
+    "rect without h": (
+        set_key(["world", "tasks", 0], {"x": 0, "y": 0, "w": 2}),
+        "world.tasks[0]: missing required key 'h'",
+    ),
+    "failure without time_s": (
+        set_key(["failures"], [{"robot": 1}]),
+        "failures[0]: missing required key 'time_s'",
+    ),
+    "fractional kappa1": (
+        set_key(["params"], {"kappa1": 2.5}),
+        "params.kappa1: expected a positive integer, got 2.5",
+    ),
 }
 
 
@@ -107,8 +128,10 @@ class TestRejections:
         # each bound is strict: just inside it parses
         doc = edited(set_key(["params"], {"eta": 199.0, "gamma": 200.0, "heartbeat_s": 14.0}))
         params = parse_scenario(doc).params
-        assert (params.eta, params.heartbeat_s, params.t0_s) == (199.0, 14.0, PARAM_DEFAULTS["t0_s"])
+        assert (params.eta, params.heartbeat_s, params.t0_s) == (199.0, 14.0, Params().t0_s)
         assert parse_scenario(edited(set_key(["strategy"], "FR"))).strategy == "FR"
+        whole = parse_scenario(edited(set_key(["params"], {"L": 10.0, "tau": 1}))).params
+        assert (type(whole.L), whole.L, type(whole.tau)) == (int, 10, float)
 
 
 NON_FINITE = {
