@@ -161,10 +161,20 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ScenarioError(f"{what}: expected a comma-separated integer list, got {text!r}")
 
 
+def _distinct(values: list, flag: str) -> list:
+    """The values, refused if one repeats: a repeated run adds rows, not data."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ScenarioError(f"{flag}: {value!r} is given twice")
+        seen.add(value)
+    return values
+
+
 def cmd_compare(args) -> int:
     config = load_scenario(args.scenario)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    seeds = _parse_int_list(args.seeds, "--seeds")
+    strategies = _distinct([s.strip() for s in args.strategies.split(",") if s.strip()], "--strategies")
+    seeds = _distinct(_parse_int_list(args.seeds, "--seeds"), "--seeds")
     if not strategies or not seeds:
         raise ScenarioError("compare needs at least one strategy and one seed")
     unknown = [s for s in strategies if s not in STRATEGIES]
@@ -215,13 +225,13 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_scenario(args.scenario)
-    seeds = _parse_int_list(args.seeds, "--seeds")
+    seeds = _distinct(_parse_int_list(args.seeds, "--seeds"), "--seeds")
     dims = [d for d in ("team_sizes", "kappa1", "kappa2") if getattr(args, d)]
     if len(dims) != 1:
         raise ScenarioError("sweep needs exactly one of --team-sizes/--kappa1/--kappa2")
     dim = dims[0]
     flag = f"--{dim.replace('_', '-')}"
-    values = _parse_int_list(getattr(args, dim), flag)
+    values = _distinct(_parse_int_list(getattr(args, dim), flag), flag)
     if not values or not seeds:
         raise ScenarioError(f"sweep needs at least one {flag} value and one seed")
     for value in values:

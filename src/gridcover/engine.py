@@ -34,7 +34,9 @@ Every reallocation takes one game path. CARE's no-idling and resilience
 games are solved with Max-Logit; FR's one-player game is solved by the
 idler's best response, with no draw from the game generator. Both settle
 in `_apply_game`, which places, parks or idles the players and logs the
-game with the potentials its solver reported.
+game with the potentials its solver reported. A no-idling attempt takes its
+menu from the team snapshot first: on an empty one the idler goes idle
+(`e4`) and no team model is built.
 
 Who works, has committed to and waits on each task strip lives in one
 `Assignments` table, written only by `assign`, `commit`, `release` and
@@ -78,6 +80,7 @@ from .supervisor import (
     build_resilience_game,
     build_team_model,
     detect_failures,
+    noidling_action_menu,
     post_game_assign,
     step,
     team_phi,
@@ -705,8 +708,8 @@ class Simulation:
 
     # ------------------------------------------------------------------ games
 
-    def _team_model(self):
-        """Snapshot of the live team and its model."""
+    def _team_snapshot(self) -> TeamSnapshot:
+        """The live team as its games see it."""
         views = {}
         for rid in self.order:
             r = self.robots[rid]
@@ -724,8 +727,7 @@ class Simulation:
                 tasking_time_s=r.t_k,
                 next_task=None if nxt is None else nxt[0],
             )
-        snap = TeamSnapshot(grid=self.grid, params=self.params, robots=views)
-        return snap, build_team_model(snap)
+        return TeamSnapshot(grid=self.grid, params=self.params, robots=views)
 
     def _resolve_one_game(self) -> None:
         retry: list[tuple[str, int]] = []
@@ -736,10 +738,7 @@ class Simulation:
                 r = self.robots[subject]
                 if not r.alive or r.des is not DesState.NG:
                     continue
-                if self.strategy == "FR":
-                    resolved = self._resolve_fr(r)
-                else:
-                    resolved = self._resolve_noidling(r)
+                resolved = self._resolve_noidling(r)
             else:
                 task = self.table.task.get(subject)
                 if task is None or self.grid.tasks[task].n_unexplored == 0:
@@ -759,32 +758,32 @@ class Simulation:
         return a_star, potential(game, game.initial), potential(game, a_star), wall
 
     def _resolve_noidling(self, trigger: Robot) -> bool:
-        snap, model = self._team_model()
-        game = build_noidling_game(trigger.id, snap, model, self.rng_game)
-        if game is None:
+        """The idler's no-idling game, or idle (`e4`) on an empty menu. FR's
+        one-player game is settled by the idler's best response, the menu
+        task that pays it most, ties to the lowest task id."""
+        snap = self._team_snapshot()
+        menu = noidling_action_menu(snap)
+        if not menu:
             self._go_idle(trigger)
             return False
-        for v in game.players:
-            if v != trigger.id:
-                self._fire(self.robots[v], "e5", payload=(trigger.id,))
-        self._apply_game(game, snap, model, "noidle", trigger.id, self._solve(game))
-        return True
-
-    def _resolve_fr(self, trigger: Robot) -> bool:
-        """First responder: the idler's best response in its one-player game,
-        the menu task that pays it most, ties to the lowest task id."""
-        snap, model = self._team_model()
-        game = build_first_responder_game(trigger.id, snap, model)
-        if game is None:
-            self._go_idle(trigger)
-            return False
-        pay = {r: utility(game, 0, (r,)) for r in game.actions}
-        best = min(game.actions, key=lambda r: (-pay[r], r))
-        self._apply_game(game, snap, model, "noidle", trigger.id, ((best,), 0.0, pay[best], 0.0))
+        model = build_team_model(snap)
+        if self.strategy == "FR":
+            game = build_first_responder_game(trigger.id, snap, model, menu)
+            pay = {r: utility(game, 0, (r,)) for r in game.actions}
+            best = min(game.actions, key=lambda r: (-pay[r], r))
+            solved = ((best,), 0.0, pay[best], 0.0)
+        else:
+            game = build_noidling_game(trigger.id, snap, model, menu, self.rng_game)
+            for v in game.players:
+                if v != trigger.id:
+                    self._fire(self.robots[v], "e5", payload=(trigger.id,))
+            solved = self._solve(game)
+        self._apply_game(game, snap, model, "noidle", trigger.id, solved)
         return True
 
     def _resolve_resilience(self, dead: Robot, task: int) -> bool:
-        snap, model = self._team_model()
+        snap = self._team_snapshot()
+        model = build_team_model(snap)
         game = build_resilience_game(dead.id, dead.pos_m, task, snap, model)
         if game is None:
             return False

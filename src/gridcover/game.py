@@ -5,6 +5,10 @@ per-task available worth and the per-(player, task) success probabilities.
 The shared potential is the total expected worth collected by the joint
 action; each player's utility is its marginal contribution to the potential,
 which makes every instance an exact potential game.
+
+The probabilities are read by (player, task) key only. A player's row may
+be a team model's lazy row, which computes an entry on its first read and
+range-checks it then, so a solve pays only for the entries it reads.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ class GameInstance:
     players: tuple[int, ...]  # robot ids, fixed order
     actions: tuple[int, ...]  # contested task ids, the shared action menu
     worth: dict[int, float]  # task id -> worth available to players
-    prob: dict[int, dict[int, float]]  # robot id -> task id -> success probability
+    prob: dict[int, dict[int, float]]  # robot id -> task id -> success probability, read by key
     cycles: int  # learning loop length L
     tau: float  # learning temperature
     initial: JointAction = field(default=None)
@@ -42,9 +46,10 @@ class GameInstance:
         for r in self.actions:
             if self.worth.get(r, 0.0) < 0:
                 raise ValueError(f"negative worth for task {r}")
+        # the entries each row holds now: all of a plain dict's, only the
+        # computed ones of a lazy row, which checks the rest as it computes them
         for v in self.players:
-            for r in self.actions:
-                p = self.prob[v][r]
+            for r, p in self.prob[v].items():
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"probability out of range for ({v}, {r}): {p}")
         if self.initial is None:

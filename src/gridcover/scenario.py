@@ -199,7 +199,8 @@ def _parse_world(obj: Any) -> WorldSpec:
     for cell in obstacles:
         if not (0 <= cell[0] < width and 0 <= cell[1] < height):
             raise ScenarioError(f"world.obstacles: cell {list(cell)} outside the grid")
-    obstacle_cells = tuple(sorted(set(obstacles)))
+    blocked = set(obstacles)
+    obstacle_cells = tuple(sorted(blocked))
 
     tgt = obj.get("targets", {"mode": "sampled", "lambda": 1.0})
     if not isinstance(tgt, dict):
@@ -225,7 +226,7 @@ def _parse_world(obj: Any) -> WorldSpec:
         for cell in cells:
             if not (0 <= cell[0] < width and 0 <= cell[1] < height):
                 raise ScenarioError(f"world.targets.cells: cell {list(cell)} outside the grid")
-            if cell in set(obstacle_cells):
+            if cell in blocked:
                 raise ScenarioError(f"world.targets.cells: target on obstacle cell {list(cell)}")
         targets = TargetSpec(mode="explicit", cells=tuple(sorted(cells)))
     else:
@@ -241,7 +242,7 @@ def _parse_world(obj: Any) -> WorldSpec:
     )
 
 
-def _parse_robot(obj: Any, where: str, world: WorldSpec) -> RobotSpec:
+def _parse_robot(obj: Any, where: str, world: WorldSpec, blocked: frozenset) -> RobotSpec:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object")
     _require_keys(obj, _FIELDS[RobotSpec], ("id", "start"), where)
@@ -249,7 +250,7 @@ def _parse_robot(obj: Any, where: str, world: WorldSpec) -> RobotSpec:
     start = _as_cell(obj["start"], f"{where}.start")
     if not (0 <= start[0] < world.width and 0 <= start[1] < world.height):
         raise ScenarioError(f"{where}.start: cell {list(start)} outside the grid")
-    if start in set(world.obstacles):
+    if start in blocked:
         raise ScenarioError(f"{where}.start: cell {list(start)} is an obstacle cell")
 
     def battery(key: str, default: float) -> float | str:
@@ -298,7 +299,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     world = _parse_world(doc["world"])
     if not isinstance(doc["robots"], list) or not doc["robots"]:
         raise ScenarioError("robots: expected a non-empty list")
-    robots = tuple(_parse_robot(r, f"robots[{i}]", world) for i, r in enumerate(doc["robots"]))
+    blocked = frozenset(world.obstacles)
+    robots = tuple(_parse_robot(r, f"robots[{i}]", world, blocked) for i, r in enumerate(doc["robots"]))
     ids = [r.id for r in robots]
     if len(set(ids)) != len(ids):
         raise ScenarioError("robots: duplicate robot ids")

@@ -8,9 +8,14 @@ engine may only drive transitions along the defined arrows.
 
 The first responder (FR) plays a one-player game: the idler alone on the
 no-idling menu, starting from no task, with no random draw. Its best
-response, the menu task that pays it most, needs no learning loop. All
-games take their worths from the team model, the one place that decides
-who counts on a task: its holders, then the robots committed to it next.
+response, the menu task that pays it most, needs no learning loop.
+
+One rule decides who counts on a task: its holders, then the robots
+committed to it next (`TeamSnapshot.assigned`). The no-idling menu reads
+only that and the tasks' unexplored counts, so it is taken from the
+snapshot before any team model is built, and an empty menu builds none.
+All games take their worths from the team model and share its lazy
+probability rows: a game computes only the entries it reads.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import world as world_mod
 from .game import GameInstance, team_potential
-from .models import BatteryParams, available_worth, remaining_worth, success_probability
+from .models import BatteryParams, available_worth, success_probability
 from .scenario import Params
 from .world import Cell, CellState, GridMap
 
@@ -105,10 +111,26 @@ class TeamSnapshot:
     params: Params
     robots: dict[int, RobotView]  # live robots only
 
+    @cached_property
+    def assigned(self) -> dict[int, list[int]]:
+        """Who counts on each task: its live holders in id order, then the
+        robots committed to it in id order; `available_worth` multiplies in
+        this order."""
+        assigned: dict[int, list[int]] = {r: [] for r in self.grid.tasks}
+        robots = sorted(self.robots.items())
+        for v, view in robots:
+            if view.task is not None:
+                assigned[view.task].append(v)
+        for v, view in robots:
+            if view.next_task is not None and v not in assigned[view.next_task]:
+                assigned[view.next_task].append(v)
+        return assigned
+
 
 class _ProbRow(dict):
     """One robot's row of `TeamModel.prob`: an entry is computed on its
-    first read, from inputs taken at build time, and then kept."""
+    first read, from inputs taken at build time, checked to lie in [0, 1]
+    and then kept."""
 
     __slots__ = ("view", "pending_s", "tasks", "u", "omega")
 
@@ -125,7 +147,7 @@ class _ProbRow(dict):
         view = self.view
         # the robot's own task pays no near-finish remainder on top
         extra = self.pending_s if view.task != r else 0.0
-        p = self[r] = success_probability(
+        p = success_probability(
             view.battery,
             view.tasking_time_s,
             math.dist(view.pos_m, centroid),
@@ -134,6 +156,9 @@ class _ProbRow(dict):
             self.omega,
             extra,
         )
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability out of range for ({view.id}, {r}): {p}")
+        self[r] = p
         return p
 
 
@@ -141,27 +166,29 @@ class _ProbRow(dict):
 class TeamModel:
     """Worths, time-to-complete and success probabilities at game time.
 
-    `remaining`, `t_c`, `pending_s` and `assigned` cover every task and
-    robot when the model is built. `prob[v][r]` is filled on its first read
-    from build-time inputs (the robot's view and `pending_s`, the task's
-    centroid and unexplored count), then kept, so a read gives the same
-    float whenever it happens. A game reads only its players' menu entries
-    and the occupants of those tasks, a small share of robots x tasks.
-    Rows are read by task id, never iterated: an iterated row would show
-    only the entries computed so far.
+    `remaining`, `t_c` and `pending_s` cover every task and robot when the
+    model is built; `remaining` is each task's kept `worth`. Who counts on
+    a task is the snapshot's `assigned`, which the no-idling menu reads
+    before any model is built. `prob[v][r]` is filled on its
+    first read from build-time inputs (the robot's view and `pending_s`,
+    the task's centroid and unexplored count), then kept, so a read gives
+    the same float whenever it happens. A game holds its players' rows
+    themselves and reads only the entries its solver asks for, plus the
+    occupants of its menu tasks, a small share of robots x tasks. Rows are
+    read by task id, never iterated: an iterated row would show only the
+    entries computed so far.
     """
 
     remaining: dict[int, float]  # task -> expected undiscovered targets
     t_c: dict[int, float]  # task -> remaining completion time, n_U / omega
     prob: dict[int, dict[int, float]]  # robot -> task -> success probability
     pending_s: dict[int, float]  # robot -> near-finish remainder (0 if none)
-    assigned: dict[int, list[int]]  # task -> live holders in id order, then committed robots in id order
 
 
 def build_team_model(snap: TeamSnapshot) -> TeamModel:
     p = snap.params
     grid = snap.grid
-    remaining = {r: remaining_worth(t.lam, t.found) for r, t in grid.tasks.items()}
+    remaining = {r: t.worth for r, t in grid.tasks.items()}
     t_c = {r: t.n_unexplored / p.omega for r, t in grid.tasks.items()}
     tasks = {r: (t.centroid_m, t.n_unexplored) for r, t in grid.tasks.items()}
 
@@ -173,17 +200,7 @@ def build_team_model(snap: TeamSnapshot) -> TeamModel:
     prob: dict[int, dict[int, float]] = {
         v: _ProbRow(view, pending_s[v], tasks, p.u, p.omega) for v, view in sorted(snap.robots.items())
     }
-
-    # holders first, then commitments: `available_worth` multiplies in this order
-    assigned: dict[int, list[int]] = {r: [] for r in grid.tasks}
-    robots = sorted(snap.robots.items())
-    for v, view in robots:
-        if view.task is not None:
-            assigned[view.task].append(v)
-    for v, view in robots:
-        if view.next_task is not None and v not in assigned[view.next_task]:
-            assigned[view.next_task].append(v)
-    return TeamModel(remaining=remaining, t_c=t_c, prob=prob, pending_s=pending_s, assigned=assigned)
+    return TeamModel(remaining=remaining, t_c=t_c, prob=prob, pending_s=pending_s)
 
 
 def team_phi(snap: TeamSnapshot, model: TeamModel, players, actions) -> float:
@@ -218,39 +235,41 @@ def _game(
     """The game of the players over the menu, each task worth what the
     robots counted on it, players aside, leave uncollected."""
     worth = {
-        r: available_worth(model.remaining[r], [model.prob[v][r] for v in model.assigned[r] if v not in players])
+        r: available_worth(model.remaining[r], [model.prob[v][r] for v in snap.assigned[r] if v not in players])
         for r in menu
     }
     return GameInstance(
         players=tuple(players),
         actions=tuple(menu),
         worth=worth,
-        prob={v: {r: model.prob[v][r] for r in menu} for v in players},
+        prob={v: model.prob[v] for v in players},
         cycles=snap.params.L,
         tau=snap.params.tau,
         initial=initial,
     )
 
 
-def noidling_action_menu(model: TeamModel, gamma: float) -> list[int]:
-    """Contested tasks for no-idling games.
+def noidling_action_menu(snap: TeamSnapshot) -> list[int]:
+    """Contested tasks for no-idling games, in id order.
 
     A task qualifies when it is incomplete and either still has at least
     gamma seconds of work left, or has no live robot assigned at all; a
     task nobody holds never finishes by itself, whatever its size.
     """
-    return [r for r, t in sorted(model.t_c.items()) if t > 0 and (t >= gamma or not model.assigned[r])]
+    omega, gamma, assigned = snap.params.omega, snap.params.gamma, snap.assigned
+    return [
+        r
+        for r, t in sorted(snap.grid.tasks.items())
+        if t.n_unexplored > 0 and (t.n_unexplored / omega >= gamma or not assigned[r])
+    ]
 
 
 def build_noidling_game(
-    trigger: int, snap: TeamSnapshot, model: TeamModel, rng: random.Random
-) -> GameInstance | None:
+    trigger: int, snap: TeamSnapshot, model: TeamModel, menu: list[int], rng: random.Random
+) -> GameInstance:
     """Game between an idler and its near-finishing neighbors over the
-    remaining rich (or orphaned) tasks; None when no such task exists."""
+    no-idling menu, which must not be empty."""
     p = snap.params
-    menu = noidling_action_menu(model, p.gamma)
-    if not menu:
-        return None
     eligible = [
         v
         for v, view in sorted(snap.robots.items())
@@ -263,13 +282,12 @@ def build_noidling_game(
     return _game(snap, model, players, menu, initial)
 
 
-def build_first_responder_game(trigger: int, snap: TeamSnapshot, model: TeamModel) -> GameInstance | None:
-    """The idler alone over the no-idling menu, starting from no task; None
-    when the menu is empty. Draws nothing: the idler's best response is
+def build_first_responder_game(
+    trigger: int, snap: TeamSnapshot, model: TeamModel, menu: list[int]
+) -> GameInstance:
+    """The idler alone over the no-idling menu, which must not be empty,
+    starting from no task. Draws nothing: the idler's best response is
     deterministic."""
-    menu = noidling_action_menu(model, snap.params.gamma)
-    if not menu:
-        return None
     return _game(snap, model, [trigger], menu, (None,))
 
 

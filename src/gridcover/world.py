@@ -7,7 +7,9 @@ truth layer. Cell states only ever move away from Unexplored and never
 change again afterwards, which makes merging change sets a simple
 precedence join.
 
-Only the team map keeps per-task records (unexplored and found counts).
+Only the team map keeps per-task records: the unexplored and found
+counts and the worth still to find (`TaskRegion.worth`), which moves only
+when a target is found there.
 
 Every sync leaves every live robot's belief the team map, so the team map
 is the only map. It keeps the state each cell written since the last sync
@@ -31,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+from .models import remaining_worth
 from .scenario import Rect, WorldSpec
 
 Cell = tuple[int, int]
@@ -75,6 +78,7 @@ class TaskRegion:
     lam: float  # expected target count
     found: int = 0  # targets discovered so far
     n_unexplored: int = 0
+    worth: float = 0.0  # remaining_worth(lam, found), kept by build_world and mark_covered
     centroid_m: tuple[float, float] = (0.0, 0.0)
 
 
@@ -343,6 +347,8 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
     for n, cell in enumerate(placed):
         grid.targets.append(Target(cell=cell))
         grid.targets_at.setdefault(cell, []).append(n)
+    for task in tasks.values():
+        task.worth = remaining_worth(task.lam, 0)
     return grid
 
 
@@ -429,7 +435,9 @@ def mark_covered(grid: GridMap, cell: Cell) -> tuple[Change | None, int]:
             target.discovered = True
             discovered += 1
     if discovered:
-        grid.tasks[grid.task_of[i]].found += discovered
+        task = grid.tasks[grid.task_of[i]]
+        task.found += discovered
+        task.worth = remaining_worth(task.lam, task.found)
     return Change(cell, _UNEXPLORED, _EXPLORED), discovered
 
 

@@ -228,6 +228,38 @@ def test_compare_rejects_unknown_strategy_names(tmp_path, monkeypatch, capsys, n
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "strategies, seeds, message",
+    [
+        ("CARE,CARE", "1", "--strategies: 'CARE' is given twice"),
+        ("CARE,FR", "1,2,1", "--seeds: 1 is given twice"),
+        (" FR ,NONCO,FR", "3", "--strategies: 'FR' is given twice"),
+    ],
+)
+def test_compare_rejects_a_repeated_strategy_or_seed(tmp_path, monkeypatch, capsys, strategies, seeds, message):
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    argv = ["compare", str(SCENARIO), "--strategies", strategies, "--seeds", seeds, "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag, values, seeds, message",
+    [
+        ("--kappa1", "2,6,2", "1", "--kappa1: 2 is given twice"),
+        ("--team-sizes", "3,3", "1", "--team-sizes: 3 is given twice"),
+        ("--kappa2", "2", "1,1", "--seeds: 1 is given twice"),
+    ],
+)
+def test_sweep_rejects_a_repeated_value_or_seed(tmp_path, monkeypatch, capsys, flag, values, seeds, message):
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    argv = ["sweep", str(SCENARIO), flag, values, "--seeds", seeds, "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_rejects_a_negative_snapshot_interval(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_engine", no_run)
     assert cli.main(["run", str(SCENARIO), "--snapshot-every", "-1", "--out-dir", str(tmp_path)]) == 1

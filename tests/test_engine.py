@@ -12,6 +12,7 @@ import pytest
 
 from gridcover import parse_scenario
 from gridcover.engine import Assignments, Simulation
+from gridcover.models import remaining_worth
 from gridcover.supervisor import DesState
 from gridcover.world import CellState
 
@@ -374,6 +375,62 @@ class TestFirstResponder:
         assert record.final == (2,) and record.assigned == {1: None} and record.standby == (1,)
         events = [(e.event, e.after) for e in sim.logs.events if e.robot == 1 and e.tick == record.tick]
         assert events == [("e2", DesState.NG), ("e4", DesState.ID)]
+
+
+class TestEmptyMenu:
+    @pytest.mark.parametrize("strategy", ["CARE", "FR"])
+    def test_an_idler_facing_an_empty_menu_goes_idle_without_a_team_model(self, monkeypatch, strategy):
+        # robot 1 finishes its 2-cell task while robot 2 still holds its
+        # 6 cells, 19 s of work, under gamma: nothing is contested
+        from gridcover import engine
+
+        built = []
+
+        def counted_build(snap):
+            built.append(snap)
+            return real_build(snap)
+
+        real_build = engine.build_team_model
+        monkeypatch.setattr(engine, "build_team_model", counted_build)
+        doc = strip_world([1, 3], [0.0, 1.0], [(0, 0), (1, 0)])
+        doc["strategy"] = strategy
+        sim = CheckedSimulation(parse_scenario(doc))
+        sim.run()
+        assert sim.result.metrics.end_reason == "complete"
+        assert built == [] and sim.logs.games == []
+        idles = [(e.event, e.after) for e in sim.logs.events if e.robot == 1 and e.event in ("e2", "e4")]
+        assert idles == [("e2", DesState.NG), ("e4", DesState.ID)]
+        first_idle = next(e.tick for e in sim.logs.events if e.robot == 1 and e.event == "e4")
+        assert first_idle < next(e.tick for e in sim.logs.events if e.robot == 2 and e.event == "e2")
+
+
+class TestTaskWorth:
+    def test_worth_follows_the_found_targets_after_every_cover(self, monkeypatch):
+        from gridcover import engine
+
+        grid = None
+        checks = changed = 0
+
+        def checked_cover(g, cell):
+            nonlocal grid, checks, changed
+            grid = g
+            task = g.tasks[g.task_of[g.idx(cell)]]
+            before = task.worth
+            out = real_cover(g, cell)
+            changed += task.worth != before
+            for t in g.tasks.values():
+                assert t.worth == remaining_worth(t.lam, t.found), f"task {t.id} after covering {cell}"
+            checks += 1
+            return out
+
+        real_cover = engine.mark_covered
+        monkeypatch.setattr(engine, "mark_covered", checked_cover)
+        doc = json.loads((SCENARIOS / "scenario2.json").read_text())
+        doc["seed"] = 1
+        sim = Simulation(parse_scenario(doc))
+        sim.run()
+        assert checks > 1000
+        assert changed == len({t.cell for t in grid.targets if t.discovered}) > 0
 
 
 class TestFailureDetection:

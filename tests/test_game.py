@@ -286,6 +286,14 @@ class TestPotentialOracle:
                 players=(1,), actions=(3, 3), worth={3: 1.0}, prob={1: {3: 0.5}}, cycles=1, tau=0.05
             )
 
+    @pytest.mark.parametrize("p", [1.5, -0.25])
+    def test_hand_built_out_of_range_entry_rejected(self, p):
+        # a plain dict row is checked in full at construction, off-menu
+        # entries too
+        for row in ({3: p}, {3: 0.5, 4: p}):
+            with pytest.raises(ValueError, match=f"probability out of range for \\(1, [34]\\): {p}"):
+                GameInstance(players=(1,), actions=(3,), worth={3: 1.0}, prob={1: row}, cycles=1, tau=0.05)
+
 
 class TestBruteForce:
     def test_single_player_argmax(self):

@@ -1,5 +1,6 @@
 """Supervisor automaton, failure confirmation, game construction, strips."""
 
+import dataclasses
 import math
 import random
 
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcover import supervisor
+from gridcover.game import max_logit, potential, utility
 from gridcover.models import BatteryParams, available_worth, success_probability
 from gridcover.scenario import Params
 from gridcover.supervisor import (
     DesState,
     RobotView,
     TeamSnapshot,
+    build_first_responder_game,
     build_noidling_game,
     build_resilience_game,
     build_team_model,
@@ -139,11 +143,12 @@ class TestTeamModel:
             2: RobotView(2, (15.5, 7.5), 2, 100, "tasking", DesState.WK, BAT, 120.0, next_task=2),
             3: RobotView(3, (9.5, 5.0), None, 0, "idle", DesState.ID, BAT, 300.0, next_task=1),
         }
-        model = build_team_model(TeamSnapshot(snap.grid, snap.params, views))
+        snap = TeamSnapshot(snap.grid, snap.params, views)
+        model = build_team_model(snap)
         # robot 1 commits to task 2 after its holder 2, who commits to its own task
-        assert model.assigned == {1: [1, 3], 2: [2, 1]}
+        assert snap.assigned == {1: [1, 3], 2: [2, 1]}
         # a game's worth discounts the committed robot as well as the holder
-        game = build_noidling_game(3, TeamSnapshot(snap.grid, snap.params, views), model, random.Random(0))
+        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(0))
         assert game.players == (3,)
         assert game.worth[2] == available_worth(model.remaining[2], [model.prob[2][2], model.prob[1][2]])
 
@@ -291,33 +296,81 @@ class TestLazyTeamModel:
     def test_games_hold_players_by_menu(self, snap, seed):
         model = build_team_model(snap)
         want = eager_prob(snap)
-        trigger = min(snap.robots)
-        games = [build_noidling_game(trigger, snap, model, random.Random(seed))]
-        games.append(build_resilience_game(99, (0.5, 0.5), min(snap.grid.tasks), snap, model))
-        for game in games:
-            if game is None:
-                continue
+        for game in games_of(snap, model, seed):
             assert set(game.prob) == set(game.players)
             for v in game.players:
-                assert game.prob[v] == {r: want[v][r] for r in game.actions}
+                assert game.prob[v] is model.prob[v]  # the model's own row, not a copy
+                for r in game.actions:
+                    assert game.prob[v][r] == want[v][r]
+
+    @settings(max_examples=100, deadline=None)
+    @given(team_snapshots(), st.integers(0, 2**32 - 1))
+    def test_lazy_games_play_like_materialised_copies(self, snap, seed):
+        model = build_team_model(snap)
+        want = eager_prob(snap)
+        for game in games_of(snap, model, seed):
+            copy = dataclasses.replace(
+                game, prob={v: {r: want[v][r] for r in game.actions} for v in game.players}
+            )
+            # the lazy game is solved first, so its entries are computed on
+            # the solver's reads
+            a_star = max_logit(game, random.Random(seed))
+            assert a_star == max_logit(copy, random.Random(seed))
+            deviations = [
+                game.initial[:i] + (r,) + game.initial[i + 1 :]
+                for i in range(len(game.players))
+                for r in (*game.actions, None)
+            ]
+            for a in (game.initial, a_star, *deviations):
+                assert potential(game, a) == potential(copy, a)
+                for i in range(len(game.players)):
+                    assert utility(game, i, a) == utility(copy, i, a)
+            for v in game.players:
+                for r in game.actions:
+                    assert game.prob[v][r] == copy.prob[v][r] == want[v][r]
+
+    def test_an_out_of_range_entry_raises_on_read_and_is_not_kept(self, monkeypatch):
+        snap = snapshot_for_games()
+        model = build_team_model(snap)
+        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(0))
+        assert game.players == (3,)
+        monkeypatch.setattr(supervisor, "success_probability", lambda *args: 1.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"probability out of range for \(3, 1\): 1.5"):
+                utility(game, 0, (1,))
+        with pytest.raises(ValueError, match="out of range"):
+            max_logit(game, random.Random(0))
+
+
+def games_of(snap, model, seed):
+    """The games one model yields: no-idling and FR for the lowest robot id
+    when the menu is not empty, and resilience over the lowest task id when
+    a robot is eligible."""
+    trigger = min(snap.robots)
+    menu = noidling_action_menu(snap)
+    games = []
+    if menu:
+        games.append(build_noidling_game(trigger, snap, model, menu, random.Random(seed)))
+        games.append(build_first_responder_game(trigger, snap, model, menu))
+    resilience = build_resilience_game(99, (0.5, 0.5), min(snap.grid.tasks), snap, model)
+    if resilience is not None:
+        games.append(resilience)
+    return games
 
 
 class TestNoidlingGame:
     def test_menu_gamma_filter_and_orphans(self):
         snap = snapshot_for_games()
-        model = build_team_model(snap)
         # both tasks have 100 cells -> 312 s > gamma: both contested
-        assert noidling_action_menu(model, snap.params.gamma) == [1, 2]
+        assert noidling_action_menu(snap) == [1, 2]
         # shrink task 1 below gamma while robot 1 still holds it: excluded
         for cell in list(snap.grid.tasks[1].cells)[:45]:
             mark_covered(snap.grid, cell)
-        model = build_team_model(snap)
-        assert model.t_c[1] < snap.params.gamma
-        assert noidling_action_menu(model, snap.params.gamma) == [2]
+        assert build_team_model(snap).t_c[1] < snap.params.gamma
+        assert noidling_action_menu(snap) == [2]
         # orphan the small task: nobody assigned, so it comes back
         views = {2: snap.robots[2], 3: snap.robots[3]}
-        model = build_team_model(TeamSnapshot(snap.grid, snap.params, views))
-        assert noidling_action_menu(model, snap.params.gamma) == [1, 2]
+        assert noidling_action_menu(TeamSnapshot(snap.grid, snap.params, views)) == [1, 2]
 
     def test_near_finish_neighbor_joins(self):
         snap = snapshot_for_games()
@@ -325,30 +378,29 @@ class TestNoidlingGame:
         views[2] = RobotView(2, (15.5, 7.5), 2, 5, "tasking", DesState.WK, BAT, 120.0)
         snap = TeamSnapshot(snap.grid, snap.params, views)
         model = build_team_model(snap)
-        game = build_noidling_game(3, snap, model, random.Random(0))
+        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(0))
         assert game is not None
         assert set(game.players) == {3, 2}  # idler + near-finishing neighbor
         assert 1 not in game.players  # far from done, keeps working
 
-    def test_all_tasks_done_returns_none(self):
+    def test_all_tasks_done_leaves_an_empty_menu(self):
         snap = snapshot_for_games()
-        for task in snap.grid.tasks.values():
-            for cell in task.cells:
-                mark_covered(snap.grid, cell)
-        model = build_team_model(snap)
-        game = build_noidling_game(3, snap, model, random.Random(0))
-        assert game is None
+        cover_all(snap.grid)
+        assert noidling_action_menu(snap) == []
+        # the engine goes idle on an empty menu; a game over it is refused
+        with pytest.raises(ValueError, match="at least one action"):
+            build_first_responder_game(3, snap, build_team_model(snap), [])
 
     def test_initial_actions_drawn_from_menu(self):
         snap = snapshot_for_games()
         model = build_team_model(snap)
-        game = build_noidling_game(3, snap, model, random.Random(5))
+        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(5))
         assert all(a in game.actions for a in game.initial)
 
     def test_worth_discounted_by_non_players(self):
         snap = snapshot_for_games()
         model = build_team_model(snap)
-        game = build_noidling_game(3, snap, model, random.Random(0))
+        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(0))
         # robots 1 and 2 are busy (not near finish): they are non-players
         assert set(game.players) == {3}
         assert game.worth[1] == pytest.approx(model.remaining[1] * (1 - model.prob[1][1]))
