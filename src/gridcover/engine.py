@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from .game import gain, max_logit, potential, utility
 from .models import BatteryParams, reliability, success_probability
 from .planner import Done, PlannerState, make_planner, next_waypoint, plan_travel_to_any
-from .scenario import DEFAULT_RHO0, DEFAULT_RHO1, ScenarioConfig
+from .scenario import DEFAULT_RHO0, DEFAULT_RHO1, ScenarioConfig, ScenarioError
 from .supervisor import (
     DesState,
     EventRecord,
@@ -319,6 +319,8 @@ class Simulation:
             if rho1 == "sample":
                 rho1 = max(1e-9, rng_battery.gauss(DEFAULT_RHO1, 35.0))
             cell = spec.start
+            if cell not in self.truth.free_space:  # the parser refuses obstacle cells, not their buffer
+                raise ScenarioError(f"robot {spec.id}: start cell {list(cell)} is next to an obstacle")
             self.robots[spec.id] = Robot(
                 id=spec.id,
                 battery=BatteryParams(rho0=rho0, rho1=rho1),
@@ -766,34 +768,34 @@ class Simulation:
         if not menu:
             self._go_idle(trigger)
             return False
-        model = build_team_model(snap)
+        rows = build_team_model(snap)
         if self.strategy == "FR":
-            game = build_first_responder_game(trigger.id, snap, model, menu)
+            game = build_first_responder_game(trigger.id, snap, rows, menu)
             pay = {r: utility(game, 0, (r,)) for r in game.actions}
             best = min(game.actions, key=lambda r: (-pay[r], r))
             solved = ((best,), 0.0, pay[best], 0.0)
         else:
-            game = build_noidling_game(trigger.id, snap, model, menu, self.rng_game)
+            game = build_noidling_game(trigger.id, snap, rows, menu, self.rng_game)
             for v in game.players:
                 if v != trigger.id:
                     self._fire(self.robots[v], "e5", payload=(trigger.id,))
             solved = self._solve(game)
-        self._apply_game(game, snap, model, "noidle", trigger.id, solved)
+        self._apply_game(game, snap, rows, "noidle", trigger.id, solved)
         return True
 
     def _resolve_resilience(self, dead: Robot, task: int) -> bool:
         snap = self._team_snapshot()
-        model = build_team_model(snap)
-        game = build_resilience_game(dead.id, dead.pos_m, task, snap, model)
+        rows = build_team_model(snap)
+        game = build_resilience_game(dead.id, dead.pos_m, task, snap, rows)
         if game is None:
             return False
         for v in game.players:
             self._fire(self.robots[v], "e1", payload=(dead.id,))
-        self._apply_game(game, snap, model, "resilience", dead.id, self._solve(game))
+        self._apply_game(game, snap, rows, "resilience", dead.id, self._solve(game))
         return True
 
     def _place_incoming(
-        self, task: int, arrivals: list[int], model, skip: set[int]
+        self, task: int, arrivals: list[int], rows, skip: set[int]
     ) -> dict[int, int | None]:
         """Slot new arrivals into a task and re-strip its current holders.
 
@@ -809,12 +811,12 @@ class Simulation:
             claim = self.table.claim(rid, task)
             if claim is None or not self.robots[rid].alive or rid in skip or rid in arrivals:
                 continue
-            existing.append((rid, model.prob[rid][task], self.robots[rid].pos_m, claim[1]))
+            existing.append((rid, rows[rid][task], self.robots[rid].pos_m, claim[1]))
             if claim[0] == "commits":
                 committed.add(rid)
         if not existing and len(arrivals) == 1:
             return {arrivals[0]: None}
-        incoming = [(v, model.prob[v][task], self.robots[v].pos_m) for v in arrivals]
+        incoming = [(v, rows[v][task], self.robots[v].pos_m) for v in arrivals]
         placement, _out = post_game_assign(self._strips_of(task), self.grid, incoming, existing)
         for rid, _p, _pos, old_strip in existing:
             if rid in placement and placement[rid] != old_strip:
@@ -824,7 +826,7 @@ class Simulation:
                     self._assign_region(self.robots[rid], task, placement[rid])
         return {v: placement[v] for v in arrivals if v in placement}
 
-    def _apply_game(self, game, snap: TeamSnapshot, model, kind: str, trigger: int, solved: tuple) -> None:
+    def _apply_game(self, game, snap: TeamSnapshot, rows, kind: str, trigger: int, solved: tuple) -> None:
         """Settle a solved game: place, park or idle its players and log it.
         `solved` is the solver's (final action, initial and final potential,
         wall time); the potentials are logged as given, never recomputed."""
@@ -834,9 +836,11 @@ class Simulation:
         # The reallocation changes only the players' slice of the team
         # potential: non-player and finish-first contributions are invariant,
         # so the team potential moves exactly with the players' potential.
-        team_init = team_phi(snap, model, game.players, game.initial)
+        # The tasks' worths are still the snapshot's: no cell has been
+        # covered since it was taken.
+        team_init = team_phi(snap, rows, game.players, game.initial)
         team_star = team_init + (phi_star - phi_init)
-        gt = gain(team_star, team_init, sum(model.remaining.values()))
+        gt = gain(team_star, team_init, sum(t.worth for t in self.grid.tasks.values()))
 
         players = list(game.players)
         assigned_log: dict[int, int | None] = {}
@@ -856,12 +860,12 @@ class Simulation:
         skip = {v for v in players if not stay.get(v)}
         for task in sorted(incoming_by_task):
             arrivals = incoming_by_task[task]
-            placements = self._place_incoming(task, arrivals, model, skip)
+            placements = self._place_incoming(task, arrivals, rows, skip)
             for v in arrivals:
                 r = self.robots[v]
                 if v in placements:
                     self._fire(r, "e3", payload=(task,))
-                    if model.pending_s[v] > 0.0 and r.region:
+                    if rows[v].pending_s > 0.0 and r.region:
                         # finish the near-done current region first
                         self.table.commit(v, task, placements[v])
                     else:

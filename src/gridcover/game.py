@@ -187,30 +187,3 @@ def gain(phi_star: float, phi_init: float, worth_sum: float) -> float:
         return 0.0
     return (phi_star - phi_init) / worth_sum
 
-
-def team_potential(
-    assignment: dict[int, set[int]],
-    worth_remaining: dict[int, float],
-    prob: dict[int, dict[int, float]],
-) -> float:
-    """Total expected worth achievable by the whole team.
-
-    `assignment` maps each live robot to the set of tasks it contributes to
-    (a robot that will finish its near-done current task before moving
-    contributes to both; one with no task maps to an empty set). Each task's
-    miss product is taken in `assignment` order. Tasks absent from every
-    robot's set contribute nothing.
-    """
-    on_task: dict[int, list[int]] = {r: [] for r in worth_remaining}
-    for v, tasks in assignment.items():
-        for r in tasks:
-            if r not in on_task:
-                raise ValueError(f"robot {v} assigned to unknown task {r}")
-            on_task[r].append(v)
-    total = 0.0
-    for r, w in worth_remaining.items():
-        miss = 1.0
-        for v in on_task[r]:
-            miss *= 1.0 - prob[v][r]
-        total += w * (1.0 - miss)
-    return total

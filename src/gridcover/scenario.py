@@ -22,6 +22,9 @@ STRATEGIES = ("CARE", "NONCO", "FR")
 
 DEFAULT_RHO0 = 3.0e-3
 DEFAULT_RHO1 = 1400.0
+# Target sampling multiplies uniforms down to exp(-lambda), which must stay a
+# normal float: past about 745 it is 0.0 and the count saturates.
+MAX_LAMBDA = 700
 
 
 class ScenarioError(ValueError):
@@ -219,6 +222,8 @@ def _parse_world(obj: Any) -> WorldSpec:
             lams = (float(_as_number(lam, "world.targets.lambda")),) * len(tasks)
         if any(v < 0 for v in lams):
             raise ScenarioError("world.targets.lambda: values must be nonnegative")
+        if any(v > MAX_LAMBDA for v in lams):
+            raise ScenarioError(f"world.targets.lambda: values must be at most {MAX_LAMBDA}")
         targets = TargetSpec(mode="sampled", lam=lams)
     elif mode == "explicit":
         listed = _as_list(tgt.get("cells", []), "world.targets.cells")

@@ -11,11 +11,16 @@ no-idling menu, starting from no task, with no random draw. Its best
 response, the menu task that pays it most, needs no learning loop.
 
 One rule decides who counts on a task: its holders, then the robots
-committed to it next (`TeamSnapshot.assigned`). The no-idling menu reads
-only that and the tasks' unexplored counts, so it is taken from the
-snapshot before any team model is built, and an empty menu builds none.
-All games take their worths from the team model and share its lazy
-probability rows: a game computes only the entries it reads.
+committed to it next (`TeamSnapshot.assigned`, which lists only the tasks
+someone counts on). The no-idling menu reads only that and the tasks'
+unexplored counts, so it is taken from the snapshot before any team model
+is built, and an empty menu builds none.
+
+The team model is its rows: one lazy success-probability row per live
+robot, which a game holds as it is. Each task's worth and time to complete
+are read from the `world.TaskRegion` that owns them. That is exact: a
+worth moves only when covering finds a target, and no cell is covered
+between a game's snapshot and its log line.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from enum import Enum
 from functools import cached_property
 
 from . import world as world_mod
-from .game import GameInstance, team_potential
+from .game import GameInstance
 from .models import BatteryParams, available_worth, success_probability
 from .scenario import Params
 from .world import Cell, CellState, GridMap
@@ -115,29 +120,33 @@ class TeamSnapshot:
     def assigned(self) -> dict[int, list[int]]:
         """Who counts on each task: its live holders in id order, then the
         robots committed to it in id order; `available_worth` multiplies in
-        this order."""
-        assigned: dict[int, list[int]] = {r: [] for r in self.grid.tasks}
+        this order. A task nobody counts on has no entry."""
+        assigned: dict[int, list[int]] = {}
         robots = sorted(self.robots.items())
         for v, view in robots:
             if view.task is not None:
-                assigned[view.task].append(v)
+                assigned.setdefault(view.task, []).append(v)
         for v, view in robots:
-            if view.next_task is not None and v not in assigned[view.next_task]:
-                assigned[view.next_task].append(v)
+            r = view.next_task
+            if r is not None and v not in assigned.get(r, ()):
+                assigned.setdefault(r, []).append(v)
         return assigned
 
 
 class _ProbRow(dict):
-    """One robot's row of `TeamModel.prob`: an entry is computed on its
-    first read, from inputs taken at build time, checked to lie in [0, 1]
-    and then kept."""
+    """One live robot's row of the team model, task -> success probability.
+    An entry is computed on its first read from inputs frozen at build time
+    (the robot's view and `pending_s`, each task's centroid and unexplored
+    count), checked to lie in [0, 1] and kept, so a read gives the same
+    float whenever it happens. Rows are read by task id, never iterated: an
+    iterated row would show only the entries computed so far."""
 
     __slots__ = ("view", "pending_s", "tasks", "u", "omega")
 
     def __init__(self, view: RobotView, pending_s: float, tasks, u: float, omega: float) -> None:
         super().__init__()
         self.view = view
-        self.pending_s = pending_s
+        self.pending_s = pending_s  # near-finish remainder of its own region, 0.0 if none
         self.tasks = tasks  # task -> (centroid_m, n_unexplored) at build time
         self.u = u
         self.omega = omega
@@ -162,67 +171,47 @@ class _ProbRow(dict):
         return p
 
 
-@dataclass(frozen=True)
-class TeamModel:
-    """Worths, time-to-complete and success probabilities at game time.
-
-    `remaining`, `t_c` and `pending_s` cover every task and robot when the
-    model is built; `remaining` is each task's kept `worth`. Who counts on
-    a task is the snapshot's `assigned`, which the no-idling menu reads
-    before any model is built. `prob[v][r]` is filled on its
-    first read from build-time inputs (the robot's view and `pending_s`,
-    the task's centroid and unexplored count), then kept, so a read gives
-    the same float whenever it happens. A game holds its players' rows
-    themselves and reads only the entries its solver asks for, plus the
-    occupants of its menu tasks, a small share of robots x tasks. Rows are
-    read by task id, never iterated: an iterated row would show only the
-    entries computed so far.
-    """
-
-    remaining: dict[int, float]  # task -> expected undiscovered targets
-    t_c: dict[int, float]  # task -> remaining completion time, n_U / omega
-    prob: dict[int, dict[int, float]]  # robot -> task -> success probability
-    pending_s: dict[int, float]  # robot -> near-finish remainder (0 if none)
-
-
-def build_team_model(snap: TeamSnapshot) -> TeamModel:
+def build_team_model(snap: TeamSnapshot) -> dict[int, _ProbRow]:
+    """The team model: each live robot's lazy row, in id order. The tasks'
+    centroids and unexplored counts are frozen here, because a game can
+    write the map (`_resolve_pocket`) before it reads its last entry."""
     p = snap.params
-    grid = snap.grid
-    remaining = {r: t.worth for r, t in grid.tasks.items()}
-    t_c = {r: t.n_unexplored / p.omega for r, t in grid.tasks.items()}
-    tasks = {r: (t.centroid_m, t.n_unexplored) for r, t in grid.tasks.items()}
-
-    pending_s: dict[int, float] = {}
-    for v, view in snap.robots.items():
+    tasks = {r: (t.centroid_m, t.n_unexplored) for r, t in snap.grid.tasks.items()}
+    rows = {}
+    for v, view in sorted(snap.robots.items()):
         rem = view.region_unexplored / p.omega
-        pending_s[v] = rem if (view.task is not None and 0.0 < rem <= p.eta) else 0.0
-
-    prob: dict[int, dict[int, float]] = {
-        v: _ProbRow(view, pending_s[v], tasks, p.u, p.omega) for v, view in sorted(snap.robots.items())
-    }
-    return TeamModel(remaining=remaining, t_c=t_c, prob=prob, pending_s=pending_s)
+        pending_s = rem if (view.task is not None and 0.0 < rem <= p.eta) else 0.0
+        rows[v] = _ProbRow(view, pending_s, tasks, p.u, p.omega)
+    return rows
 
 
-def team_phi(snap: TeamSnapshot, model: TeamModel, players, actions) -> float:
+def team_phi(snap: TeamSnapshot, rows: dict[int, _ProbRow], players, actions) -> float:
     """Team potential with the players at the given joint action.
 
     A non-player counts on its task and the task it has committed to. A
     player counts on its action, whether on the game's menu or not, and
     also on its current task while it finishes a near-done region there
-    first. Each task's miss product is taken in ascending robot id.
+    first. Each task's miss product is taken in ascending robot id. Only
+    the tasks someone counts on are summed, in id order: any other would
+    add w * 0.0 = 0.0, so this is the sum over every task bit for bit.
     """
     action_of = dict(zip(players, actions))
-    assignment: dict[int, set[int]] = {}
+    on_task: dict[int, list[int]] = {}
     for v, view in sorted(snap.robots.items()):
         if v in action_of:
-            tasks = {action_of[v]}
-            if model.pending_s[v] > 0.0:
-                tasks.add(view.task)
+            tasks = {action_of[v], view.task if rows[v].pending_s > 0.0 else None}
         else:
             tasks = {view.task, view.next_task}
-        tasks.discard(None)
-        assignment[v] = tasks
-    return team_potential(assignment, model.remaining, model.prob)
+        for r in tasks - {None}:
+            on_task.setdefault(r, []).append(v)
+    regions = snap.grid.tasks
+    total = 0.0
+    for r in sorted(on_task):
+        miss = 1.0
+        for v in on_task[r]:
+            miss *= 1.0 - rows[v][r]
+        total += regions[r].worth * (1.0 - miss)
+    return total
 
 
 def _nearest(snap: TeamSnapshot, anchor: tuple[float, float], candidates: list[int], k: int) -> list[int]:
@@ -230,19 +219,20 @@ def _nearest(snap: TeamSnapshot, anchor: tuple[float, float], candidates: list[i
 
 
 def _game(
-    snap: TeamSnapshot, model: TeamModel, players: list[int], menu: list[int], initial: tuple
+    snap: TeamSnapshot, rows: dict[int, _ProbRow], players: list[int], menu: list[int], initial: tuple
 ) -> GameInstance:
     """The game of the players over the menu, each task worth what the
     robots counted on it, players aside, leave uncollected."""
+    regions, assigned = snap.grid.tasks, snap.assigned
     worth = {
-        r: available_worth(model.remaining[r], [model.prob[v][r] for v in snap.assigned[r] if v not in players])
+        r: available_worth(regions[r].worth, [rows[v][r] for v in assigned.get(r, ()) if v not in players])
         for r in menu
     }
     return GameInstance(
         players=tuple(players),
         actions=tuple(menu),
         worth=worth,
-        prob={v: model.prob[v] for v in players},
+        prob={v: rows[v] for v in players},
         cycles=snap.params.L,
         tau=snap.params.tau,
         initial=initial,
@@ -260,12 +250,12 @@ def noidling_action_menu(snap: TeamSnapshot) -> list[int]:
     return [
         r
         for r, t in sorted(snap.grid.tasks.items())
-        if t.n_unexplored > 0 and (t.n_unexplored / omega >= gamma or not assigned[r])
+        if t.n_unexplored > 0 and (t.n_unexplored / omega >= gamma or r not in assigned)
     ]
 
 
 def build_noidling_game(
-    trigger: int, snap: TeamSnapshot, model: TeamModel, menu: list[int], rng: random.Random
+    trigger: int, snap: TeamSnapshot, rows: dict[int, _ProbRow], menu: list[int], rng: random.Random
 ) -> GameInstance:
     """Game between an idler and its near-finishing neighbors over the
     no-idling menu, which must not be empty."""
@@ -275,20 +265,20 @@ def build_noidling_game(
         for v, view in sorted(snap.robots.items())
         if v != trigger
         and view.des in (DesState.WK, DesState.ID)
-        and (view.task is None or (view.mode == "tasking" and model.pending_s[v] > 0.0))
+        and (view.task is None or (view.mode == "tasking" and rows[v].pending_s > 0.0))
     ]
     players = [trigger] + _nearest(snap, snap.robots[trigger].pos_m, eligible, p.kappa1)
     initial = tuple(menu[rng.randrange(len(menu))] for _ in players)
-    return _game(snap, model, players, menu, initial)
+    return _game(snap, rows, players, menu, initial)
 
 
 def build_first_responder_game(
-    trigger: int, snap: TeamSnapshot, model: TeamModel, menu: list[int]
+    trigger: int, snap: TeamSnapshot, rows: dict[int, _ProbRow], menu: list[int]
 ) -> GameInstance:
     """The idler alone over the no-idling menu, which must not be empty,
     starting from no task. Draws nothing: the idler's best response is
     deterministic."""
-    return _game(snap, model, [trigger], menu, (None,))
+    return _game(snap, rows, [trigger], menu, (None,))
 
 
 def build_resilience_game(
@@ -296,7 +286,7 @@ def build_resilience_game(
     failed_pos: tuple[float, float],
     failed_task: int,
     snap: TeamSnapshot,
-    model: TeamModel,
+    rows: dict[int, _ProbRow],
 ) -> GameInstance | None:
     """Game among the failed robot's nearest neighbors over the orphaned
     task plus their current tasks with more than eta left. The caller has
@@ -310,8 +300,9 @@ def build_resilience_game(
     if not players:
         return None
     initial = tuple(snap.robots[v].task for v in players)
-    menu = {failed_task} | {r for r in initial if r is not None and model.t_c[r] > p.eta}
-    return _game(snap, model, players, sorted(menu), initial)
+    regions = snap.grid.tasks
+    menu = {failed_task} | {r for r in initial if r is not None and regions[r].n_unexplored / p.omega > p.eta}
+    return _game(snap, rows, players, sorted(menu), initial)
 
 
 def post_game_assign(

@@ -289,6 +289,27 @@ def test_run_refuses_an_infinite_tick(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("strategy", ["CARE", "NONCO", "FR"])
+def test_run_refuses_a_start_beside_an_obstacle(tmp_path, capsys, strategy):
+    # robot 1 starts on (3, 2), a buffer cell of the obstacle at (3, 1)
+    doc = {
+        "world": {
+            "width": 4,
+            "height": 3,
+            "tasks": [{"x": 0, "y": 0, "w": 2, "h": 3}, {"x": 2, "y": 0, "w": 2, "h": 3}],
+            "obstacles": [[3, 1]],
+            "targets": {"mode": "sampled", "lambda": 0.0},
+        },
+        "robots": [{"id": 1, "start": [3, 2]}],
+        "strategy": strategy,
+    }
+    scenario = tmp_path / "beside.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "scenario error: robot 1: start cell [3, 2] is next to an obstacle\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

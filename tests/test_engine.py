@@ -9,10 +9,13 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridcover import parse_scenario
-from gridcover.engine import Assignments, Simulation
+from gridcover import ScenarioError, parse_scenario
+from gridcover.engine import Assignments, LivenessError, Simulation
 from gridcover.models import remaining_worth
+from gridcover.scenario import STRATEGIES
 from gridcover.supervisor import DesState
 from gridcover.world import CellState
 
@@ -431,6 +434,84 @@ class TestTaskWorth:
         sim.run()
         assert checks > 1000
         assert changed == len({t.cell for t in grid.targets if t.discovered}) > 0
+
+
+# Robot 1 starts on (3, 2), a buffer cell of the obstacle at (3, 1). The
+# parser takes it, since only obstacle cells are refused there.
+BESIDE_AN_OBSTACLE = {
+    "world": {
+        "width": 4,
+        "height": 3,
+        "tasks": [{"x": 0, "y": 0, "w": 2, "h": 3}, {"x": 2, "y": 0, "w": 2, "h": 3}],
+        "obstacles": [[3, 1]],
+        "targets": {"mode": "sampled", "lambda": 0.0},
+    },
+    "robots": [{"id": 1, "start": [3, 2]}],
+    "seed": 0,
+}
+
+
+class TestStartCells:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_start_beside_an_obstacle_is_refused(self, strategy):
+        # CARE and FR used to plan travel from the blocked start and raise a
+        # bare ValueError
+        config = parse_scenario({**BESIDE_AN_OBSTACLE, "strategy": strategy})
+        with pytest.raises(ScenarioError, match=r"^robot 1: start cell \[3, 2\] is next to an obstacle$"):
+            Simulation(config)
+
+
+@st.composite
+def small_worlds(draw):
+    """A scenario of at most 10x10 cells: random obstacles, a tiling of
+    tasks, starts off the obstacles (some beside them), failures, strategy,
+    n_max and sync period."""
+    # a seeded random.Random, as in tests/test_planner.py's travel_cases
+    rng = draw(st.randoms(use_true_random=True))
+    width, height = rng.randint(2, 10), rng.randint(2, 10)
+    tasks = []
+    cols = sorted(rng.sample(range(1, width), rng.randint(0, min(2, width - 1))))
+    for x0, x1 in zip([0, *cols], [*cols, width]):
+        rows = sorted(rng.sample(range(1, height), rng.randint(0, min(2, height - 1))))
+        tasks += [{"x": x0, "y": y0, "w": x1 - x0, "h": y1 - y0} for y0, y1 in zip([0, *rows], [*rows, height])]
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    density = rng.choice((0.0, 0.05, 0.15))
+    obstacles = {c for c in cells if rng.random() < density}
+    if len(obstacles) == len(cells):
+        obstacles = set()
+    starts = [c for c in cells if c not in obstacles]
+    n = rng.randint(1, 5)
+    return {
+        "world": {
+            "width": width,
+            "height": height,
+            "tasks": tasks,
+            "obstacles": [list(c) for c in sorted(obstacles)],
+            "targets": {"mode": "sampled", "lambda": rng.choice((0.0, 1.0, 3.0))},
+        },
+        "robots": [{"id": i, "start": list(rng.choice(starts))} for i in range(1, n + 1)],
+        "failures": [{"robot": i, "time_s": rng.uniform(0.0, 60.0)} for i in range(1, n + 1) if rng.random() < 0.3],
+        "params": {"n_max": rng.randint(1, 4), "sync_every_s": rng.choice((1.0, 2.0, 3.0))},
+        "strategy": rng.choice(STRATEGIES),
+        "seed": rng.randrange(1000),
+    }
+
+
+class TestSmallWorlds:
+    @settings(max_examples=200, deadline=None)
+    @given(small_worlds())
+    def test_a_run_ends_or_raises_a_scenario_or_liveness_error(self, doc):
+        # liveness itself is not asserted: the sensing defect of ROADMAP R1
+        # still stalls some valid worlds
+        config = parse_scenario(doc)
+        try:
+            sim = Simulation(config)
+            result = sim.run()
+        except (ScenarioError, LivenessError):
+            return
+        if result.metrics.end_reason == "complete":
+            assert result.metrics.cr == 1.0
+            assert sim.grid.unexplored_total == 0
 
 
 class TestFailureDetection:

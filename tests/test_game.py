@@ -15,9 +15,13 @@ from gridcover.game import (
     gain,
     max_logit,
     potential,
-    team_potential,
     utility,
 )
+from gridcover.models import BatteryParams
+from gridcover.scenario import Params
+from gridcover.supervisor import DesState, RobotView, TeamSnapshot, build_team_model, team_phi
+from tests.test_supervisor import BAT, snapshot_for_games, team_snapshots
+from tests.test_world import make_world
 
 
 def menu_potential(g: GameInstance, a) -> float:
@@ -349,81 +353,159 @@ class TestGains:
         assert gain(1.0, 0.0, -2.0) == 0.0
 
 
+def team_potential(
+    assignment: dict[int, set[int]],
+    worth_remaining: dict[int, float],
+    prob: dict[int, dict[int, float]],
+) -> float:
+    """Oracle: the total expected worth of the whole team, summed over every
+    task of `worth_remaining` in its order.
+
+    `assignment` maps each live robot to the set of tasks it contributes to.
+    Each task's miss product is taken in `assignment` order; a task in no
+    robot's set adds w * (1 - 1.0).
+    """
+    on_task: dict[int, list[int]] = {r: [] for r in worth_remaining}
+    for v, tasks in assignment.items():
+        for r in tasks:
+            if r not in on_task:
+                raise ValueError(f"robot {v} assigned to unknown task {r}")
+            on_task[r].append(v)
+    total = 0.0
+    for r, w in worth_remaining.items():
+        miss = 1.0
+        for v in on_task[r]:
+            miss *= 1.0 - prob[v][r]
+        total += w * (1.0 - miss)
+    return total
+
+
+def full_team_phi(snap, rows, players, actions) -> float:
+    """Oracle: `team_phi` summed over every task's worth, with each robot
+    counting on the tasks `team_phi` documents."""
+    action_of = dict(zip(players, actions))
+    assignment = {}
+    for v, view in sorted(snap.robots.items()):
+        if v in action_of:
+            tasks = {action_of[v]} | ({view.task} if rows[v].pending_s > 0.0 else set())
+        else:
+            tasks = {view.task, view.next_task}
+        assignment[v] = tasks - {None}
+    return team_potential(assignment, {r: t.worth for r, t in snap.grid.tasks.items()}, rows)
+
+
+@st.composite
+def team_phi_cases(draw):
+    """A team snapshot, some of its robots as players in any order, each
+    playing no task or any task, on a game's menu or not."""
+    snap = draw(team_snapshots())
+    players = draw(st.lists(st.sampled_from(sorted(snap.robots)), unique=True))
+    actions = [draw(st.one_of(st.none(), st.sampled_from(sorted(snap.grid.tasks)))) for _ in players]
+    return snap, tuple(players), tuple(actions)
+
+
 class TestTeamPotential:
+    """The team potential `supervisor.team_phi`, which sums only the tasks
+    someone counts on, against the sum over every task."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(team_phi_cases())
+    def test_equals_the_full_task_oracle_bit_for_bit(self, case):
+        snap, players, actions = case
+        rows = build_team_model(snap)
+        assert team_phi(snap, rows, players, actions) == full_team_phi(snap, rows, players, actions)
+
     def test_empty_assignment(self):
-        assert team_potential({}, {1: 5.0, 2: 3.0}, {}) == 0.0
-        assert team_potential({7: set()}, {1: 5.0}, {7: {1: 0.5}}) == 0.0
+        snap = snapshot_for_games()
+        idle = TeamSnapshot(snap.grid, snap.params, {3: snap.robots[3]})
+        rows = build_team_model(idle)
+        assert team_phi(idle, rows, (), ()) == 0.0
+        assert team_phi(idle, rows, (3,), (None,)) == 0.0
 
     def test_decomposition_identity(self):
-        # Phi(a) = phi(a_P) + sum_{r not on menu} w_r p(r) + sum_r w~_r q(r)
+        # Phi(a) = phi(a_P) + sum_{r not on menu} w~_r p_P(r) + sum_r w_r q_N(r):
+        # the players' game, their off-menu tasks at what the non-players
+        # leave of them, and the non-players' own share
         rng = random.Random(21)
+        tasks = list(range(1, 7))
+        rects = [{"x": 2 * (r - 1), "y": 0, "w": 2, "h": 2} for r in tasks]
         for _ in range(100):
-            tasks = list(range(1, 7))
-            menu = tuple(rng.sample(tasks, 3))
+            lam = [rng.uniform(0.2, 9.0) for _ in tasks]
+            grid = make_world(width=12, height=2, tasks=rects, targets={"mode": "sampled", "lambda": lam})
             robots = list(range(1, 8))
             players = robots[:3]
-            worth_rem = {r: rng.uniform(0.2, 9.0) for r in tasks}
-            prob = {v: {r: rng.uniform(0.05, 0.95) for r in tasks} for v in robots}
-            assignment = {v: rng.choice(tasks + [None]) for v in robots}
+            task_of = {v: rng.choice(tasks + [None]) for v in robots}
+            views = {
+                v: RobotView(
+                    v,
+                    (rng.uniform(0.0, 12.0), rng.uniform(0.0, 2.0)),
+                    task_of[v],
+                    100,  # 312 s left: nobody finishes first
+                    "idle" if task_of[v] is None else "tasking",
+                    DesState.WK,
+                    BatteryParams(rho0=rng.uniform(1e-3, 5e-3), rho1=rng.uniform(200.0, 1400.0)),
+                    rng.uniform(0.0, 3000.0),
+                )
+                for v in robots
+            }
+            snap = TeamSnapshot(grid, Params(), views)
+            rows = build_team_model(snap)
+            w = {r: t.worth for r, t in grid.tasks.items()}
 
+            def left(r):  # what the non-players on r leave uncollected
+                return math.prod(1 - rows[v][r] for v in robots if v not in players and task_of[v] == r)
+
+            menu = tuple(rng.sample(tasks, 3))
             g = GameInstance(
                 players=tuple(players),
                 actions=menu,
-                worth={
-                    r: worth_rem[r]
-                    * math.prod(
-                        1 - prob[v][r] for v in robots if v not in players and assignment[v] == r
-                    )
-                    for r in menu
-                },
-                prob={v: prob[v] for v in players},
+                worth={r: w[r] * left(r) for r in menu},
+                prob={v: rows[v] for v in players},
                 cycles=5,
                 tau=0.05,
-                initial=tuple(assignment[v] for v in players),
+                initial=tuple(task_of[v] for v in players),
             )
-            phi = potential(g, g.initial)
-            off_menu = 0.0
-            for r in tasks:
-                if r in menu:
-                    continue
-                w_r = worth_rem[r] * math.prod(
-                    1 - prob[v][r] for v in robots if v not in players and assignment[v] == r
-                )
-                joint = 1 - math.prod(
-                    1 - prob[v][r] for v in players if assignment[v] == r
-                )
-                off_menu += w_r * joint
-            non_player = sum(
-                worth_rem[r]
-                * (
-                    1
-                    - math.prod(
-                        1 - prob[v][r] for v in robots if v not in players and assignment[v] == r
-                    )
-                )
+            off_menu = sum(
+                w[r] * left(r) * (1 - math.prod(1 - rows[v][r] for v in players if task_of[v] == r))
                 for r in tasks
+                if r not in menu
             )
-            total = team_potential({v: {r} - {None} for v, r in assignment.items()}, worth_rem, prob)
-            assert total == pytest.approx(phi + off_menu + non_player, abs=1e-9)
+            non_player = sum(w[r] * (1 - left(r)) for r in tasks)
+            total = team_phi(snap, rows, g.players, g.initial)
+            assert total == pytest.approx(potential(g, g.initial) + off_menu + non_player, abs=1e-9)
 
     def test_robot_counts_on_each_task_of_its_set(self):
-        # a robot finishing its near-done task before moving counts on both
-        prob = {1: {1: 0.5, 2: 0.5}, 2: {1: 0.25, 2: 0.75}}
-        worth = {1: 10.0, 2: 4.0}
-        assert team_potential({1: {1, 2}}, worth, prob) == 10 * 0.5 + 4 * 0.5
-        assert team_potential({1: {1, 2}, 2: {1}}, worth, prob) == 10 * (1 - 0.5 * 0.75) + 4 * 0.5
+        # a player finishing its near-done task before moving counts on both
+        snap = snapshot_for_games()
+        w = {r: t.worth for r, t in snap.grid.tasks.items()}
+        finishing = RobotView(1, (1.5, 1.5), 1, 9, "tasking", DesState.WK, BAT, 100.0)
+        helper = RobotView(2, (15.5, 7.5), 1, 100, "tasking", DesState.WK, BAT, 120.0)
+        alone = TeamSnapshot(snap.grid, snap.params, {1: finishing})
+        rows = build_team_model(alone)
+        rows[1].update({1: 0.5, 2: 0.5})
+        assert team_phi(alone, rows, (1,), (2,)) == w[1] * 0.5 + w[2] * 0.5
+        pair = TeamSnapshot(snap.grid, snap.params, {1: finishing, 2: helper})
+        rows = build_team_model(pair)
+        rows[1].update({1: 0.5, 2: 0.5})
+        rows[2][1] = 0.25
+        assert team_phi(pair, rows, (1,), (2,)) == w[1] * (1 - 0.5 * 0.75) + w[2] * 0.5
 
     def test_miss_product_taken_in_assignment_order(self):
-        # the product's rounding depends on its order, so the caller fixes it
-        prob = {1: {1: 0.46}, 2: {1: 0.31}, 3: {1: 0.07}}
-
-        def phi(order):
-            return team_potential({v: {1} for v in order}, {1: 3.7}, prob)
-
-        assert phi((1, 2, 3)) == 3.7 * (1.0 - (1.0 - 0.46) * (1.0 - 0.31) * (1.0 - 0.07))
-        assert phi((3, 2, 1)) == 3.7 * (1.0 - (1.0 - 0.07) * (1.0 - 0.31) * (1.0 - 0.46))
-        assert phi((1, 2, 3)) != phi((3, 2, 1))
+        # the product's rounding depends on its order: team_phi takes it in
+        # ascending robot id, whatever the order of the snapshot or players
+        snap = snapshot_for_games()
+        views = {v: RobotView(v, (1.5, 1.5), 1, 100, "tasking", DesState.WK, BAT, 100.0) for v in (3, 2, 1)}
+        team = TeamSnapshot(snap.grid, snap.params, views)
+        rows = build_team_model(team)
+        for v, p in ((1, 0.46), (2, 0.31), (3, 0.07)):
+            rows[v][1] = p
+        w = team.grid.tasks[1].worth
+        by_id = w * (1.0 - (1.0 - 0.46) * (1.0 - 0.31) * (1.0 - 0.07))
+        assert by_id != w * (1.0 - (1.0 - 0.07) * (1.0 - 0.31) * (1.0 - 0.46))
+        assert team_phi(team, rows, (), ()) == by_id
+        assert team_phi(team, rows, (3, 2, 1), (1, 1, 1)) == by_id
 
     def test_unknown_task_rejected(self):
-        with pytest.raises(ValueError, match="robot 1 assigned to unknown task 9"):
-            team_potential({1: {9}}, {1: 5.0}, {1: {9: 0.5}})
+        snap = snapshot_for_games()
+        with pytest.raises(KeyError):
+            team_phi(snap, build_team_model(snap), (3,), (9,))

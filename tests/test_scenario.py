@@ -109,6 +109,15 @@ REJECTIONS = {
         set_key(["failures"], [{"robot": 1}]),
         "failures[0]: missing required key 'time_s'",
     ),
+    # exp(-lambda) must stay a normal float for the Poisson sampler
+    "targets.lambda above 700": (
+        set_key(["world", "targets"], {"mode": "sampled", "lambda": 701}),
+        "world.targets.lambda: values must be at most 700",
+    ),
+    "targets.lambda list entry above 700": (
+        set_key(["world", "targets"], {"mode": "sampled", "lambda": [0.5, 700.5]}),
+        "world.targets.lambda: values must be at most 700",
+    ),
     "fractional kappa1": (
         set_key(["params"], {"kappa1": 2.5}),
         "params.kappa1: expected a positive integer, got 2.5",
@@ -132,6 +141,9 @@ class TestRejections:
         assert parse_scenario(edited(set_key(["strategy"], "FR"))).strategy == "FR"
         whole = parse_scenario(edited(set_key(["params"], {"L": 10.0, "tau": 1}))).params
         assert (type(whole.L), whole.L, type(whole.tau)) == (int, 10, float)
+        for lam, want in ((700, (700.0, 700.0)), ([700, 0.5], (700.0, 0.5))):
+            doc = edited(set_key(["world", "targets"], {"mode": "sampled", "lambda": lam}))
+            assert parse_scenario(doc).world.targets.lam == want
 
 
 NON_FINITE = {

@@ -109,32 +109,75 @@ def snapshot_for_games():
     return TeamSnapshot(grid=grid, params=params, robots=views)
 
 
+@st.composite
+def team_snapshots(draw):
+    """A 1-12 x 6 grid of 1-4 column tasks holding targets, some partly or
+    fully covered, and 1-6 live robots, some on a task with a near-finish
+    remainder, some committed to a next task."""
+    n_tasks = draw(st.integers(1, 4))
+    widths = [draw(st.integers(1, 3)) for _ in range(n_tasks)]
+    tasks, x = [], 0
+    for w in widths:
+        tasks.append({"x": x, "y": 0, "w": w, "h": 6})
+        x += w
+    lam = draw(st.sampled_from((0.0, 1.0, 4.0)))
+    grid = make_world(width=x, height=6, tasks=tasks, targets={"mode": "sampled", "lambda": lam})
+    for task in grid.tasks.values():
+        for cell in task.cells[: draw(st.integers(0, len(task.cells)))]:
+            mark_covered(grid, cell)
+    views = {}
+    for v in draw(st.lists(st.integers(1, 20), min_size=1, max_size=6, unique=True)):
+        task = draw(st.one_of(st.none(), st.sampled_from(sorted(grid.tasks))))
+        views[v] = RobotView(
+            v,
+            (draw(st.floats(0.0, 20.0)), draw(st.floats(0.0, 10.0))),
+            task,
+            draw(st.integers(0, 20)),  # up to 62 s: both sides of eta = 30 s
+            "idle" if task is None else "tasking",
+            draw(st.sampled_from((DesState.WK, DesState.ID))),
+            BatteryParams(rho0=draw(st.floats(1e-4, 1e-2)), rho1=draw(st.floats(100.0, 3000.0))),
+            draw(st.floats(0.0, 3000.0)),
+            draw(st.one_of(st.none(), st.sampled_from(sorted(grid.tasks)))),
+        )
+    return TeamSnapshot(grid=grid, params=Params(), robots=views)
+
+
+def worths(snap):
+    return {r: t.worth for r, t in snap.grid.tasks.items()}
+
+
 class TestTeamModel:
     def test_remaining_time_formula(self):
+        # a resilience player's task stays on the menu only while its
+        # n_unexplored / omega is past eta = 30 s: 31.25 s is, 28.1 s is not
         snap = snapshot_for_games()
-        model = build_team_model(snap)
-        assert model.t_c[1] == pytest.approx(100 / 0.32)
-        mark_covered(snap.grid, (0, 0))
-        model = build_team_model(snap)
-        assert model.t_c[1] == pytest.approx(99 / 0.32)
+        snap = TeamSnapshot(snap.grid, snap.params, {1: snap.robots[1], 3: snap.robots[3]})
+        cells = snap.grid.tasks[1].cells
+        for cell in cells[:90]:
+            mark_covered(snap.grid, cell)
+        for left, menu in ((10, (1, 2)), (9, (2,))):
+            assert snap.grid.tasks[1].n_unexplored == left
+            game = build_resilience_game(2, (15.5, 7.5), 2, snap, build_team_model(snap))
+            assert game.actions == menu
+            mark_covered(snap.grid, cells[100 - left])
 
     def test_pending_only_when_small_and_positive(self):
         snap = snapshot_for_games()
         views = dict(snap.robots)
         views[1] = RobotView(1, (1.5, 1.5), 1, 9, "tasking", DesState.WK, BAT, 100.0)
-        model = build_team_model(TeamSnapshot(snap.grid, snap.params, views))
-        assert model.pending_s[1] == pytest.approx(9 / 0.32)  # 28.1 s <= eta
-        assert model.pending_s[2] == 0.0  # 50 cells is way past eta
-        assert model.pending_s[3] == 0.0  # idle has no task
+        rows = build_team_model(TeamSnapshot(snap.grid, snap.params, views))
+        assert rows[1].pending_s == pytest.approx(9 / 0.32)  # 28.1 s <= eta
+        assert rows[2].pending_s == 0.0  # 100 cells is way past eta
+        assert rows[3].pending_s == 0.0  # idle has no task
 
     def test_extra_time_applies_to_other_tasks_only(self):
         snap = snapshot_for_games()
         views = dict(snap.robots)
         views[1] = RobotView(1, (1.5, 1.5), 1, 9, "tasking", DesState.WK, BAT, 100.0)
-        model = build_team_model(TeamSnapshot(snap.grid, snap.params, views))
+        rows = build_team_model(TeamSnapshot(snap.grid, snap.params, views))
         base = build_team_model(snap)
-        assert model.prob[1][1] == base.prob[1][1]  # own task: no extra
-        assert model.prob[1][2] < base.prob[1][2]  # other task pays the remainder
+        assert rows[1][1] == base[1][1]  # own task: no extra
+        assert rows[1][2] < base[1][2]  # other task pays the remainder
 
     def test_committed_robots_count_after_the_holders_once(self):
         snap = snapshot_for_games()
@@ -144,13 +187,23 @@ class TestTeamModel:
             3: RobotView(3, (9.5, 5.0), None, 0, "idle", DesState.ID, BAT, 300.0, next_task=1),
         }
         snap = TeamSnapshot(snap.grid, snap.params, views)
-        model = build_team_model(snap)
+        rows = build_team_model(snap)
         # robot 1 commits to task 2 after its holder 2, who commits to its own task
         assert snap.assigned == {1: [1, 3], 2: [2, 1]}
         # a game's worth discounts the committed robot as well as the holder
-        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(0))
+        game = build_noidling_game(3, snap, rows, noidling_action_menu(snap), random.Random(0))
         assert game.players == (3,)
-        assert game.worth[2] == available_worth(model.remaining[2], [model.prob[2][2], model.prob[1][2]])
+        assert game.worth[2] == available_worth(snap.grid.tasks[2].worth, [rows[2][2], rows[1][2]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(team_snapshots())
+    def test_assigned_holds_exactly_the_tasks_someone_counts_on(self, snap):
+        counted = {r for view in snap.robots.values() for r in (view.task, view.next_task) if r is not None}
+        assert set(snap.assigned) == counted
+        for r, robots in snap.assigned.items():
+            holders = sorted(v for v, view in snap.robots.items() if view.task == r)
+            committed = sorted(v for v, view in snap.robots.items() if view.next_task == r and view.task != r)
+            assert robots == holders + committed
 
 
 class TestTeamPhi:
@@ -159,39 +212,36 @@ class TestTeamPhi:
         views = dict(snap.robots)
         views[2] = RobotView(2, (15.5, 7.5), 2, 100, "tasking", DesState.WK, BAT, 120.0, next_task=1)
         snap = TeamSnapshot(snap.grid, snap.params, views)
-        model = build_team_model(snap)
-        w, p = model.remaining, model.prob
+        w, p = worths(snap), build_team_model(snap)
         assert w[1] > 0 and w[2] > 0
         want = w[1] * (1 - (1 - p[1][1]) * (1 - p[2][1])) + w[2] * (1 - (1 - p[2][2]))
-        assert team_phi(snap, model, (3,), (None,)) == want
+        assert team_phi(snap, p, (3,), (None,)) == want
 
     def test_a_player_finishing_first_counts_on_its_current_task(self):
         snap = snapshot_for_games()
         views = dict(snap.robots)
         views[1] = RobotView(1, (1.5, 1.5), 1, 9, "tasking", DesState.WK, BAT, 100.0)
         snap = TeamSnapshot(snap.grid, snap.params, views)
-        model = build_team_model(snap)
-        w, p = model.remaining, model.prob
-        assert model.pending_s[1] > 0.0
+        w, p = worths(snap), build_team_model(snap)
+        assert p[1].pending_s > 0.0
         want = w[1] * (1 - (1 - p[1][1])) + w[2] * (1 - (1 - p[1][2]) * (1 - p[2][2]))
-        assert team_phi(snap, model, (1, 3), (2, None)) == want
+        assert team_phi(snap, p, (1, 3), (2, None)) == want
         # without the near-done region robot 1 counts on its action only
         busy = snapshot_for_games()
-        model = build_team_model(busy)
-        w, p = model.remaining, model.prob
-        assert team_phi(busy, model, (1, 3), (2, None)) == w[2] * (1 - (1 - p[1][2]) * (1 - p[2][2]))
+        w, p = worths(busy), build_team_model(busy)
+        assert team_phi(busy, p, (1, 3), (2, None)) == w[2] * (1 - (1 - p[1][2]) * (1 - p[2][2]))
 
     def test_a_resilience_players_initial_action_off_the_menu_counts(self):
         snap = snapshot_for_games()
         for cell in list(snap.grid.tasks[1].cells)[:91]:
             mark_covered(snap.grid, cell)  # task 1 is near done: off the menu
         snap2 = TeamSnapshot(snap.grid, snap.params, {1: snap.robots[1], 3: snap.robots[3]})
-        model = build_team_model(snap2)
-        game = build_resilience_game(2, (15.5, 7.5), 2, snap2, model)
+        rows = build_team_model(snap2)
+        game = build_resilience_game(2, (15.5, 7.5), 2, snap2, rows)
         assert game.actions == (2,) and dict(zip(game.players, game.initial)) == {1: 1, 3: None}
-        want = model.remaining[1] * (1 - (1 - model.prob[1][1]))
+        want = snap.grid.tasks[1].worth * (1 - (1 - rows[1][1]))
         assert want > 0
-        assert team_phi(snap2, model, game.players, game.initial) == want
+        assert team_phi(snap2, rows, game.players, game.initial) == want
 
 
 def eager_prob(snap):
@@ -220,36 +270,6 @@ def eager_prob(snap):
     return prob
 
 
-@st.composite
-def team_snapshots(draw):
-    """A 4-12 x 6 grid of 1-4 column tasks, some partly or fully covered, and
-    1-6 live robots, some on a task with a near-finish remainder."""
-    n_tasks = draw(st.integers(1, 4))
-    widths = [draw(st.integers(1, 3)) for _ in range(n_tasks)]
-    tasks, x = [], 0
-    for w in widths:
-        tasks.append({"x": x, "y": 0, "w": w, "h": 6})
-        x += w
-    grid = make_world(width=x, height=6, tasks=tasks)
-    for task in grid.tasks.values():
-        for cell in task.cells[: draw(st.integers(0, len(task.cells)))]:
-            mark_covered(grid, cell)
-    views = {}
-    for v in draw(st.lists(st.integers(1, 20), min_size=1, max_size=6, unique=True)):
-        task = draw(st.one_of(st.none(), st.sampled_from(sorted(grid.tasks))))
-        views[v] = RobotView(
-            v,
-            (draw(st.floats(0.0, 20.0)), draw(st.floats(0.0, 10.0))),
-            task,
-            draw(st.integers(0, 20)),  # up to 62 s: both sides of eta = 30 s
-            "idle" if task is None else "tasking",
-            draw(st.sampled_from((DesState.WK, DesState.ID))),
-            BatteryParams(rho0=draw(st.floats(1e-4, 1e-2)), rho1=draw(st.floats(100.0, 3000.0))),
-            draw(st.floats(0.0, 3000.0)),
-        )
-    return TeamSnapshot(grid=grid, params=Params(), robots=views)
-
-
 def cover_all(grid):
     for task in grid.tasks.values():
         for cell in task.cells:
@@ -260,55 +280,55 @@ class TestLazyTeamModel:
     @settings(max_examples=100, deadline=None)
     @given(team_snapshots(), st.randoms(use_true_random=False))
     def test_entries_equal_eager_oracle_bit_for_bit(self, snap, rnd):
-        model = build_team_model(snap)
+        rows = build_team_model(snap)
         want = eager_prob(snap)
         keys = [(v, r) for v in want for r in want[v]]
         rnd.shuffle(keys)
         half = len(keys) // 2
         for v, r in keys[:half]:
-            assert model.prob[v][r] == want[v][r]
+            assert rows[v][r] == want[v][r]
         cover_all(snap.grid)  # entries read later still see the build-time grid
         for v, r in keys[half:] + keys:
-            assert model.prob[v][r] == want[v][r]
-        assert set(model.prob) == set(want)
+            assert rows[v][r] == want[v][r]
+        assert set(rows) == set(want)
 
     def test_grid_mutated_after_build(self):
         snap = snapshot_for_games()
         views = dict(snap.robots)
         views[1] = RobotView(1, (1.5, 1.5), 1, 9, "tasking", DesState.WK, BAT, 100.0)
         snap = TeamSnapshot(snap.grid, snap.params, views)
-        model = build_team_model(snap)
-        assert model.pending_s[1] > 0.0
+        rows = build_team_model(snap)
+        assert rows[1].pending_s > 0.0
         want = eager_prob(snap)
         cover_all(snap.grid)
         assert eager_prob(snap) != want
         for v in want:
             for r in want[v]:
-                assert model.prob[v][r] == want[v][r]
+                assert rows[v][r] == want[v][r]
 
     def test_unknown_task_raises(self):
-        model = build_team_model(snapshot_for_games())
+        rows = build_team_model(snapshot_for_games())
         with pytest.raises(KeyError):
-            model.prob[1][99]
+            rows[1][99]
 
     @settings(max_examples=100, deadline=None)
     @given(team_snapshots(), st.integers(0, 2**32 - 1))
     def test_games_hold_players_by_menu(self, snap, seed):
-        model = build_team_model(snap)
+        rows = build_team_model(snap)
         want = eager_prob(snap)
-        for game in games_of(snap, model, seed):
+        for game in games_of(snap, rows, seed):
             assert set(game.prob) == set(game.players)
             for v in game.players:
-                assert game.prob[v] is model.prob[v]  # the model's own row, not a copy
+                assert game.prob[v] is rows[v]  # the model's own row, not a copy
                 for r in game.actions:
                     assert game.prob[v][r] == want[v][r]
 
     @settings(max_examples=100, deadline=None)
     @given(team_snapshots(), st.integers(0, 2**32 - 1))
     def test_lazy_games_play_like_materialised_copies(self, snap, seed):
-        model = build_team_model(snap)
+        rows = build_team_model(snap)
         want = eager_prob(snap)
-        for game in games_of(snap, model, seed):
+        for game in games_of(snap, rows, seed):
             copy = dataclasses.replace(
                 game, prob={v: {r: want[v][r] for r in game.actions} for v in game.players}
             )
@@ -331,8 +351,8 @@ class TestLazyTeamModel:
 
     def test_an_out_of_range_entry_raises_on_read_and_is_not_kept(self, monkeypatch):
         snap = snapshot_for_games()
-        model = build_team_model(snap)
-        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(0))
+        rows = build_team_model(snap)
+        game = build_noidling_game(3, snap, rows, noidling_action_menu(snap), random.Random(0))
         assert game.players == (3,)
         monkeypatch.setattr(supervisor, "success_probability", lambda *args: 1.5)
         for _ in range(2):
@@ -342,17 +362,17 @@ class TestLazyTeamModel:
             max_logit(game, random.Random(0))
 
 
-def games_of(snap, model, seed):
-    """The games one model yields: no-idling and FR for the lowest robot id
-    when the menu is not empty, and resilience over the lowest task id when
-    a robot is eligible."""
+def games_of(snap, rows, seed):
+    """The games one team model yields: no-idling and FR for the lowest
+    robot id when the menu is not empty, and resilience over the lowest task
+    id when a robot is eligible."""
     trigger = min(snap.robots)
     menu = noidling_action_menu(snap)
     games = []
     if menu:
-        games.append(build_noidling_game(trigger, snap, model, menu, random.Random(seed)))
-        games.append(build_first_responder_game(trigger, snap, model, menu))
-    resilience = build_resilience_game(99, (0.5, 0.5), min(snap.grid.tasks), snap, model)
+        games.append(build_noidling_game(trigger, snap, rows, menu, random.Random(seed)))
+        games.append(build_first_responder_game(trigger, snap, rows, menu))
+    resilience = build_resilience_game(99, (0.5, 0.5), min(snap.grid.tasks), snap, rows)
     if resilience is not None:
         games.append(resilience)
     return games
@@ -366,7 +386,7 @@ class TestNoidlingGame:
         # shrink task 1 below gamma while robot 1 still holds it: excluded
         for cell in list(snap.grid.tasks[1].cells)[:45]:
             mark_covered(snap.grid, cell)
-        assert build_team_model(snap).t_c[1] < snap.params.gamma
+        assert snap.grid.tasks[1].n_unexplored / snap.params.omega < snap.params.gamma
         assert noidling_action_menu(snap) == [2]
         # orphan the small task: nobody assigned, so it comes back
         views = {2: snap.robots[2], 3: snap.robots[3]}
@@ -377,8 +397,8 @@ class TestNoidlingGame:
         views = dict(snap.robots)
         views[2] = RobotView(2, (15.5, 7.5), 2, 5, "tasking", DesState.WK, BAT, 120.0)
         snap = TeamSnapshot(snap.grid, snap.params, views)
-        model = build_team_model(snap)
-        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(0))
+        rows = build_team_model(snap)
+        game = build_noidling_game(3, snap, rows, noidling_action_menu(snap), random.Random(0))
         assert game is not None
         assert set(game.players) == {3, 2}  # idler + near-finishing neighbor
         assert 1 not in game.players  # far from done, keeps working
@@ -393,29 +413,27 @@ class TestNoidlingGame:
 
     def test_initial_actions_drawn_from_menu(self):
         snap = snapshot_for_games()
-        model = build_team_model(snap)
-        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(5))
+        rows = build_team_model(snap)
+        game = build_noidling_game(3, snap, rows, noidling_action_menu(snap), random.Random(5))
         assert all(a in game.actions for a in game.initial)
 
     def test_worth_discounted_by_non_players(self):
         snap = snapshot_for_games()
-        model = build_team_model(snap)
-        game = build_noidling_game(3, snap, model, noidling_action_menu(snap), random.Random(0))
+        w, rows = worths(snap), build_team_model(snap)
+        game = build_noidling_game(3, snap, rows, noidling_action_menu(snap), random.Random(0))
         # robots 1 and 2 are busy (not near finish): they are non-players
         assert set(game.players) == {3}
-        assert game.worth[1] == pytest.approx(model.remaining[1] * (1 - model.prob[1][1]))
-        assert game.worth[2] == pytest.approx(model.remaining[2] * (1 - model.prob[2][2]))
+        assert game.worth[1] == pytest.approx(w[1] * (1 - rows[1][1]))
+        assert game.worth[2] == pytest.approx(w[2] * (1 - rows[2][2]))
 
 
 class TestResilienceGame:
     def test_players_are_nearest_and_menu_has_orphan(self):
         snap = snapshot_for_games()
-        model = build_team_model(snap)
         # robot 2 failed while holding task 2
         views = {1: snap.robots[1], 3: snap.robots[3]}
         snap2 = TeamSnapshot(snap.grid, snap.params, views)
-        model = build_team_model(snap2)
-        game = build_resilience_game(2, (15.5, 7.5), 2, snap2, model)
+        game = build_resilience_game(2, (15.5, 7.5), 2, snap2, build_team_model(snap2))
         assert set(game.players) == {1, 3}
         assert 2 in game.actions  # the orphaned task
         assert 1 in game.actions  # player 1's task has > eta left
@@ -426,11 +444,10 @@ class TestResilienceGame:
     def test_near_finished_player_task_left_out(self):
         snap = snapshot_for_games()
         for cell in list(snap.grid.tasks[1].cells)[:91]:
-            mark_covered(snap.grid, cell)  # 9 cells left: t_c = 28 s <= eta
+            mark_covered(snap.grid, cell)  # 9 cells left: 28 s <= eta
         views = {1: snap.robots[1], 3: snap.robots[3]}
         snap2 = TeamSnapshot(snap.grid, snap.params, views)
-        model = build_team_model(snap2)
-        game = build_resilience_game(2, (15.5, 7.5), 2, snap2, model)
+        game = build_resilience_game(2, (15.5, 7.5), 2, snap2, build_team_model(snap2))
         assert game.actions == (2,)  # only the orphan is contested
 
     def test_no_eligible_players(self):
@@ -439,8 +456,7 @@ class TestResilienceGame:
             1: RobotView(1, (1.5, 1.5), 1, 50, "idle", DesState.NG, BAT, 100.0),
         }
         snap2 = TeamSnapshot(snap.grid, snap.params, views)
-        model = build_team_model(snap2)
-        assert build_resilience_game(2, (15.5, 7.5), 2, snap2, model) is None
+        assert build_resilience_game(2, (15.5, 7.5), 2, snap2, build_team_model(snap2)) is None
 
 
 class TestPostGameAssign:
