@@ -559,6 +559,7 @@ class Simulation:
         if self.now + 1e-9 >= self._next_sync:
             self._next_sync += self.params.sync_every_s
             if self.grid.since_sync:
+                self._sensor.settle(self.grid.since_sync)
                 self.beliefs.sync()
 
     def _apply_scheduled_failures(self) -> None:

@@ -24,6 +24,13 @@ Every map counts its writes of FORBIDDEN or OBSTACLE (`n_blocked`), and a
 view counts the team map's as of the last sync and its own. Only such a
 write can block a path planned on the map, so the engine re-checks a
 travelling robot's path only when its belief's count has moved.
+
+The range sensor (`RangeSensor`) holds only the truth obstacles some live
+belief may still lack. A reading changes only UNEXPLORED cells, and a sync
+leaves every live belief holding each cell the team map wrote since the
+last one, for good; so at each sync the sensor drops those cells
+(`RangeSensor.settle`), and a reading of a dropped cell would have changed
+nothing.
 """
 
 from __future__ import annotations
@@ -353,11 +360,20 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
 
 
 class RangeSensor:
-    """The sensing oracle: reads the ground-truth obstacle cells whose
+    """The sensing oracle: reads the held ground-truth obstacle cells whose
     centers lie within radius_m of a cell's center, in (x, y) order.
 
+    It holds the truth obstacles some live belief may still lack (`held`).
+    `mark_sensed` skips a reading of a cell that is not UNEXPLORED, and a
+    sync leaves every live belief the team map, whose cells never return to
+    UNEXPLORED. So once a sync has brought a written cell to every live
+    belief, a reading of it changes nothing anywhere: `settle` drops the
+    cells written since the last sync, just before that sync. A sensor that
+    is never settled reads every truth obstacle, with the same effect.
+
     A reading tests only the cells of a disk stencil of offsets, computed
-    once, and skips the stencil's columns that hold no obstacle at all.
+    once and clipped to the grid, and skips the stencil's columns that hold
+    no held cell at all.
     """
 
     def __init__(self, grid: GridMap, radius_m: float) -> None:
@@ -365,27 +381,48 @@ class RangeSensor:
         self.radius = radius_m + 1e-9
         eps = grid.epsilon
         reach = int(radius_m / eps) + 2
+        # no offset past the grid's side reaches a cell of the grid
+        reach_x, reach_y = min(reach, grid.width), min(reach, grid.height)
         # (dx, [dy, ...]) in (dx, dy) order; a cell of slack leaves the
         # decision on every cell that can be in range to the exact test
         self.columns = []
-        for dx in range(-reach, reach + 1):
-            dys = [dy for dy in range(-reach, reach + 1) if math.hypot(dx, dy) * eps <= radius_m + eps]
+        for dx in range(-reach_x, reach_x + 1):
+            dys = [dy for dy in range(-reach_y, reach_y + 1) if math.hypot(dx, dy) * eps <= radius_m + eps]
             if dys:
                 self.columns.append((dx, dys))
-        self.obstacle_xs = {x for x, _y in grid.ground_truth.obstacles}
+        self.held = set(grid.ground_truth.obstacles)
+        self.held_in_column: dict[int, int] = {}  # x -> held cells in column x, for x with some
+        for x, _y in self.held:
+            self.held_in_column[x] = self.held_in_column.get(x, 0) + 1
+
+    def settle(self, written) -> None:
+        """Drop the held cells among `written` (flat indices of cells the
+        team map wrote since the last sync), just before that sync."""
+        held, per_column, width = self.held, self.held_in_column, self.grid.width
+        if not held:
+            return
+        for i in written:
+            y, x = divmod(i, width)
+            if (x, y) in held:
+                held.remove((x, y))
+                per_column[x] -= 1
+                if not per_column[x]:
+                    del per_column[x]
 
     def read(self, cell: Cell) -> list[tuple[Cell, bool]]:
         """Readings for `mark_sensed`: (obstacle cell, True) pairs."""
-        obstacles = self.grid.ground_truth.obstacles
+        held, per_column = self.held, self.held_in_column
+        if not held:
+            return []
         pos = self.grid.cell_center(cell)
         x, y = cell
         readings = []
         for dx, dys in self.columns:
-            if x + dx not in self.obstacle_xs:
+            if x + dx not in per_column:
                 continue
             for dy in dys:
                 c = (x + dx, y + dy)
-                if c in obstacles and math.dist(self.grid.cell_center(c), pos) <= self.radius:
+                if c in held and math.dist(self.grid.cell_center(c), pos) <= self.radius:
                     readings.append((c, True))
         return readings
 

@@ -2,6 +2,7 @@
 region counters and beliefs, and the failure detector's timeout as the
 engine drives it."""
 
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -80,6 +81,22 @@ def counter_problems(sim: Simulation) -> list[str]:
     return problems
 
 
+def sensor_problems(sim: Simulation) -> list[str]:
+    """Truth obstacles the sensor no longer reads that a reading could still
+    change: each must be outside `since_sync`, not UNEXPLORED on the team
+    map, and in that same state in every live belief."""
+    grid = sim.grid
+    dropped = sorted(sim.truth.obstacles - sim._sensor.held)
+    flat = [grid.idx(c) for c in dropped]
+    team = [grid.cells[i] for i in flat]
+    problems = [f"dropped {c} was written since the last sync" for c, i in zip(dropped, flat) if i in grid.since_sync]
+    problems += [f"dropped {c} is unexplored" for c, state in zip(dropped, team) if state is CellState.UNEXPLORED]
+    for rid, r in sim.robots.items():
+        if r.alive and [r.belief.at(i) for i in flat] != team:
+            problems.append(f"robot {rid}'s belief differs from the team map on a dropped cell")
+    return problems
+
+
 def belief_problems(sim: Simulation) -> list[str]:
     """Live robots whose belief differs from the team map."""
     return [
@@ -91,12 +108,13 @@ def belief_problems(sim: Simulation) -> list[str]:
 
 class CheckedSimulation(Simulation):
     """Checks that every live belief equals the team map after every sync,
-    and the region counters and the table after every tick (`_end_reason`
-    is each tick's last step). On every travel step it checks that a path
-    whose re-check is skipped holds no blocked cell, and counts in
-    `travel_gate` the skipped re-checks, the run ones and the run ones that
-    found the path blocked. Keeps each robot's belief as it was when the
-    robot failed, in `failed_beliefs`, and the run's result in `result`."""
+    and the region counters, the sensor's dropped cells and the table after
+    every tick (`_end_reason` is each tick's last step). On every travel
+    step it checks that a path whose re-check is skipped holds no blocked
+    cell, and counts in `travel_gate` the skipped re-checks, the run ones
+    and the run ones that found the path blocked. Keeps each robot's
+    belief as it was when the robot failed, in `failed_beliefs`, and the
+    run's result in `result`."""
 
     check_table = True
 
@@ -132,7 +150,7 @@ class CheckedSimulation(Simulation):
             self.failed_beliefs[r.id] = list(r.belief.cells)
 
     def _end_reason(self):
-        problems = counter_problems(self)
+        problems = counter_problems(self) + sensor_problems(self)
         if self.check_table:
             problems += table_problems(self)
         assert not problems, f"tick {self.tick}: {problems}"
@@ -497,6 +515,30 @@ def small_worlds(draw):
     }
 
 
+class UnsettledSimulation(Simulation):
+    """A run whose sensor is never settled, so it reads every truth obstacle
+    in range, as the sensor did before it dropped any."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._sensor.settle = lambda written: None
+
+
+def run_record(simulation: type[Simulation], config) -> tuple:
+    """What a run records: the error it raised, if any, then its logs with
+    each game's host solve time left out, and its metrics."""
+    sim = metrics = error = None
+    try:
+        sim = simulation(config)
+        metrics = sim.run().metrics
+    except (ScenarioError, LivenessError) as exc:
+        error = (type(exc), str(exc))
+    if sim is None:
+        return (error,)
+    games = [dataclasses.replace(g, solve_wall_s=0.0) for g in sim.logs.games]
+    return error, dataclasses.replace(sim.logs, games=games), metrics
+
+
 class TestSmallWorlds:
     @settings(max_examples=200, deadline=None)
     @given(small_worlds())
@@ -512,6 +554,14 @@ class TestSmallWorlds:
         if result.metrics.end_reason == "complete":
             assert result.metrics.cr == 1.0
             assert sim.grid.unexplored_total == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_worlds())
+    def test_the_sensor_reads_like_one_never_settled(self, doc):
+        # dropping what every live belief holds only skips readings that
+        # change nothing
+        settled = run_record(Simulation, parse_scenario(doc))
+        assert settled == run_record(UnsettledSimulation, parse_scenario(doc))
 
 
 class TestFailureDetection:
@@ -695,3 +745,22 @@ class TestBenchmarkHooks:
         assert times["supervisor.team_model"][0] > 0
         assert times.get("game.max_logit", (0,))[0] == 0
         assert digest(result) == committed_digests("paper")["scenario2/FR"]
+
+    def test_the_sensing_layer_is_traced_and_senses_rarely(self, digest):
+        # the sensor drops what every live belief holds, so most `_sense`
+        # calls read nothing and never reach `mark_sensed`
+        tracing = perfbench("tracing")
+        tracer = tracing.Tracer()
+        simulation, parse, _write, restore = tracing.instrument(tracer)
+        doc = json.loads((SCENARIOS / "scenario1.json").read_text())
+        doc["seed"] = 1
+        doc["strategy"] = "CARE"
+        try:
+            result = simulation(parse(doc)).run()
+        finally:
+            restore()
+
+        times = tracer.layer_times()
+        senses, marks = times["engine.sense"][0], times["world.mark_sensed"][0]
+        assert 0 < marks < senses
+        assert digest(result) == committed_digests("paper")["scenario1/CARE"]

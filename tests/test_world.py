@@ -605,7 +605,7 @@ class TestRangeSensor:
 
     @pytest.mark.parametrize(
         "epsilon, radius_m, n_obstacles",
-        [(1.0, 5.0, 40), (1.0, 2.5, 3), (0.3, 1.0, 40), (0.3, 0.75, 3), (2.0, 0.5, 40)],
+        [(1.0, 5.0, 40), (1.0, 2.5, 3), (0.3, 1.0, 40), (0.3, 0.75, 3), (2.0, 0.5, 40), (1.0, 1e3, 40)],
     )
     def test_reads_what_a_full_scan_reads(self, epsilon, radius_m, n_obstacles):
         rng = random.Random(7)
@@ -617,6 +617,64 @@ class TestRangeSensor:
         readings = [sensor.read(cell) for cell in cells]
         assert readings == [self.brute_force(grid, cell, radius_m) for cell in cells]
         assert any(readings)
+
+    @pytest.mark.parametrize("width, height", [(16, 16), (16, 3)])
+    def test_the_stencil_is_clipped_to_the_grid(self, width, height):
+        grid = make_world(width=width, height=height, obstacles=[[3, 1]])
+        sensor = RangeSensor(grid, 1e12)
+        assert sum(len(dys) for _dx, dys in sensor.columns) <= (2 * width + 1) * (2 * height + 1)
+        assert sensor.read((width - 1, height - 1)) == [((3, 1), True)]
+
+    def sensing_world(self, obstacles):
+        grid = make_world(obstacles=obstacles)
+        return grid, Beliefs(grid), RangeSensor(grid, 1.0)
+
+    def sense(self, view, grid, readings):
+        # as the engine senses: the robot's view, then the team map
+        mark_sensed(view, readings)
+        mark_sensed(grid, readings)
+
+    def sync(self, grid, beliefs, sensor):
+        # as the engine syncs
+        sensor.settle(grid.since_sync)
+        beliefs.sync()
+
+    def test_an_applied_reading_is_read_until_the_next_sync(self):
+        grid, beliefs, sensor = self.sensing_world([[5, 5]])
+        sensing, other = beliefs.view(1), beliefs.view(2)
+        readings = sensor.read((4, 5))
+        assert readings == [((5, 5), True)]
+        self.sense(sensing, grid, readings)
+        # the other robot's belief still lacks the obstacle
+        assert other.state((5, 5)) is CellState.UNEXPLORED
+        assert sensor.read((4, 5)) == readings
+        self.sync(grid, beliefs, sensor)
+        assert other.state((5, 5)) is CellState.OBSTACLE
+        assert sensor.read((4, 5)) == []
+        assert sensor.held == set() and sensor.held_in_column == {}
+
+    def test_a_never_read_obstacle_stays_held(self):
+        grid, beliefs, sensor = self.sensing_world([[1, 1], [8, 8]])
+        view = beliefs.view(1)
+        self.sense(view, grid, sensor.read((2, 1)))
+        self.sync(grid, beliefs, sensor)
+        assert sensor.held == {(8, 8)} and sensor.held_in_column == {8: 1}
+        assert sensor.read((7, 8)) == [((8, 8), True)]
+
+    def test_an_obstacle_first_written_forbidden_is_dropped_at_the_sync(self):
+        # (5, 4) is buffered as (4, 4)'s neighbour before it is read itself.
+        # `mark_sensed` never upgrades FORBIDDEN to OBSTACLE, so the sensor
+        # drops it. ROADMAP R1's sensing fix lets a reading make that
+        # upgrade, and must then keep such a cell held until it is OBSTACLE
+        # on the team map and synced.
+        grid, beliefs, sensor = self.sensing_world([[4, 4], [5, 4]])
+        view = beliefs.view(1)
+        self.sense(view, grid, sensor.read((3, 4)))
+        assert grid.state((5, 4)) is CellState.FORBIDDEN
+        assert sensor.read((6, 4)) == [((5, 4), True)]
+        self.sync(grid, beliefs, sensor)
+        assert sensor.held == set()
+        assert sensor.read((6, 4)) == []
 
 
 class TestPartitionSubregions:
