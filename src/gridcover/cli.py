@@ -149,7 +149,7 @@ def cmd_run(args) -> int:
     write_run_outputs(result, Path(args.out_dir))
     _print_summary(result)
     if not result.logs.liveness_ok:
-        print(f"LIVENESS VIOLATION: run ended with '{result.logs.end_reason}'", file=sys.stderr)
+        print(f"LIVENESS VIOLATION: run ended with '{result.metrics.end_reason}'", file=sys.stderr)
         return 2
     return 0
 

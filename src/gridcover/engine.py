@@ -5,6 +5,10 @@ failure confirmation, robot motion and covering, event generation, and game
 resolution (at most one game per tick, FIFO). Runs are bit-reproducible for a
 fixed (scenario, seed).
 
+A robot's liveness is its supervisor's state: it has failed once `e7` has
+taken it to FL, and no event leaves FL. Its position is its cell's center;
+localization noise moves only the cell it covers, not the robot.
+
 Failure confirmation is a heartbeat timeout. Live robots start together and
 beat every `heartbeat_s`, so the team keeps one heartbeat clock, and a robot
 that fails keeps the clock's last beat as the start of its silence. It is
@@ -109,6 +113,7 @@ log = logging.getLogger("gridcover.engine")
 # States from _BLOCKED up block travel.
 _UNEXPLORED = CellState.UNEXPLORED
 _BLOCKED = CellState.FORBIDDEN
+_FAILED = DesState.FL
 
 
 class LivenessError(RuntimeError):
@@ -131,8 +136,7 @@ def apply_localization_noise(
 class Robot:
     id: int
     battery: BatteryParams
-    pos_m: tuple[float, float]
-    cell: Cell
+    cell: Cell  # the robot stands at its center
     belief: BeliefView  # the team map at the last sync plus the robot's own writes since
     des: DesState = DesState.ST
     planner: PlannerState | None = None
@@ -142,7 +146,6 @@ class Robot:
     travel_m: float = 0.0  # meters banked toward the next hop
     work_s: float = 0.0  # seconds banked toward the next covering step
     t_k: float = 0.0  # accumulated tasking seconds
-    alive: bool = True
     last_active: int = 0
 
     @property
@@ -283,8 +286,6 @@ class RunLogs:
     # run digests hash these rows, so the repeated field stays
     detector: list[tuple[int, int, int, int]] = field(default_factory=list)
     snapshots: list[tuple[int, str]] = field(default_factory=list)
-    end_reason: str = ""
-    ticks: int = 0
     liveness_ok: bool = True
 
 
@@ -324,11 +325,14 @@ class Simulation:
             self.robots[spec.id] = Robot(
                 id=spec.id,
                 battery=BatteryParams(rho0=rho0, rho1=rho1),
-                pos_m=self.grid.cell_center(cell),
                 cell=cell,
                 belief=self.beliefs.view(spec.id),
             )
-        self.order = sorted(self.robots)
+        self.team = [self.robots[rid] for rid in sorted(self.robots)]
+        # cell-center coordinates, one float object each for every trajectory row
+        eps = self.grid.epsilon
+        self._center_x = [(x + 0.5) * eps for x in range(self.grid.width)]
+        self._center_y = [(y + 0.5) * eps for y in range(self.grid.height)]
 
         self._sensor = RangeSensor(self.grid, self.params.sense_radius_m)
         self._strips: dict[int, list[list[Cell]]] = {}
@@ -357,11 +361,10 @@ class Simulation:
         return self._strips[task_id]
 
     def _initial_assignments(self) -> None:
-        for rid in self.order:
-            self._fire(self.robots[rid], "e0")
+        for r in self.team:
+            self._fire(r, "e0")
         by_task: dict[int, list[Robot]] = {}
-        for rid in self.order:
-            r = self.robots[rid]
+        for r in self.team:
             by_task.setdefault(self.grid.task_of[self.grid.idx(r.cell)], []).append(r)
         for task in sorted(by_task):
             group = by_task[task]
@@ -369,8 +372,8 @@ class Simulation:
                 self._assign_region(group[0], task, None)
                 continue
             strips = self._strips_of(task)
-            existing = [(r.id, self._probe_p(r, task), r.pos_m, None) for r in group]
-            assignment, _standby = post_game_assign(strips, self.grid, [], existing)
+            existing = [(r.id, self._probe_p(r, task), self._pos(r), None) for r in group]
+            assignment = post_game_assign(strips, self.grid, [], existing)
             for r in group:
                 if r.id in assignment:
                     self._assign_region(r, task, assignment[r.id])
@@ -380,21 +383,25 @@ class Simulation:
                     self.table.assign(r.id, task, None)
                     self.table.release(r.id, "slot")
                     r.mode = "tasking"
-        for rid in self.order:
-            self._sense(self.robots[rid], self.robots[rid].cell)
+        for r in self.team:
+            self._sense(r, r.cell)
 
     def _probe_p(self, r: Robot, task_id: int) -> float:
         task = self.grid.tasks[task_id]
         return success_probability(
             r.battery,
             r.t_k,
-            math.dist(r.pos_m, task.centroid_m),
+            math.dist(self._pos(r), task.centroid_m),
             self.params.u,
             task.n_unexplored,
             self.params.omega,
         )
 
     # ------------------------------------------------------------- primitives
+
+    def _pos(self, r: Robot) -> tuple[float, float]:
+        """Where the robot stands: its cell's center, in meters."""
+        return self.grid.cell_center(r.cell)
 
     def _fire(self, r: Robot, event: str, payload: tuple = ()) -> None:
         before = r.des
@@ -408,11 +415,11 @@ class Simulation:
             self.logs.changes.append((self.tick, r.id, ch))
 
     def _sense(self, r: Robot, cell: Cell) -> None:
-        readings = self._sensor.read(cell)
-        if not readings:
+        obstacles = self._sensor.read(cell)
+        if not obstacles:
             return
-        mark_sensed(r.belief, readings)
-        self._log_changes(r, mark_sensed(self.grid, readings))
+        mark_sensed(r.belief, obstacles)
+        self._log_changes(r, mark_sensed(self.grid, obstacles))
 
     def _cover_attempt(self, r: Robot, true_cell: Cell) -> None:
         self.visited.add(true_cell)
@@ -452,7 +459,8 @@ class Simulation:
         ]
         if not free:
             return None
-        return min(free, key=lambda k: (math.dist(r.pos_m, centroid_m(strips[k], self.grid.epsilon)), k))
+        pos = self._pos(r)
+        return min(free, key=lambda k: (math.dist(pos, centroid_m(strips[k], self.grid.epsilon)), k))
 
     def _go_idle(self, r: Robot) -> None:
         self._fire(r, "e4")
@@ -504,9 +512,9 @@ class Simulation:
                     nb = (x + dx, y + dy)
                     if nb in self.truth.obstacles:
                         obstacles.add(nb)
-        readings = [(c, True) for c in sorted(obstacles)]
-        mark_sensed(r.belief, readings)
-        self._log_changes(r, mark_sensed(self.grid, readings))
+        found = sorted(obstacles)
+        mark_sensed(r.belief, found)
+        self._log_changes(r, mark_sensed(self.grid, found))
         leftover = [c for c in sorted(cells) if r.belief.state(c) is _UNEXPLORED]
         if leftover:
             raise LivenessError(f"pocket resolution left unexplored cells: {leftover[:5]}")
@@ -524,9 +532,8 @@ class Simulation:
             self._deliver_messages()
             self._apply_scheduled_failures()
             self._detection_pass()
-            for rid in self.order:
-                r = self.robots[rid]
-                if r.alive and r.des is DesState.WK:
+            for r in self.team:
+                if r.des is DesState.WK:
                     self._advance(r)
             self._resolve_one_game()
             self._stop_sweep()
@@ -534,15 +541,13 @@ class Simulation:
             if self.snapshot_every and self.tick % self.snapshot_every == 0:
                 self._snapshot()
             end = self._end_reason()
-        self.logs.end_reason = end
-        self.logs.ticks = self.tick
         ok_reasons = {"complete", "all_failed"}
         if self.strategy in ("NONCO", "FR"):
             ok_reasons.add("quiesced")
         self.logs.liveness_ok = end in ok_reasons
         if self.snapshot_every:
             self._snapshot()
-        metrics = self._compute_metrics()
+        metrics = self._compute_metrics(end)
         log.info(
             "run finished: %s after %d ticks, CR=%.4f CT=%.1fs games=%d",
             end,
@@ -567,11 +572,10 @@ class Simulation:
             spec = self.failures[self._failure_i]
             self._failure_i += 1
             r = self.robots[spec.robot]
-            if not r.alive or r.des in (DesState.FL, DesState.SP):
+            if r.des in (_FAILED, DesState.SP):
                 log.warning("failure of robot %d at t=%.0f ignored (state %s)", r.id, spec.time_s, r.des.value)
                 continue
             self._fire(r, "e7")
-            r.alive = False
             self.beliefs.detach(r.id)
             self._silent_since[r.id] = self._last_beat
             r.mode = "idle"
@@ -584,7 +588,7 @@ class Simulation:
         if a live robot is left to hear the silence."""
         if not self._silent_since:
             return
-        live = sum(1 for r in self.robots.values() if r.alive)
+        live = sum(1 for r in self.team if r.des is not _FAILED)
         if not live:
             return
         heard = min(self.params.kappa2, live)
@@ -598,13 +602,13 @@ class Simulation:
     def _working_in(self, task: int, exclude: int | None = None) -> list[int]:
         """Live robots physically tasking inside the task right now."""
         return [
-            rid
-            for rid in self.order
-            if rid != exclude
-            and self.robots[rid].alive
-            and self.table.task.get(rid) == task
-            and self.robots[rid].mode == "tasking"
-            and self.robots[rid].region
+            r.id
+            for r in self.team
+            if r.id != exclude
+            and r.des is not _FAILED
+            and self.table.task.get(r.id) == task
+            and r.mode == "tasking"
+            and r.region
         ]
 
     def _handle_confirmed_failure(self, failed_id: int) -> None:
@@ -620,7 +624,7 @@ class Simulation:
     def _reactivate_standbys(self, task: int) -> None:
         for rid in list(self.table.standby.get(task, ())):
             r = self.robots[rid]
-            if not r.alive or r.des is not DesState.ID:
+            if r.des is not DesState.ID:
                 continue
             best = self._free_strip(r, task)
             if best is None:
@@ -654,7 +658,6 @@ class Simulation:
         while r.path and r.travel_m >= eps - 1e-9:
             r.travel_m -= eps
             r.cell = r.path.pop(0)
-            r.pos_m = self.grid.cell_center(r.cell)
             self._sense(r, r.cell)
         if not r.path:
             r.mode = "tasking"
@@ -682,7 +685,6 @@ class Simulation:
                 return
             r.work_s -= per_cell
             r.cell = wp
-            r.pos_m = self.grid.cell_center(wp)
             self._sense(r, wp)
             if wp in r.region and r.belief.state(wp) is _UNEXPLORED:
                 self._cover_attempt(r, wp)
@@ -714,15 +716,14 @@ class Simulation:
     def _team_snapshot(self) -> TeamSnapshot:
         """The live team as its games see it."""
         views = {}
-        for rid in self.order:
-            r = self.robots[rid]
-            if not r.alive:
+        for r in self.team:
+            if r.des is _FAILED:
                 continue
-            nxt = self.table.next.get(rid)
-            views[rid] = RobotView(
-                id=rid,
-                pos_m=r.pos_m,
-                task=self.table.task.get(rid),
+            nxt = self.table.next.get(r.id)
+            views[r.id] = RobotView(
+                id=r.id,
+                pos_m=self._pos(r),
+                task=self.table.task.get(r.id),
                 region_unexplored=r.region_unexplored(),
                 mode=r.mode,
                 des=r.des,
@@ -739,7 +740,7 @@ class Simulation:
             kind, subject = self.queue.pop(0)
             if kind == "noidle":
                 r = self.robots[subject]
-                if not r.alive or r.des is not DesState.NG:
+                if r.des is not DesState.NG:
                     continue
                 resolved = self._resolve_noidling(r)
             else:
@@ -787,7 +788,7 @@ class Simulation:
     def _resolve_resilience(self, dead: Robot, task: int) -> bool:
         snap = self._team_snapshot()
         rows = build_team_model(snap)
-        game = build_resilience_game(dead.id, dead.pos_m, task, snap, rows)
+        game = build_resilience_game(dead.id, self._pos(dead), task, snap, rows)
         if game is None:
             return False
         for v in game.players:
@@ -808,17 +809,17 @@ class Simulation:
         """
         existing = []
         committed = set()
-        for rid in self.order:
-            claim = self.table.claim(rid, task)
-            if claim is None or not self.robots[rid].alive or rid in skip or rid in arrivals:
+        for r in self.team:
+            claim = self.table.claim(r.id, task)
+            if claim is None or r.des is _FAILED or r.id in skip or r.id in arrivals:
                 continue
-            existing.append((rid, rows[rid][task], self.robots[rid].pos_m, claim[1]))
+            existing.append((r.id, rows[r.id][task], self._pos(r), claim[1]))
             if claim[0] == "commits":
-                committed.add(rid)
+                committed.add(r.id)
         if not existing and len(arrivals) == 1:
             return {arrivals[0]: None}
-        incoming = [(v, rows[v][task], self.robots[v].pos_m) for v in arrivals]
-        placement, _out = post_game_assign(self._strips_of(task), self.grid, incoming, existing)
+        incoming = [(v, rows[v][task], self._pos(self.robots[v])) for v in arrivals]
+        placement = post_game_assign(self._strips_of(task), self.grid, incoming, existing)
         for rid, _p, _pos, old_strip in existing:
             if rid in placement and placement[rid] != old_strip:
                 if rid in committed:
@@ -925,25 +926,23 @@ class Simulation:
     def _stop_sweep(self) -> None:
         if self.grid.unexplored_total > 0:
             return
-        for rid in self.order:
-            r = self.robots[rid]
-            if r.alive and r.des is DesState.ID:
+        for r in self.team:
+            if r.des is DesState.ID:
                 self._fire(r, "e6")  # ID is entered only through _go_idle: no task, mode idle
 
     def _log_trajectories(self) -> None:
-        for rid in self.order:
-            r = self.robots[rid]
-            if not r.alive:
+        center_x, center_y = self._center_x, self._center_y
+        for r in self.team:
+            if r.des is _FAILED:
                 continue
-            self.logs.trajectories.append(
-                (self.tick, rid, r.pos_m[0], r.pos_m[1], r.cell[0], r.cell[1], r.mode)
-            )
+            x, y = r.cell
+            self.logs.trajectories.append((self.tick, r.id, center_x[x], center_y[y], x, y, r.mode))
 
     def _snapshot(self) -> None:
         self.logs.snapshots.append((self.tick, map_text(self.grid)))
 
     def _end_reason(self) -> str | None:
-        live = [self.robots[rid] for rid in self.order if self.robots[rid].alive]
+        live = [r for r in self.team if r.des is not _FAILED]
         if not live:
             return "all_failed"
         if all(r.des is DesState.SP for r in live):
@@ -954,8 +953,8 @@ class Simulation:
             return "tick_bound"
         return None
 
-    def _compute_metrics(self) -> MetricsRecord:
-        live = [self.robots[rid] for rid in self.order if self.robots[rid].alive]
+    def _compute_metrics(self, end: str) -> MetricsRecord:
+        live = [r for r in self.team if r.des is not _FAILED]
         cr = coverage_fraction(self.truth, self.visited)
         if live:
             ct = max(r.last_active for r in live) * self.params.tick_s
@@ -963,7 +962,7 @@ class Simulation:
             rr_min, rr_max = rr[0], rr[-1]
             rr_mean = sum(rr) / len(rr)
         else:
-            ct = max((r.last_active for r in self.robots.values()), default=0) * self.params.tick_s
+            ct = max((r.last_active for r in self.team), default=0) * self.params.tick_s
             rr_min = rr_mean = rr_max = None
         placed = len(self.grid.targets)
         totd: dict[int, float | None] = {}
@@ -989,7 +988,7 @@ class Simulation:
             games_resilience=sum(1 for g in games if g.kind == "resilience"),
             gp_min=min(gps) if gps else None,
             gt_min=min(gts) if gts else None,
-            end_reason=self.logs.end_reason,
+            end_reason=end,
             ticks=self.tick,
         )
 

@@ -311,6 +311,14 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         raise ScenarioError("robots: duplicate robot ids")
 
     params = _parse_params(doc.get("params"))
+    # a robot steps to a 4-neighbour, and an obstacle whose buffer holds that
+    # neighbour lies at most sqrt(5) cells away: a shorter radius lets it
+    # step onto an obstacle or its buffer before sensing it
+    if params.sense_radius_m < math.sqrt(5) * world.epsilon_m:
+        raise ScenarioError(
+            f"params.sense_radius_m: must be at least sqrt(5) x world.epsilon_m"
+            f" = {math.sqrt(5) * world.epsilon_m:.4f}, got {params.sense_radius_m!r}"
+        )
 
     failures: list[FailureSpec] = []
     for i, entry in enumerate(_as_list(doc.get("failures", []), "failures")):

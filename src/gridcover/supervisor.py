@@ -310,37 +310,30 @@ def post_game_assign(
     grid: GridMap,
     incoming: list[tuple[int, float, tuple[float, float]]],
     existing: list[tuple[int, float, tuple[float, float], int | None]],
-) -> tuple[dict[int, int], list[int]]:
+) -> dict[int, int]:
     """Allocate a task's sub-region strips among its robots.
 
-    Existing robots keep the strip containing their position (lower id wins
-    a shared strip; reservations of inbound robots hold their strip). The
-    incomplete unclaimed strips then go to incoming players in descending
-    success-probability order, each taking the strip whose centroid is
-    nearest. Players left without a strip go on standby.
+    Existing robots keep the strip containing their position, then
+    reservations of inbound robots hold their strip (lower id first in
+    each group). The incomplete unclaimed strips then go to incoming and
+    displaced robots in descending success-probability order, each taking
+    the strip whose centroid is nearest. Robots left without a strip are
+    absent from the result: the caller parks them on standby.
 
-    Returns ({robot: strip index}, standby robot ids).
+    Returns {robot: strip index}.
     """
     strip_cells = [set(cells) for cells in strips]
-    taken: dict[int, int] = {}
+    taken: set[int] = set()
     assignment: dict[int, int] = {}
     demoted: list[tuple[int, float, tuple[float, float]]] = []
-
-    positioned = [e for e in existing if e[3] is None]
-    reserved = [e for e in existing if e[3] is not None]
-    for rid, p, pos, _ in sorted(positioned, key=lambda e: e[0]):
-        cell = grid.cell_of_position(*pos)
-        idx = next((k for k, cs in enumerate(strip_cells) if cell in cs), None)
+    for rid, p, pos, idx in sorted(existing, key=lambda e: (e[3] is not None, e[0])):
+        if idx is None:
+            cell = grid.cell_of_position(*pos)
+            idx = next((k for k, cs in enumerate(strip_cells) if cell in cs), None)
         if idx is None or idx in taken:
             demoted.append((rid, p, pos))
         else:
-            taken[idx] = rid
-            assignment[rid] = idx
-    for rid, p, pos, idx in sorted(reserved, key=lambda e: e[0]):
-        if idx in taken:
-            demoted.append((rid, p, pos))
-        else:
-            taken[idx] = rid
+            taken.add(idx)
             assignment[rid] = idx
 
     free = [
@@ -348,17 +341,13 @@ def post_game_assign(
         for k, cells in enumerate(strip_cells)
         if k not in taken and any(grid.state(c) is CellState.UNEXPLORED for c in cells)
     ]
-    standby: list[int] = []
-    queue = sorted(incoming + demoted, key=lambda e: (-e[1], e[0]))
-    for rid, _, pos in queue:
+    for rid, _, pos in sorted(incoming + demoted, key=lambda e: (-e[1], e[0])):
         if not free:
-            standby.append(rid)
-            continue
+            break
         best = min(
             free,
             key=lambda k: (math.dist(pos, world_mod.centroid_m(strips[k], grid.epsilon)), k),
         )
         free.remove(best)
-        taken[best] = rid
         assignment[rid] = best
-    return assignment, standby
+    return assignment

@@ -409,8 +409,8 @@ class RangeSensor:
                 if not per_column[x]:
                     del per_column[x]
 
-    def read(self, cell: Cell) -> list[tuple[Cell, bool]]:
-        """Readings for `mark_sensed`: (obstacle cell, True) pairs."""
+    def read(self, cell: Cell) -> list[Cell]:
+        """The obstacle cells in range, for `mark_sensed`."""
         held, per_column = self.held, self.held_in_column
         if not held:
             return []
@@ -423,22 +423,20 @@ class RangeSensor:
             for dy in dys:
                 c = (x + dx, y + dy)
                 if c in held and math.dist(self.grid.cell_center(c), pos) <= self.radius:
-                    readings.append((c, True))
+                    readings.append(c)
         return readings
 
 
-def mark_sensed(grid: GridMap, readings) -> list[Change]:
-    """Apply occupancy readings: occupied cells become obstacles and their
+def mark_sensed(grid: GridMap, obstacles) -> list[Change]:
+    """Apply sensed obstacle cells: they become obstacles and their
     unexplored 8-neighborhood becomes forbidden. Idempotent; only
     unexplored cells ever change state."""
     changes: list[Change] = []
     marked: list[Cell] = []
     at = grid.at
-    for cell, occupied in readings:
+    for cell in obstacles:
         if not grid.in_bounds(cell):
             raise ValueError(f"reading outside the grid: {cell}")
-        if not occupied:
-            continue
         i = grid.idx(cell)
         if at(i) is not _UNEXPLORED:
             continue

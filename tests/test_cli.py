@@ -310,6 +310,18 @@ def test_run_refuses_a_start_beside_an_obstacle(tmp_path, capsys, strategy):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_a_sensing_radius_below_sqrt5_cells(tmp_path, capsys):
+    # 2.0 m on 1 m cells used to walk robots into obstacle buffers and
+    # raise a bare ValueError from the travel planner
+    doc = json.loads((SCENARIO.parent / "scenario1.json").read_text())
+    doc.setdefault("params", {})["sense_radius_m"] = 2.0
+    scenario = tmp_path / "short-sight.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("scenario error: params.sense_radius_m: must be at least")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

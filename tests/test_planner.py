@@ -151,10 +151,10 @@ class TestNextWaypoint:
 
     def test_center_obstacle_covers_eight(self):
         grid = make_world(width=3, height=3, obstacles=[[1, 1]])
-        mark_sensed(grid, [((1, 1), True)])
+        mark_sensed(grid, [(1, 1)])
         # buffer swallows the whole 3x3 except... everything is adjacent; use 5x5
         grid = make_world(width=5, height=5, obstacles=[[2, 2]])
-        mark_sensed(grid, [((2, 2), True)])
+        mark_sensed(grid, [(2, 2)])
         region = [(x, y) for x in range(5) for y in range(5)]
         reachable = sum(
             1 for c in region if grid.state(c) is CellState.UNEXPLORED
@@ -165,7 +165,7 @@ class TestNextWaypoint:
 
     def test_progress_strictly_decreases_unexplored(self):
         grid = make_world(width=6, height=4, obstacles=[[3, 1]])
-        mark_sensed(grid, [((3, 1), True)])
+        mark_sensed(grid, [(3, 1)])
         region = [(x, y) for x in range(6) for y in range(4)]
         state = make_planner(region, (0, 0))
         pose = (0, 0)
@@ -184,7 +184,7 @@ class TestNextWaypoint:
 
     def test_no_double_covering(self):
         grid = make_world(width=7, height=7, obstacles=[[3, 0], [3, 1], [3, 2], [3, 3]])
-        mark_sensed(grid, [((3, y), True) for y in range(4)])
+        mark_sensed(grid, [(3, y) for y in range(4)])
         region = [(x, y) for x in range(7) for y in range(7)]
         free = sum(1 for c in region if grid.state(c) is CellState.UNEXPLORED)
         _, covered, _ = sweep_region(grid, region, (0, 0))
@@ -194,7 +194,7 @@ class TestNextWaypoint:
         # a known box around (5,5): the unexplored inside is unreachable
         grid = make_world(width=9, height=9)
         box = [(x, y) for x in range(3, 8) for y in range(3, 8) if x in (3, 7) or y in (3, 7)]
-        mark_sensed(grid, [(c, True) for c in box])
+        mark_sensed(grid, box)
         region = [(5, 5), (0, 0)]
         state = make_planner(region, (0, 0))
         wp = next_waypoint(grid, state, (0, 0))
@@ -267,7 +267,7 @@ class TestPlanTravel:
 
     def test_blocked_start_rejected(self):
         grid = make_world()
-        mark_sensed(grid, [((2, 2), True)])
+        mark_sensed(grid, [(2, 2)])
         with pytest.raises(ValueError):
             plan_travel_to_any(grid, (2, 2), {(0, 0)})
 
@@ -390,7 +390,7 @@ def belief_cases(draw):
     for op, who, cell in draw(st.lists(ops, max_size=20)):
         target = grid if who is None else views[who]
         if op == "sense":
-            mark_sensed(target, [(cell, True)])
+            mark_sensed(target, [cell])
         elif op == "cover":
             if target.state(cell) is CellState.UNEXPLORED:
                 if who is None:

@@ -118,6 +118,11 @@ REJECTIONS = {
         set_key(["world", "targets"], {"mode": "sampled", "lambda": [0.5, 700.5]}),
         "world.targets.lambda: values must be at most 700",
     ),
+    # a shorter radius lets a robot step onto an obstacle's buffer unsensed
+    "sense_radius_m below sqrt(5) cells": (
+        set_key(["params"], {"sense_radius_m": 2.236}),
+        "params.sense_radius_m: must be at least sqrt(5) x world.epsilon_m = 2.2361, got 2.236",
+    ),
     "fractional kappa1": (
         set_key(["params"], {"kappa1": 2.5}),
         "params.kappa1: expected a positive integer, got 2.5",
@@ -139,6 +144,8 @@ class TestRejections:
         params = parse_scenario(doc).params
         assert (params.eta, params.heartbeat_s, params.t0_s) == (199.0, 14.0, Params().t0_s)
         assert parse_scenario(edited(set_key(["strategy"], "FR"))).strategy == "FR"
+        sensing = parse_scenario(edited(set_key(["params"], {"sense_radius_m": 2.2361})))
+        assert sensing.params.sense_radius_m == 2.2361
         whole = parse_scenario(edited(set_key(["params"], {"L": 10.0, "tau": 1}))).params
         assert (type(whole.L), whole.L, type(whole.tau)) == (int, 10, float)
         for lam, want in ((700, (700.0, 700.0)), ([700, 0.5], (700.0, 0.5))):

@@ -470,21 +470,17 @@ class TestPostGameAssign:
     def test_existing_keeps_position_strip_incoming_takes_nearest(self):
         grid, strips = self.strips_grid()
         # existing robot sits in strip 0 (top rows)
-        assignment, standby = post_game_assign(
+        assignment = post_game_assign(
             strips,
             grid,
             incoming=[(9, 0.9, (5.0, 48.0))],
             existing=[(1, 0.8, (5.0, 2.0), None)],
         )
-        assert assignment[1] == 0
-        assert assignment[9] == 3  # nearest free strip to the bottom
-        assert standby == []
+        assert assignment == {1: 0, 9: 3}  # 9 takes the nearest free strip to the bottom
 
     def test_lone_incoming_takes_nearest_strip(self):
         grid, strips = self.strips_grid()
-        assignment, standby = post_game_assign(strips, grid, [(5, 0.5, (0.0, 0.0))], [])
-        assert assignment[5] == 0
-        assert standby == []
+        assert post_game_assign(strips, grid, [(5, 0.5, (0.0, 0.0))], []) == {5: 0}
 
     def test_rank_by_probability_then_id(self):
         grid, strips = self.strips_grid()
@@ -492,18 +488,17 @@ class TestPostGameAssign:
         for s in strips[1:]:
             for cell in s:
                 mark_covered(grid, cell)
-        assignment, standby = post_game_assign(
+        assignment = post_game_assign(
             strips,
             grid,
             incoming=[(4, 0.3, (5.0, 2.0)), (2, 0.9, (5.0, 40.0))],
             existing=[],
         )
-        assert assignment == {2: 0}  # higher probability wins the slot
-        assert standby == [4]
+        assert assignment == {2: 0}  # higher probability wins the slot; 4 is left out
 
     def test_shared_strip_conflict_lower_id_keeps(self):
         grid, strips = self.strips_grid()
-        assignment, _ = post_game_assign(
+        assignment = post_game_assign(
             strips,
             grid,
             incoming=[],
@@ -514,7 +509,7 @@ class TestPostGameAssign:
 
     def test_reservation_holds_strip(self):
         grid, strips = self.strips_grid()
-        assignment, _ = post_game_assign(
+        assignment = post_game_assign(
             strips,
             grid,
             incoming=[(8, 0.99, (5.0, 1.0))],
@@ -522,3 +517,16 @@ class TestPostGameAssign:
         )
         assert assignment[2] == 1
         assert assignment[8] == 0
+
+    def test_a_positioned_robot_claims_before_a_reservation_whatever_the_ids(self):
+        grid, strips = self.strips_grid()
+        # robot 5 stands in strip 1, which robot 2 has reserved: 2 is
+        # displaced and ranks after incoming 9 by success probability
+        assignment = post_game_assign(
+            strips,
+            grid,
+            incoming=[(9, 0.9, (5.0, 1.0))],
+            existing=[(5, 0.5, (5.0, 10.0), None), (2, 0.4, (45.0, 45.0), 1)],
+        )
+        assert assignment == {5: 1, 9: 0, 2: 3}
+        assert list(assignment) == [5, 9, 2]

@@ -91,7 +91,7 @@ class TestBuildWorld:
 class TestMarkSensed:
     def test_obstacle_and_buffer(self):
         grid = make_world()
-        changes = mark_sensed(grid, [((5, 5), True)])
+        changes = mark_sensed(grid, [(5, 5)])
         assert grid.state((5, 5)) is CellState.OBSTACLE
         neighbors = [
             (x, y) for x in (4, 5, 6) for y in (4, 5, 6) if (x, y) != (5, 5)
@@ -102,7 +102,7 @@ class TestMarkSensed:
 
     def test_corner_obstacle_clips_neighborhood(self):
         grid = make_world()
-        changes = mark_sensed(grid, [((0, 0), True)])
+        changes = mark_sensed(grid, [(0, 0)])
         states = {c.cell: c.new for c in changes}
         assert states[(0, 0)] is CellState.OBSTACLE
         assert set(states) == {(0, 0), (1, 0), (0, 1), (1, 1)}
@@ -110,24 +110,20 @@ class TestMarkSensed:
     def test_explored_cell_unaffected(self):
         grid = make_world()
         mark_covered(grid, (5, 5))
-        changes = mark_sensed(grid, [((5, 6), True)])
+        changes = mark_sensed(grid, [(5, 6)])
         assert grid.state((5, 5)) is CellState.EXPLORED
         assert (5, 5) not in {c.cell for c in changes}
 
     def test_idempotent(self):
         grid = make_world()
-        first = mark_sensed(grid, [((5, 5), True)])
-        second = mark_sensed(grid, [((5, 5), True)])
+        first = mark_sensed(grid, [(5, 5)])
+        second = mark_sensed(grid, [(5, 5)])
         assert first and not second
-
-    def test_free_reading_no_change(self):
-        grid = make_world()
-        assert mark_sensed(grid, [((5, 5), False)]) == []
 
     def test_out_of_grid_rejected(self):
         grid = make_world()
         with pytest.raises(ValueError):
-            mark_sensed(grid, [((99, 0), True)])
+            mark_sensed(grid, [(99, 0)])
 
 
 class TestMarkCovered:
@@ -152,7 +148,7 @@ class TestMarkCovered:
 
     def test_covering_blocked_cell_raises(self):
         grid = make_world()
-        mark_sensed(grid, [((5, 5), True)])
+        mark_sensed(grid, [(5, 5)])
         with pytest.raises(ValueError):
             mark_covered(grid, (5, 5))
         with pytest.raises(ValueError):
@@ -256,7 +252,7 @@ class TestMergeMaps:
         own = []
         for cell, occupied in data.draw(st.lists(st.tuples(st.sampled_from(self.CELLS), st.booleans()))):
             if occupied:
-                own += mark_sensed(grid, [(cell, True)])
+                own += mark_sensed(grid, [cell])
             elif grid.state(cell) in (CellState.UNEXPLORED, CellState.EXPLORED):
                 change, _found = mark_covered(grid, cell)
                 own += [change] if change else []
@@ -321,7 +317,7 @@ class TestCoverageAccounting:
         ]
         grid = make_world(width=50, height=50, tasks=tasks)
         # discover a 3x4 obstacle block inside task 1: 12 obstacle + 18 buffer = 30
-        mark_sensed(grid, [((x, y), True) for x in range(2, 5) for y in range(2, 6)])
+        mark_sensed(grid, [(x, y) for x in range(2, 5) for y in range(2, 6)])
         blocked = 250 - grid.tasks[1].n_unexplored
         assert blocked == 12 + 18
         covered = 0
@@ -336,7 +332,7 @@ class TestCoverageAccounting:
     def test_total_unexplored_matches_sum(self):
         tasks = [{"x": 0, "y": 0, "w": 5, "h": 10}, {"x": 5, "y": 0, "w": 5, "h": 10}]
         grid = make_world(tasks=tasks, obstacles=[[2, 2]])
-        mark_sensed(grid, [((2, 2), True)])
+        mark_sensed(grid, [(2, 2)])
         mark_covered(grid, (0, 0))
         total = sum(t.n_unexplored for t in grid.tasks.values())
         assert total == grid.unexplored_total == 100 - 9 - 1
@@ -354,7 +350,7 @@ class TestWatchedRegion:
         view = beliefs.view(1)
         view.watch([(x, y) for x in range(4) for y in range(4)])
         assert view.watched_unexplored == 16
-        readings = [((2, 2), True)]  # obstacle plus 8 buffer cells, all watched
+        readings = [(2, 2)]  # obstacle plus 8 buffer cells, all watched
         mark_sensed(view, readings)
         mark_sensed(grid, readings)  # the team map takes each write as the view does
         assert view.watched_unexplored == 16 - 9
@@ -409,11 +405,11 @@ class TestWatchedRegion:
         grid = make_world(tasks=[{"x": 0, "y": 0, "w": 5, "h": 10}, {"x": 5, "y": 0, "w": 5, "h": 10}])
         beliefs = Beliefs(grid)
         view = beliefs.view(1)
-        mark_sensed(view, [((5, 5), True)])
+        mark_sensed(view, [(5, 5)])
         view.explore((0, 0))
         assert [t.n_unexplored for t in grid.tasks.values()] == [50, 50]
         assert grid.unexplored_total == 100
-        mark_sensed(grid, [((5, 5), True)])  # 3 cells in the left task, 6 in the right one
+        mark_sensed(grid, [(5, 5)])  # 3 cells in the left task, 6 in the right one
         mark_covered(grid, (0, 0))
         mark_covered(grid, (9, 0))
         beliefs.sync()
@@ -424,7 +420,7 @@ class TestWatchedRegion:
     def test_mark_sensed_on_a_belief_keeps_its_watched_count(self):
         view = Beliefs(make_world()).view(1)
         view.watch([(x, y) for x in range(4) for y in range(4)])
-        mark_sensed(view, [((3, 3), True)])  # the obstacle and 3 of its 8 buffer cells are watched
+        mark_sensed(view, [(3, 3)])  # the obstacle and 3 of its 8 buffer cells are watched
         assert view.watched_unexplored == 16 - 4 == self.fresh_count(view)
         assert view.cells.count(CellState.UNEXPLORED) == 100 - 9
 
@@ -434,11 +430,11 @@ class TestBlockedCount:
 
     def test_counts_sensed_obstacles_and_buffers(self):
         grid = make_world(obstacles=[[2, 2], [0, 9]])
-        mark_sensed(grid, [((2, 2), True)])  # the obstacle and its 8 buffer cells
+        mark_sensed(grid, [(2, 2)])  # the obstacle and its 8 buffer cells
         assert grid.n_blocked == 9
-        mark_sensed(grid, [((2, 2), True), ((3, 3), False)])  # nothing new
+        mark_sensed(grid, [(2, 2)])  # nothing new
         assert grid.n_blocked == 9
-        mark_sensed(grid, [((0, 9), True)])  # a corner: 3 buffer cells
+        mark_sensed(grid, [(0, 9)])  # a corner: 3 buffer cells
         assert grid.n_blocked == 9 + 4
 
     def test_counts_merge_upgrades(self):
@@ -467,9 +463,9 @@ class TestBlockedCount:
         grid = make_world(obstacles=[[5, 5]])
         beliefs = Beliefs(grid)
         view = beliefs.view(1)
-        mark_sensed(view, [((5, 5), True)])
+        mark_sensed(view, [(5, 5)])
         assert (view.n_blocked, grid.n_blocked) == (9, 0)
-        mark_sensed(grid, [((5, 5), True)])
+        mark_sensed(grid, [(5, 5)])
         assert (view.n_blocked, grid.n_blocked) == (9, 9)
         beliefs.sync()  # the view's count takes the team map's, as of the sync
         assert (view.n_blocked, grid.n_blocked) == (9 + 9, 9)
@@ -525,7 +521,7 @@ class TestBeliefViews:
             elif j not in live:
                 continue  # a failed robot neither senses, covers nor watches
             elif kind == "sense":
-                readings = [(c, True) for c in op[2]]
+                readings = op[2]
                 changes = mark_sensed(views[j], readings)
                 assert changes == mark_sensed(refs[j], readings)
                 mark_sensed(grid, readings)
@@ -564,7 +560,7 @@ class TestBeliefViews:
         first, second = beliefs.view(1), beliefs.view(2)
         mark_covered(grid, (1, 1))
         first.explore((1, 1))
-        readings = [((2, 2), True)]
+        readings = [(2, 2)]
         mark_sensed(second, readings)
         mark_sensed(grid, readings)
         assert second.state((1, 1)) is CellState.FORBIDDEN
@@ -584,7 +580,7 @@ class TestBeliefViews:
         first, second = beliefs.view(1), beliefs.view(2)
         mark_covered(grid, (0, 0))
         first.explore((0, 0))
-        readings = [((0, 0), True)]
+        readings = [(0, 0)]
         mark_sensed(second, readings)
         assert mark_sensed(grid, readings) == []
         second.watch([(0, 0), (0, 1)])
@@ -598,7 +594,7 @@ class TestRangeSensor:
     def brute_force(self, grid, cell, radius_m):
         pos = grid.cell_center(cell)
         return [
-            (c, True)
+            c
             for c in sorted(grid.ground_truth.obstacles)
             if math.dist(grid.cell_center(c), pos) <= radius_m + 1e-9
         ]
@@ -623,7 +619,7 @@ class TestRangeSensor:
         grid = make_world(width=width, height=height, obstacles=[[3, 1]])
         sensor = RangeSensor(grid, 1e12)
         assert sum(len(dys) for _dx, dys in sensor.columns) <= (2 * width + 1) * (2 * height + 1)
-        assert sensor.read((width - 1, height - 1)) == [((3, 1), True)]
+        assert sensor.read((width - 1, height - 1)) == [(3, 1)]
 
     def sensing_world(self, obstacles):
         grid = make_world(obstacles=obstacles)
@@ -643,7 +639,7 @@ class TestRangeSensor:
         grid, beliefs, sensor = self.sensing_world([[5, 5]])
         sensing, other = beliefs.view(1), beliefs.view(2)
         readings = sensor.read((4, 5))
-        assert readings == [((5, 5), True)]
+        assert readings == [(5, 5)]
         self.sense(sensing, grid, readings)
         # the other robot's belief still lacks the obstacle
         assert other.state((5, 5)) is CellState.UNEXPLORED
@@ -659,7 +655,7 @@ class TestRangeSensor:
         self.sense(view, grid, sensor.read((2, 1)))
         self.sync(grid, beliefs, sensor)
         assert sensor.held == {(8, 8)} and sensor.held_in_column == {8: 1}
-        assert sensor.read((7, 8)) == [((8, 8), True)]
+        assert sensor.read((7, 8)) == [(8, 8)]
 
     def test_an_obstacle_first_written_forbidden_is_dropped_at_the_sync(self):
         # (5, 4) is buffered as (4, 4)'s neighbour before it is read itself.
@@ -671,7 +667,7 @@ class TestRangeSensor:
         view = beliefs.view(1)
         self.sense(view, grid, sensor.read((3, 4)))
         assert grid.state((5, 4)) is CellState.FORBIDDEN
-        assert sensor.read((6, 4)) == [((5, 4), True)]
+        assert sensor.read((6, 4)) == [(5, 4)]
         self.sync(grid, beliefs, sensor)
         assert sensor.held == set()
         assert sensor.read((6, 4)) == []
