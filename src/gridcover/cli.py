@@ -108,12 +108,13 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
         (out_dir / f"map_tick_{tick:06d}.txt").write_text(snap)
 
     failure_marks = []
-    last_cell: dict[int, tuple[int, int]] = {}
+    # a robot that fails before its first trajectory row never left its start
+    last_cell = {spec.id: spec.start for spec in result.config.robots}
     for tick, rid, _x, _y, cx, cy, _mode in logs.trajectories:
         last_cell[rid] = (cx, cy)
     for ev in logs.events:
         if ev.event == "e7":
-            failure_marks.append((ev.robot, last_cell.get(ev.robot, (0, 0))))
+            failure_marks.append((ev.robot, last_cell[ev.robot]))
     svg = render_svg(result.grid, logs.trajectories, failure_marks)
     (out_dir / "trajectories.svg").write_text(svg)
 

@@ -6,7 +6,9 @@ resolution (at most one game per tick, FIFO). Runs are bit-reproducible for a
 fixed (scenario, seed).
 
 A robot's liveness is its supervisor's state: it has failed once `e7` has
-taken it to FL, and no event leaves FL. Its position is its cell's center;
+taken it to FL, and no event leaves FL. `_fire`, the only writer of that
+state, keeps the counts of FL, SP and ID robots that `_end_reason` reads, so
+no tick rescans the team. A robot's position is its cell's center;
 localization noise moves only the cell it covers, not the robot.
 
 Failure confirmation is a heartbeat timeout. Live robots start together and
@@ -114,6 +116,9 @@ log = logging.getLogger("gridcover.engine")
 _UNEXPLORED = CellState.UNEXPLORED
 _BLOCKED = CellState.FORBIDDEN
 _FAILED = DesState.FL
+_STOPPED = DesState.SP
+_IDLE = DesState.ID
+_WORKING = DesState.WK
 
 
 class LivenessError(RuntimeError):
@@ -329,6 +334,7 @@ class Simulation:
                 belief=self.beliefs.view(spec.id),
             )
         self.team = [self.robots[rid] for rid in sorted(self.robots)]
+        self._n_failed = self._n_sp = self._n_idle = 0  # robots in FL, SP and ID, kept by `_fire`
         # cell-center coordinates, one float object each for every trajectory row
         eps = self.grid.epsilon
         self._center_x = [(x + 0.5) * eps for x in range(self.grid.width)]
@@ -404,35 +410,38 @@ class Simulation:
         return self.grid.cell_center(r.cell)
 
     def _fire(self, r: Robot, event: str, payload: tuple = ()) -> None:
+        """The only writer of `r.des`, and of the FL, SP and ID counts."""
         before = r.des
-        r.des = step(before, event)
+        r.des = after = step(before, event)
+        self._n_failed += (after is _FAILED) - (before is _FAILED)
+        self._n_sp += (after is _STOPPED) - (before is _STOPPED)
+        self._n_idle += (after is _IDLE) - (before is _IDLE)
         self.logs.events.append(
-            EventRecord(tick=self.tick, robot=r.id, event=event, before=before, after=r.des, payload=payload)
+            EventRecord(tick=self.tick, robot=r.id, event=event, before=before, after=after, payload=payload)
         )
-
-    def _log_changes(self, r: Robot, changes: list[Change]) -> None:
-        for ch in changes:
-            self.logs.changes.append((self.tick, r.id, ch))
 
     def _sense(self, r: Robot, cell: Cell) -> None:
         obstacles = self._sensor.read(cell)
         if not obstacles:
             return
         mark_sensed(r.belief, obstacles)
-        self._log_changes(r, mark_sensed(self.grid, obstacles))
+        self.logs.changes.extend((self.tick, r.id, ch) for ch in mark_sensed(self.grid, obstacles))
 
     def _cover_attempt(self, r: Robot, true_cell: Cell) -> None:
         self.visited.add(true_cell)
-        pos = self.grid.cell_center(true_cell)
-        noisy = apply_localization_noise(pos, self.params.noise_sigma_m, self.rng_noise)
-        mcell = self.grid.cell_of_position(*noisy)
-        if not self.grid.in_bounds(mcell):
+        grid, sigma = self.grid, self.params.noise_sigma_m
+        # without noise the measured cell is the true one, and nothing is drawn
+        mcell = true_cell
+        if sigma > 0.0:
+            noisy = apply_localization_noise(grid.cell_center(true_cell), sigma, self.rng_noise)
+            mcell = grid.cell_of_position(*noisy)
+            if not grid.in_bounds(mcell):
+                return
+        if grid.state(mcell) >= _BLOCKED:
             return
-        if self.grid.state(mcell) >= _BLOCKED:
-            return
-        change, found = mark_covered(self.grid, mcell)
+        change, found = mark_covered(grid, mcell)
         if change is not None:
-            self._log_changes(r, [change])
+            self.logs.changes.append((self.tick, r.id, change))
         if found:
             self.found_total += found
             self.logs.discoveries.append((self.tick, self.found_total))
@@ -442,10 +451,10 @@ class Simulation:
         """Point a robot at a task (whole) or one strip of it and get it going."""
         self.table.assign(r.id, task_id, strip_idx)
         if strip_idx is None:
-            r.belief.watch(self.grid.tasks[task_id].cells)
+            unexplored = r.belief.watch(self.grid.tasks[task_id].cells)
         else:
-            r.belief.watch(self._strips_of(task_id)[strip_idx])
-        self._dispatch(r)
+            unexplored = r.belief.watch(self._strips_of(task_id)[strip_idx])
+        self._dispatch(r, unexplored)
 
     def _free_strip(self, r: Robot, task: int) -> int | None:
         """Nearest strip of the task that nobody holds and that the robot's
@@ -468,13 +477,15 @@ class Simulation:
         r.belief.watch(())
         r.mode = "idle"
 
-    def _dispatch(self, r: Robot) -> None:
-        """Route a robot toward the unexplored part of its region."""
+    def _dispatch(self, r: Robot, targets: list[Cell] | None = None) -> None:
+        """Route a robot toward its region's unexplored cells (`targets`, if just counted)."""
         for _ in range(2):
-            targets = {c for c in r.region if r.belief.state(c) is _UNEXPLORED}
+            if targets is None:
+                targets = [c for c in r.region if r.belief.state(c) is _UNEXPLORED]
             found = plan_travel_to_any(r.belief, r.cell, targets) if targets else ([], None)
             if found is None:
                 self._resolve_pocket(r, targets)
+                targets = None
                 continue
             path, _goal = found
             if not path:
@@ -490,14 +501,14 @@ class Simulation:
             return
         raise LivenessError(f"robot {r.id} cannot reach or resolve region cells")
 
-    def _resolve_pocket(self, r: Robot, cells: set[Cell]) -> None:
+    def _resolve_pocket(self, r: Robot, cells) -> None:
         """Mark a belief-enclosed unknown pocket from ground truth.
 
         Reachability is blocked only by known obstacle/forbidden cells, so
         with connected free space an enclosed pocket cannot contain
         coverable cells; anything else is a scenario-contract violation.
         """
-        stuck = sorted(cells & self.truth.free_space)
+        stuck = sorted(self.truth.free_space.intersection(cells))
         if stuck:
             raise LivenessError(
                 f"coverable cells walled off (disconnected free space?): {stuck[:5]}"
@@ -514,7 +525,7 @@ class Simulation:
                         obstacles.add(nb)
         found = sorted(obstacles)
         mark_sensed(r.belief, found)
-        self._log_changes(r, mark_sensed(self.grid, found))
+        self.logs.changes.extend((self.tick, r.id, ch) for ch in mark_sensed(self.grid, found))
         leftover = [c for c in sorted(cells) if r.belief.state(c) is _UNEXPLORED]
         if leftover:
             raise LivenessError(f"pocket resolution left unexplored cells: {leftover[:5]}")
@@ -533,7 +544,7 @@ class Simulation:
             self._apply_scheduled_failures()
             self._detection_pass()
             for r in self.team:
-                if r.des is DesState.WK:
+                if r.des is _WORKING:
                     self._advance(r)
             self._resolve_one_game()
             self._stop_sweep()
@@ -572,7 +583,7 @@ class Simulation:
             spec = self.failures[self._failure_i]
             self._failure_i += 1
             r = self.robots[spec.robot]
-            if r.des in (_FAILED, DesState.SP):
+            if r.des in (_FAILED, _STOPPED):
                 log.warning("failure of robot %d at t=%.0f ignored (state %s)", r.id, spec.time_s, r.des.value)
                 continue
             self._fire(r, "e7")
@@ -588,7 +599,7 @@ class Simulation:
         if a live robot is left to hear the silence."""
         if not self._silent_since:
             return
-        live = sum(1 for r in self.team if r.des is not _FAILED)
+        live = len(self.team) - self._n_failed
         if not live:
             return
         heard = min(self.params.kappa2, live)
@@ -624,7 +635,7 @@ class Simulation:
     def _reactivate_standbys(self, task: int) -> None:
         for rid in list(self.table.standby.get(task, ())):
             r = self.robots[rid]
-            if r.des is not DesState.ID:
+            if r.des is not _IDLE:
                 continue
             best = self._free_strip(r, task)
             if best is None:
@@ -927,7 +938,7 @@ class Simulation:
         if self.grid.unexplored_total > 0:
             return
         for r in self.team:
-            if r.des is DesState.ID:
+            if r.des is _IDLE:
                 self._fire(r, "e6")  # ID is entered only through _go_idle: no task, mode idle
 
     def _log_trajectories(self) -> None:
@@ -942,12 +953,12 @@ class Simulation:
         self.logs.snapshots.append((self.tick, map_text(self.grid)))
 
     def _end_reason(self) -> str | None:
-        live = [r for r in self.team if r.des is not _FAILED]
+        live = len(self.team) - self._n_failed
         if not live:
             return "all_failed"
-        if all(r.des is DesState.SP for r in live):
+        if self._n_sp == live:
             return "complete"
-        if all(r.des is DesState.ID for r in live) and not self.queue:
+        if self._n_idle == live and not self.queue:
             return "stalled" if self.strategy == "CARE" else "quiesced"
         if self.tick >= self.tick_bound:
             return "tick_bound"

@@ -5,8 +5,9 @@ current column, direction alternating with column parity; whenever the sweep
 continuation is blocked or already explored, fall back to the nearest
 unexplored region cell by breadth-first distance (unknown cells count as
 traversable) and walk the detour path one cell per call. That search stays
-a loop over cell tuples: its detours are a few cells long, so building the
-whole grid's bit masks on each call would cost more than it saves.
+a loop, over flat indices y*w + x read through `grid.at`: its detours are a
+few cells long, so building the whole grid's bit masks on each call would
+cost more than it saves.
 
 Travel between regions is a shortest 4-connected path over cells not
 currently known to be blocked. Its ties break by a fixed contract, and the
@@ -70,35 +71,42 @@ def make_planner(region, pose: Cell) -> PlannerState:
     return PlannerState(region=cells, lane_origin=min(c[0] for c in cells), base_dir=base_dir)
 
 
-def _traversable(grid: GridMap, cell: Cell) -> bool:
-    return grid.state(cell) < _BLOCKED
-
-
 def _nearest_unexplored_path(grid: GridMap, pose: Cell, region: frozenset[Cell]) -> list[Cell] | None:
     """BFS to the closest unexplored region cell; equidistant candidates
-    resolve to the lowest cell index. Path excludes the pose."""
-    parent: dict[Cell, Cell | None] = {pose: None}
-    frontier = [pose]
+    resolve to the lowest cell index, the first hit of a frontier sorted by
+    index. Path excludes the pose."""
+    w, h, at = grid.width, grid.height, grid.at
+    right, bottom = w - 1, h - 1
+    start = pose[1] * w + pose[0]
+    parent: dict[int, int] = {start: start}
+    frontier = [start]
     while frontier:
-        hits = [c for c in frontier if c in region and grid.state(c) is _UNEXPLORED]
-        if hits:
-            goal = min(hits, key=grid.idx)
-            path = []
-            node: Cell | None = goal
-            while node is not None and node != pose:
-                path.append(node)
-                node = parent[node]
-            path.reverse()
-            return path
+        for i in frontier:
+            y, x = divmod(i, w)
+            if (x, y) in region and at(i) is _UNEXPLORED:
+                path = []
+                while i != start:
+                    y, x = divmod(i, w)
+                    path.append((x, y))
+                    i = parent[i]
+                path.reverse()
+                return path
         nxt = []
-        for cell in frontier:
-            x, y = cell
-            for nb in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
-                if nb in parent or not grid.in_bounds(nb) or not _traversable(grid, nb):
-                    continue
-                parent[nb] = cell
-                nxt.append(nb)
-        nxt.sort(key=grid.idx)
+        for i in frontier:
+            y, x = divmod(i, w)
+            if y and (j := i - w) not in parent and at(j) < _BLOCKED:
+                parent[j] = i
+                nxt.append(j)
+            if x and (j := i - 1) not in parent and at(j) < _BLOCKED:
+                parent[j] = i
+                nxt.append(j)
+            if x < right and (j := i + 1) not in parent and at(j) < _BLOCKED:
+                parent[j] = i
+                nxt.append(j)
+            if y < bottom and (j := i + w) not in parent and at(j) < _BLOCKED:
+                parent[j] = i
+                nxt.append(j)
+        nxt.sort()
         frontier = nxt
     return None
 
@@ -115,7 +123,7 @@ def next_waypoint(grid: GridMap, state: PlannerState, pose: Cell):
 
     if state.pending:
         goal = state.pending[-1]
-        if grid.state(goal) is _UNEXPLORED and all(_traversable(grid, c) for c in state.pending):
+        if grid.state(goal) is _UNEXPLORED and all(grid.state(c) < _BLOCKED for c in state.pending):
             return state.pending.pop(0)
         state.pending.clear()
 
@@ -162,9 +170,9 @@ def plan_travel_to_any(grid: GridMap, start: Cell, goals) -> tuple[list[Cell], C
     goals = set(goals)
     if not goals:
         return None
-    w, h, cells = grid.width, grid.height, grid.cells
+    w, h = grid.width, grid.height
     sx, sy = start
-    if cells[sy * w + sx] >= _BLOCKED:
+    if grid.at(sy * w + sx) >= _BLOCKED:
         raise ValueError(f"travel start {start} is a blocked cell")
     if start in goals:
         return [], start
@@ -175,10 +183,12 @@ def plan_travel_to_any(grid: GridMap, start: Cell, goals) -> tuple[list[Cell], C
     if not goal_bits:
         return None
     off_first, off_last = _column_masks(w, h)
-    # the free cells, bit i from cells[i]: the digit string is reversed
-    # because int() reads the highest bit first
+    # the free cells, bit i from cell i's state: the digit string is
+    # reversed because int() reads the highest bit first
     start_bit = 1 << (sy * w + sx)
-    open_ = int(bytearray(cells)[::-1].translate(_FREE_DIGIT), 2) ^ start_bit
+    states = grid.state_bytes()
+    states.reverse()
+    open_ = int(states.translate(_FREE_DIGIT), 2) ^ start_bit
     layers = []  # the layers between the start and the goal
     layer = start_bit
     while True:

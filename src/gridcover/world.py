@@ -39,6 +39,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 from .models import remaining_worth
 from .scenario import Rect, WorldSpec
@@ -64,8 +65,7 @@ _OBSTACLE = CellState.OBSTACLE
 _BLOCKED = _FORBIDDEN  # states from this one up block travel
 
 
-@dataclass(frozen=True)
-class Change:
+class Change(NamedTuple):
     cell: Cell
     old: CellState
     new: CellState
@@ -125,6 +125,10 @@ class GridMap:
     def at(self, i: int) -> CellState:
         return self.cells[i]
 
+    def state_bytes(self) -> bytearray:
+        """A new bytearray of the cell states, for the travel planner."""
+        return bytearray(self.cells)
+
     def cell_center(self, cell: Cell) -> tuple[float, float]:
         return ((cell[0] + 0.5) * self.epsilon, (cell[1] + 0.5) * self.epsilon)
 
@@ -154,8 +158,8 @@ class BeliefView:
     is the team map's cells (`base`) under its `since_sync` (`since`).
 
     It reads like a `GridMap` (`state`, `at`, `idx`, `in_bounds`, `width`,
-    `height`, `n_blocked`), but `cells` builds a new list. Its writes
-    (`mark_sensed`, `explore`) go to `own` and only ever replace an
+    `height`, `n_blocked`, `state_bytes`), but `cells` builds a new list. Its
+    writes (`mark_sensed`, `explore`) go to `own` and only ever replace an
     UNEXPLORED cell, so a cell's state is its own write if it has one, else
     the synced one. Made by `Beliefs.view`.
     """
@@ -210,20 +214,30 @@ class BeliefView:
                 cells[i] = state
         return cells
 
+    def state_bytes(self) -> bytearray:
+        """A new bytearray of the view's cell states, built without `cells`'s list."""
+        states = bytearray(self.base)
+        for layer in (self.since, self.own):
+            for i, state in layer.items():
+                states[i] = state
+        return states
+
     @property
     def n_blocked(self) -> int:
         """Moves whenever a blocked cell lands in the view, and also when a
         sync brings one the view already held."""
         return self.synced_blocked + self.own_blocked
 
-    def watch(self, region) -> None:
-        """Watch a new region (empty for none) and count its unexplored cells."""
+    def watch(self, region) -> list[Cell]:
+        """Watch a new region (empty for none); count and return its unexplored cells."""
         self._leave_index()
         self.watched = frozenset(region)
         watchers, width, me = self.watchers, self.width, (self.rid,)
         for x, y in self.watched:
             watchers[y * width + x] += me  # a cell's first watcher shares `me`
-        self.watched_unexplored = sum(1 for c in self.watched if self.state(c) is _UNEXPLORED)
+        unexplored = [c for c in self.watched if self.state(c) is _UNEXPLORED]
+        self.watched_unexplored = len(unexplored)
+        return unexplored
 
     def explore(self, cell: Cell) -> None:
         """Mark the cell explored if the view holds it unexplored."""
@@ -241,10 +255,11 @@ class BeliefView:
             self.watched_unexplored -= 1
 
     def _leave_index(self) -> None:
-        watchers, width, rid = self.watchers, self.width, self.rid
+        watchers, width, rid, me = self.watchers, self.width, self.rid, (self.rid,)
         for x, y in self.watched:
             i = y * width + x
-            watchers[i] = tuple(v for v in watchers[i] if v != rid)
+            held = watchers[i]
+            watchers[i] = () if held == me else tuple(v for v in held if v != rid)
 
 
 def neighbors8(cell: Cell, width: int, height: int) -> list[Cell]:

@@ -6,11 +6,12 @@ import dataclasses
 import json
 import math
 import statistics
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from gridcover import cli, load_scenario, run
+from gridcover import cli, load_scenario, parse_scenario, run
 from gridcover.cli import write_run_outputs
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios" / "scenario2.json"
@@ -131,6 +132,19 @@ def test_detector_csv_has_one_row_per_confirmed_failure(written):
     assert header == ["tick", "robot", "heard_by"]
     assert len(result.logs.detector) == 2
     assert rows == [[str(tick), str(robot), str(heard)] for tick, robot, heard, _ in result.logs.detector]
+
+
+def test_a_robot_failing_before_its_first_row_is_crossed_at_its_start(tmp_path):
+    doc = json.loads(SCENARIO.read_text())
+    doc.update(seed=1, failures=[{"robot": 3, "time_s": 0.5}])
+    result = run(parse_scenario(doc))
+    assert not [row for row in result.logs.trajectories if row[1] == 3]  # failed at tick 1, before any row
+    write_run_outputs(result, tmp_path)
+    root = ET.fromstring((tmp_path / "trajectories.svg").read_text())
+    (cross,) = root.iter("{http://www.w3.org/2000/svg}g")
+    first = next(iter(cross))
+    # 12 svg pixels per cell: the cross is centered on start cell (20, 24)
+    assert (float(first.get("x1")) + 5, float(first.get("y1")) + 5) == (20.5 * 12, 24.5 * 12)
 
 
 @pytest.fixture(scope="module")

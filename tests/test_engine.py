@@ -97,6 +97,16 @@ def sensor_problems(sim: Simulation) -> list[str]:
     return problems
 
 
+def state_count_problems(sim: Simulation) -> list[str]:
+    """DES-state counts kept by `_fire` that differ from a recount of the team."""
+    problems = []
+    for kept, state in (("_n_failed", DesState.FL), ("_n_sp", DesState.SP), ("_n_idle", DesState.ID)):
+        recount = sum(1 for r in sim.team if r.des is state)
+        if getattr(sim, kept) != recount:
+            problems.append(f"{kept} is {getattr(sim, kept)}, but {recount} robots are in {state.value}")
+    return problems
+
+
 def belief_problems(sim: Simulation) -> list[str]:
     """Live robots whose belief differs from the team map."""
     return [
@@ -108,13 +118,13 @@ def belief_problems(sim: Simulation) -> list[str]:
 
 class CheckedSimulation(Simulation):
     """Checks that every live belief equals the team map after every sync,
-    and the region counters, the sensor's dropped cells and the table after
-    every tick (`_end_reason` is each tick's last step). On every travel
-    step it checks that a path whose re-check is skipped holds no blocked
-    cell, and counts in `travel_gate` the skipped re-checks, the run ones
-    and the run ones that found the path blocked. Keeps each robot's
-    belief as it was when the robot failed, in `failed_beliefs`, and the
-    run's result in `result`."""
+    and the region counters, the DES-state counts, the sensor's dropped
+    cells and the table after every tick (`_end_reason` is each tick's last
+    step). On every travel step it checks that a path whose re-check is
+    skipped holds no blocked cell, and counts in `travel_gate` the skipped
+    re-checks, the run ones and the run ones that found the path blocked.
+    Keeps each robot's belief as it was when the robot failed, in
+    `failed_beliefs`, and the run's result in `result`."""
 
     check_table = True
 
@@ -150,7 +160,7 @@ class CheckedSimulation(Simulation):
             self.failed_beliefs[r.id] = list(r.belief.cells)
 
     def _end_reason(self):
-        problems = counter_problems(self) + sensor_problems(self)
+        problems = counter_problems(self) + state_count_problems(self) + sensor_problems(self)
         if self.check_table:
             problems += table_problems(self)
         assert not problems, f"tick {self.tick}: {problems}"
@@ -197,6 +207,12 @@ DOTTED_WALL_DIGEST = "cee8e93e02a8c4b3b622a8dd7d5bb81f2b4b0b6f595c4d8cdf4bf5a560
 # `crowd` seed 1 with a sync every 3 s, recorded while every robot still kept
 # a full belief copy
 CROWD_SYNC3_DIGEST = "4c744466b53c9beac043a7e85dbfcec1623bdcb5bee9958e84ab442efd2613d5"
+# seed 1 under localization noise (`noise_sigma_m` 1.5), which no benchmark
+# workload has; recorded before covering skipped the noise model without noise
+NOISY_DIGESTS = {
+    "scenario1/CARE": "e36239ac7ca254ee0a5692f79c06275ee679ed12a853f335dd03f3f992c44bae",
+    "scenario2/FR": "9189a9cdeff5f2885ed6a3333535bf96f0039b741544c1153c76e0abb64bbc9d",
+}
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +295,16 @@ class TestRuns:
         sim.run()
         assert sim.params.sync_every_s == 3 and sim.params.tick_s == 1
         assert digest(sim.result) == CROWD_SYNC3_DIGEST
+        assert sim.result.metrics.end_reason == "complete"
+
+    @pytest.mark.parametrize("name", sorted(NOISY_DIGESTS))
+    def test_noisy_runs_keep_their_digests(self, digest, name):
+        scenario, strategy = name.split("/")
+        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        doc.update(seed=1, strategy=strategy, params={**doc.get("params", {}), "noise_sigma_m": 1.5})
+        sim = CheckedSimulation(parse_scenario(doc))
+        sim.run()
+        assert digest(sim.result) == NOISY_DIGESTS[name]
         assert sim.result.metrics.end_reason == "complete"
 
     def test_finished_simulation_is_freed_without_the_cyclic_collector(self):

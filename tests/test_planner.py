@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcover.planner import Done, make_planner, next_waypoint, plan_travel_to_any
+from gridcover.planner import Done, _nearest_unexplored_path, make_planner, next_waypoint, plan_travel_to_any
 from gridcover.world import Beliefs, CellState, GridMap, mark_covered, mark_sensed
 from tests.test_world import make_world
 
@@ -67,6 +67,54 @@ def tuple_travel_to_any(grid, start, goals):
         nxt.sort()
         frontier = nxt
     return None
+
+
+def tuple_nearest_unexplored_path(grid, pose, region):
+    """The detour search on cell tuples that the flat-index one replaced,
+    kept as its oracle: same contract, same tie-breaks."""
+    parent = {pose: None}
+    frontier = [pose]
+    while frontier:
+        hits = [c for c in frontier if c in region and grid.state(c) is CellState.UNEXPLORED]
+        if hits:
+            goal = min(hits, key=grid.idx)
+            path = []
+            node = goal
+            while node is not None and node != pose:
+                path.append(node)
+                node = parent[node]
+            path.reverse()
+            return path
+        nxt = []
+        for cell in frontier:
+            x, y = cell
+            for nb in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
+                if nb in parent or not grid.in_bounds(nb) or grid.state(nb) >= CellState.FORBIDDEN:
+                    continue
+                parent[nb] = cell
+                nxt.append(nb)
+        nxt.sort(key=grid.idx)
+        frontier = nxt
+    return None
+
+
+@st.composite
+def detour_cases(draw):
+    """A grid of up to 12x12 with random blocked and explored cells, a pose
+    anywhere on it and a random region."""
+    width = draw(st.integers(1, 12))
+    height = draw(st.integers(1, 12))
+    grid = make_world(width=width, height=height)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    rng = draw(st.randoms(use_true_random=True))
+    density = rng.choice((0.0, 0.15, 0.35, 0.6))
+    for cell in cells:
+        if rng.random() < density:
+            grid.cells[grid.idx(cell)] = rng.choice((CellState.FORBIDDEN, CellState.OBSTACLE))
+        elif rng.random() < 0.5:
+            grid.cells[grid.idx(cell)] = CellState.EXPLORED
+    region = frozenset(c for c in cells if rng.random() < rng.choice((0.1, 0.5, 1.0)))
+    return grid, rng.choice(cells), region
 
 
 @st.composite
@@ -209,6 +257,11 @@ class TestNextWaypoint:
         region = [(x, y) for x in range(4) for y in range(4)]
         state = make_planner(region, (2, 2))
         assert next_waypoint(grid, state, (2, 2)) == (2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(detour_cases())
+    def test_detour_search_matches_the_tuple_oracle(self, case):
+        assert _nearest_unexplored_path(*case) == tuple_nearest_unexplored_path(*case)
 
 
 class TestPlanTravel:
