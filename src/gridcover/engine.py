@@ -128,12 +128,7 @@ class LivenessError(RuntimeError):
 def apply_localization_noise(
     pos: tuple[float, float], sigma: float, rng: random.Random
 ) -> tuple[float, float]:
-    """Perturb a position with independent zero-mean Gaussian noise per axis.
-
-    sigma = 0 is the identity and draws nothing from the generator.
-    """
-    if sigma <= 0.0:
-        return pos
+    """Perturb a position with independent zero-mean Gaussian noise per axis."""
     return (pos[0] + rng.gauss(0.0, sigma), pos[1] + rng.gauss(0.0, sigma))
 
 

@@ -113,7 +113,8 @@ def detour_cases(draw):
             grid.cells[grid.idx(cell)] = rng.choice((CellState.FORBIDDEN, CellState.OBSTACLE))
         elif rng.random() < 0.5:
             grid.cells[grid.idx(cell)] = CellState.EXPLORED
-    region = frozenset(c for c in cells if rng.random() < rng.choice((0.1, 0.5, 1.0)))
+    share = rng.choice((0.1, 0.5, 1.0))  # sparse regions force long detours
+    region = frozenset(c for c in cells if rng.random() < share)
     return grid, rng.choice(cells), region
 
 
@@ -466,3 +467,16 @@ def test_planning_on_a_belief_view_equals_planning_on_its_cells(case):
     for view in views:
         copy = GridMap(grid.width, grid.height, grid.epsilon, view.cells, grid.task_of, tasks={})
         assert_plans_like(lambda _view, s, g: plan_travel_to_any(copy, s, g), view, start, goals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(belief_cases())
+def test_the_detour_search_on_a_belief_view_matches_the_tuple_oracle(case):
+    grid, views, pose, goals = case
+    cells = [(x, y) for x in range(grid.width) for y in range(grid.height)]
+    for view in views:
+        # every cell some write touched, so hits must skip the view's explored
+        # cells and detours go round its obstacles, plus a few others
+        region = frozenset(goals).union(c for c in cells if view.state(c) is not CellState.UNEXPLORED)
+        copy = GridMap(grid.width, grid.height, grid.epsilon, view.cells, grid.task_of, tasks={})
+        assert _nearest_unexplored_path(view, pose, region) == tuple_nearest_unexplored_path(copy, pose, region)

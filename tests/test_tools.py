@@ -2,9 +2,10 @@
 
 import importlib.util
 import json
-import subprocess
 import sys
 from pathlib import Path
+
+from gridcover import Simulation
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_digests.py"
@@ -17,13 +18,22 @@ def load_tool():
     return module
 
 
-def test_one_side_gives_the_committed_digests():
-    out = subprocess.run(
-        [sys.executable, str(TOOL), "--side", str(ROOT), "--seeds", "1-1"], capture_output=True, text=True, check=True
-    )
+def test_one_side_gives_the_committed_digests(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # digests() puts perfbench/ on it
     committed = json.loads((ROOT / "perfbench" / "digests.json").read_text())
     expected = {f"{w} 1 {name}": d for w, seeds in committed.items() for name, d in seeds["1"].items()}
-    assert json.loads(out.stdout) == expected
+    assert load_tool().digests(ROOT, [1]) == expected
+
+
+def test_a_raising_run_is_reported_in_place_of_its_digest(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def run(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Simulation, "run", run)
+    out = load_tool().digests(ROOT, [1])
+    assert out and set(out.values()) == {"raised RuntimeError: boom"}
 
 
 def test_the_report_lists_moved_and_one_sided_runs():

@@ -1,12 +1,13 @@
 """Compare the behaviour digests of the working tree with those of a git ref.
 
-    python3 tools/compare_digests.py REF [--seeds FIRST-LAST]
+    python3 tools/compare_digests.py REF
 
 Extracts REF with `git archive` into a temporary directory. Then, for each
-side, a child process runs every benchmark workload on the seeds (0-20 by
-default: 231 runs) with that side's own `src/`, `perfbench/workloads.py`
-and `perfbench/batch.py` digest. The two sides run at once, one process
-each. Prints every run whose digest differs, and exits 1 if any does.
+side, a child process runs every benchmark workload on seeds 0-20 (231
+runs) with that side's own `src/`, `perfbench/workloads.py` and
+`perfbench/batch.py` digest. The two sides run at once, one process each.
+A run that raises is recorded as such in place of its digest. Prints every
+run whose digest differs, and exits 1 if any does.
 
 Unlike `perfbench/digests.json`, the reference is the ref's own behaviour,
 so a file recorded before an intended behaviour change cannot go stale.
@@ -23,11 +24,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEEDS = list(range(21))
 
 
 def digests(root: Path, seeds: list[int]) -> dict[str, str]:
     """{"workload seed run": digest} for every run of every workload, with
-    the code under `root`."""
+    the code under `root`; a run that raises gets "raised <error>"."""
     sys.path.insert(0, str(root / "perfbench"))
     import batch  # inserts root / "src" into sys.path itself
     import workloads
@@ -36,13 +38,17 @@ def digests(root: Path, seeds: list[int]) -> dict[str, str]:
     for workload, make in workloads.WORKLOADS.items():
         for seed in seeds:
             for name, doc in make(seed):
-                result = batch.Simulation(batch.parse_scenario(doc)).run()
-                out[f"{workload} {seed} {name}"] = batch.digest(result)
+                try:
+                    result = batch.Simulation(batch.parse_scenario(doc)).run()
+                except Exception as exc:  # reported like any other digest, never retried
+                    out[f"{workload} {seed} {name}"] = f"raised {type(exc).__name__}: {exc}"
+                else:
+                    out[f"{workload} {seed} {name}"] = batch.digest(result)
     return out
 
 
-def start_side(root: Path, seeds: list[int]) -> subprocess.Popen:
-    argv = [sys.executable, __file__, "--side", str(root), "--seeds", f"{seeds[0]}-{seeds[-1]}"]
+def start_side(root: Path) -> subprocess.Popen:
+    argv = [sys.executable, __file__, "--side", str(root)]
     return subprocess.Popen(argv, stdout=subprocess.PIPE, text=True)
 
 
@@ -58,13 +64,10 @@ def differing(base: dict[str, str], head: dict[str, str]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", nargs="?", help="the git ref to compare the working tree with")
-    parser.add_argument("--seeds", default="0-20", help="an inclusive seed range, FIRST-LAST")
     parser.add_argument("--side", type=Path, help=argparse.SUPPRESS)  # child mode: print one side's digests
     args = parser.parse_args(argv)
-    first, _, last = args.seeds.partition("-")
-    seeds = list(range(int(first), int(last or first) + 1))
     if args.side is not None:
-        json.dump(digests(args.side, seeds), sys.stdout)
+        json.dump(digests(args.side, SEEDS), sys.stdout)
         return 0
     if args.ref is None:
         parser.error("a git ref is required")
@@ -72,14 +75,14 @@ def main(argv=None) -> int:
         base_root = Path(tmp)
         archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT, capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        sides = [start_side(base_root, seeds), start_side(ROOT, seeds)]
+        sides = [start_side(base_root), start_side(ROOT)]
         outputs = [side.communicate()[0] for side in sides]
         if any(side.returncode for side in sides):
             print("a side failed to run its workloads", file=sys.stderr)
             return 2
     base, head = (json.loads(out) for out in outputs)
     lines = differing(base, head)
-    print(f"{len(head)} runs on {args.ref} and the working tree, seeds {seeds[0]}-{seeds[-1]}: {len(lines)} differ")
+    print(f"{len(head)} runs on {args.ref} and the working tree, seeds {SEEDS[0]}-{SEEDS[-1]}: {len(lines)} differ")
     for line in lines:
         print(line)
     return 1 if lines else 0
