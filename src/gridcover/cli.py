@@ -24,7 +24,9 @@ Files written to --out-dir, with the record each one's columns come from:
   sweep    sweep.csv            dimension, value, seed, then the metrics.csv
                                 columns
 An empty cell is a metric the run has no value for: no game played, no
-robot alive at the end, or a ToTD level never reached.
+robot alive at the end, or a ToTD level never reached. Every CSV file is
+in the `csv` module's `excel` dialect; trajectories.csv is formatted here,
+byte for byte as that dialect would write it.
 
 Exit codes: 0 success, 1 usage or schema error, 2 liveness violation.
 Set CARE_LOG_LEVEL (DEBUG/INFO/WARNING/ERROR) to control verbosity.
@@ -44,7 +46,10 @@ from pathlib import Path
 from .engine import GameRecord, LivenessError, RunResult, run as run_engine
 from .render import render_svg
 from .scenario import STRATEGIES, ScenarioError, load_scenario
-from .world import map_text
+from .world import CellState, map_text
+
+_STATE_NAMES = [state.name for state in CellState]  # by value: `.name` is a slow enum descriptor
+_BLOCK = 4096  # trajectory lines per write; one string per file would raise peak memory
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -52,6 +57,24 @@ def _write_csv(path: Path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _write_trajectories(path: Path, rows) -> None:
+    """trajectories.csv as `csv.writer` would write it, each distinct
+    position's text formatted once."""
+    # keyed on the values the text prints; the engine logs only positive
+    # metres, so 0.0 == -0.0 never makes two texts share a key
+    texts: dict[tuple, str] = {}
+    with open(path, "w", newline="") as fh:
+        fh.write("tick,robot,x_m,y_m,cell_x,cell_y,mode\r\n")
+        for start in range(0, len(rows), _BLOCK):
+            lines = []
+            for tick, rid, x, y, cx, cy, mode in rows[start : start + _BLOCK]:
+                text = texts.get((x, y, cx, cy))
+                if text is None:
+                    text = texts[x, y, cx, cy] = f"{x!r},{y!r},{cx},{cy}"
+                lines.append(f"{tick},{rid},{text},{mode}\r\n")
+            fh.write("".join(lines))
 
 
 def _metrics(result: RunResult) -> dict:
@@ -92,12 +115,11 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
         game_columns,
         ([_cell(getattr(g, name)) for name in game_columns] for g in logs.games),
     )
-    trajectory_columns = ["tick", "robot", "x_m", "y_m", "cell_x", "cell_y", "mode"]
-    _write_csv(out_dir / "trajectories.csv", trajectory_columns, logs.trajectories)
+    _write_trajectories(out_dir / "trajectories.csv", logs.trajectories)
     _write_csv(
         out_dir / "changes.csv",
         ["tick", "robot", "x", "y", "old", "new"],
-        ((tick, robot, *ch.cell, ch.old.name, ch.new.name) for tick, robot, ch in logs.changes),
+        ((tick, robot, *ch.cell, _STATE_NAMES[ch.old], _STATE_NAMES[ch.new]) for tick, robot, ch in logs.changes),
     )
     # the log repeats heard_by in a fourth field that the run digests hash
     _write_csv(out_dir / "detector.csv", ["tick", "robot", "heard_by"], (row[:3] for row in logs.detector))
@@ -107,14 +129,14 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
     for tick, snap in logs.snapshots:
         (out_dir / f"map_tick_{tick:06d}.txt").write_text(snap)
 
-    failure_marks = []
+    failed = [ev.robot for ev in logs.events if ev.event == "e7"]
     # a robot that fails before its first trajectory row never left its start
-    last_cell = {spec.id: spec.start for spec in result.config.robots}
-    for tick, rid, _x, _y, cx, cy, _mode in logs.trajectories:
-        last_cell[rid] = (cx, cy)
-    for ev in logs.events:
-        if ev.event == "e7":
-            failure_marks.append((ev.robot, last_cell[ev.robot]))
+    last_cell = {spec.id: spec.start for spec in result.config.robots if spec.id in failed}
+    if failed:
+        for _tick, rid, _x, _y, cx, cy, _mode in logs.trajectories:
+            if rid in last_cell:
+                last_cell[rid] = (cx, cy)
+    failure_marks = [(rid, last_cell[rid]) for rid in failed]
     svg = render_svg(result.grid, logs.trajectories, failure_marks)
     (out_dir / "trajectories.svg").write_text(svg)
 

@@ -280,6 +280,8 @@ class RunLogs:
     events: list[EventRecord] = field(default_factory=list)
     games: list[GameRecord] = field(default_factory=list)
     changes: list[tuple[int, int, Change]] = field(default_factory=list)  # (tick, robot, change)
+    # (tick, robot, x_m, y_m, cell_x, cell_y, mode) per live robot per tick; the
+    # metres are the cell's center, one float object per axis value
     trajectories: list[tuple[int, int, float, float, int, int, str]] = field(default_factory=list)
     discoveries: list[tuple[int, int]] = field(default_factory=list)  # (tick, cumulative found)
     # (tick, robot, min(kappa2, live), min(kappa2, live)) per confirmation; the
@@ -415,12 +417,14 @@ class Simulation:
             EventRecord(tick=self.tick, robot=r.id, event=event, before=before, after=after, payload=payload)
         )
 
-    def _sense(self, r: Robot, cell: Cell) -> None:
+    def _sense(self, r: Robot, cell: Cell) -> bool:
+        """Apply the range reading at `cell`; True if it read an obstacle."""
         obstacles = self._sensor.read(cell)
         if not obstacles:
-            return
+            return False
         mark_sensed(r.belief, obstacles)
         self.logs.changes.extend((self.tick, r.id, ch) for ch in mark_sensed(self.grid, obstacles))
+        return True
 
     def _cover_attempt(self, r: Robot, true_cell: Cell) -> None:
         self.visited.add(true_cell)
@@ -691,8 +695,11 @@ class Simulation:
                 return
             r.work_s -= per_cell
             r.cell = wp
-            self._sense(r, wp)
-            if wp in r.region and r.belief.state(wp) is _UNEXPLORED:
+            # A waypoint that leaves no detour pending (the pose, the sweep
+            # cell or a detour's goal) is a region cell next_waypoint has
+            # just read UNEXPLORED; only a reading can have written it since.
+            read = self._sense(r, wp)
+            if not (read or r.planner.pending) or (wp in r.region and r.belief.state(wp) is _UNEXPLORED):
                 self._cover_attempt(r, wp)
 
     def _workload_complete(self, r: Robot) -> None:

@@ -5,6 +5,8 @@ Output bytes depend only on the inputs, so renders double as golden files.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .world import CellState, GridMap
 
 STATE_FILL = {
@@ -51,14 +53,13 @@ def render_svg(
         f'viewBox="0 0 {w} {h}">'
     ]
     parts.append(f'<rect width="{w}" height="{h}" fill="{STATE_FILL[CellState.UNEXPLORED]}"/>')
+    cells, width = bytes(grid.cells), grid.width
     for y in range(grid.height):
         x = 0
-        while x < grid.width:
-            state = grid.state((x, y))
+        for state, run in groupby(cells[y * width : (y + 1) * width]):
             x0 = x
-            while x < grid.width and grid.state((x, y)) is state:
-                x += 1
-            if state is not CellState.UNEXPLORED:
+            x += len(list(run))
+            if state != CellState.UNEXPLORED:
                 parts.append(
                     f'<rect x="{x0 * _SCALE}" y="{y * _SCALE}" '
                     f'width="{(x - x0) * _SCALE}" height="{_SCALE}" '
@@ -66,11 +67,17 @@ def render_svg(
                 )
 
     scale = _SCALE / grid.epsilon
-    by_robot: dict[int, list[tuple[float, float]]] = {}
+    # each distinct point's text once, keyed on the metres it prints; the
+    # engine logs only positive metres, so 0.0 == -0.0 never shares a key
+    texts: dict[tuple[float, float], str] = {}
+    by_robot: dict[int, list[str]] = {}
     for _tick, rid, x_m, y_m, _cx, _cy, _mode in trajectories:
-        by_robot.setdefault(rid, []).append((x_m * scale, y_m * scale))
+        text = texts.get((x_m, y_m))
+        if text is None:
+            text = texts[x_m, y_m] = f"{x_m * scale:.2f},{y_m * scale:.2f}"
+        by_robot.setdefault(rid, []).append(text)
     for i, rid in enumerate(sorted(by_robot)):
-        pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in by_robot[rid])
+        pts = " ".join(by_robot[rid])
         color = ROBOT_COLORS[i % len(ROBOT_COLORS)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -569,12 +569,14 @@ def coverage_fraction(truth: GroundTruth, visited: set[Cell]) -> float:
     return len(visited & truth.free_space) / len(truth.free_space)
 
 
+_MAP_LETTERS = bytes.maketrans(bytes(CellState), b"UEFO")  # bytes.translate table: state -> map_text letter
+
+
 def map_text(grid: GridMap) -> str:
     """The map as text, one line per row: U/E/F/O for unexplored, explored,
     forbidden and obstacle cells."""
-    return "".join(
-        "".join("UEFO"[grid.state((x, y))] for x in range(grid.width)) + "\n" for y in range(grid.height)
-    )
+    letters, w = bytes(grid.cells).translate(_MAP_LETTERS), grid.width
+    return b"".join(letters[y * w : (y + 1) * w] + b"\n" for y in range(grid.height)).decode("ascii")
 
 
 def partition_subregions(grid: GridMap, task_id: int, n_max: int) -> list[list[Cell]]:

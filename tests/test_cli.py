@@ -3,6 +3,8 @@ and the arguments it rejects."""
 
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import statistics
@@ -10,9 +12,12 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcover import cli, load_scenario, parse_scenario, run
-from gridcover.cli import write_run_outputs
+from gridcover.cli import _write_trajectories, write_run_outputs
+from gridcover.render import ROBOT_COLORS, STATE_FILL, render_svg
+from gridcover.world import CellState, GridMap, Target, map_text
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios" / "scenario2.json"
 OUTPUT_FILES = (
@@ -132,6 +137,48 @@ def test_detector_csv_has_one_row_per_confirmed_failure(written):
     assert header == ["tick", "robot", "heard_by"]
     assert len(result.logs.detector) == 2
     assert rows == [[str(tick), str(robot), str(heard)] for tick, robot, heard, _ in result.logs.detector]
+
+
+# sha256 of each file `written` holds, recorded from the csv.writer,
+# per-cell and per-point writers; games.csv with its solve_wall_s blanked
+GOLDEN = {
+    "changes.csv": "383cd6f75c87f85e97d902f561bf9c49484f409da133897e71e8499931d9cded",
+    "detector.csv": "bc660b13daab0a86f57f9c4ca550fa1c00a176bb0863e693312decbe7a906763",
+    "events.csv": "8a3a64850b1702dae7a7074150b2092c6f5cf68f392770c401e3d2dbf6b4eb34",
+    "games.csv": "aaa0cb3fe9508ad68fb675455909f939800af3be689888dca654ec4dcb5e6d2b",
+    "map_final.txt": "25d18e26d817cfe3364982f350d2bdffc66b3b56f49eff837f7cc79ba7b9e531",
+    "metrics.csv": "fbeaaddbe2be703e248d6b3fdc804ec245b344962aed217322fa26c60ef524bc",
+    "trajectories.csv": "50435a5bd033b42898a05a396b9292c36e2a713dcbab0a5fca7745d180696bfc",
+    "trajectories.svg": "5018f13eee16a1755ff3f808aab96f0a46b72986e081ff86f855368eb95d627b",
+}
+
+
+def without_solve_times(data: bytes) -> bytes:
+    """games.csv with every row's last cell, the host-time solve_wall_s,
+    blanked; the header stays."""
+    header, *rows = data.split(b"\r\n")
+    return b"\r\n".join([header, *(row.rpartition(b",")[0] + b"," if row else row for row in rows)])
+
+
+def test_every_written_file_keeps_its_bytes(written):
+    _result, out_dir = written
+    hashes = {}
+    for name in OUTPUT_FILES:
+        data = (out_dir / name).read_bytes()
+        if name == "games.csv":
+            blanked = without_solve_times(data)
+            assert blanked != data and blanked.count(b"\r\n") == data.count(b"\r\n")
+            data = blanked
+        hashes[name] = hashlib.sha256(data).hexdigest()
+    assert hashes == GOLDEN
+
+
+def test_a_map_snapshot_keeps_its_bytes(tmp_path):
+    scenario3 = SCENARIO.parent / "scenario3.json"
+    argv = ["run", str(scenario3), "--seed", "2", "--snapshot-every", "200", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    data = (tmp_path / "map_tick_000200.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == "8afd0620999852363db6d54d4a764af41a848fb240bf4fc9e48fc87fbe7fae41"
 
 
 def test_a_robot_failing_before_its_first_row_is_crossed_at_its_start(tmp_path):
@@ -354,3 +401,125 @@ def test_usage_errors_exit_1(monkeypatch, capsys, argv, code):
     assert exc.value.code == code
     out, err = capsys.readouterr()
     assert "usage:" in (err if code else out)
+
+
+def reference_trajectories_csv(rows) -> bytes:
+    """trajectories.csv through the plain `csv.writer`, the path the
+    formatted one replaced, kept as its oracle."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["tick", "robot", "x_m", "y_m", "cell_x", "cell_y", "mode"])
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def reference_map_text(grid) -> str:
+    """The per-cell map dump the translated one replaced, kept as its oracle."""
+    return "".join(
+        "".join("UEFO"[grid.state((x, y))] for x in range(grid.width)) + "\n" for y in range(grid.height)
+    )
+
+
+def reference_render_svg(grid, trajectories, failures) -> str:
+    """The per-cell, per-point renderer the cached one replaced, kept as its
+    oracle."""
+
+    def f(v):
+        return f"{v:.2f}"
+
+    w, h = grid.width * 12, grid.height * 12
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">']
+    parts.append(f'<rect width="{w}" height="{h}" fill="{STATE_FILL[CellState.UNEXPLORED]}"/>')
+    for y in range(grid.height):
+        x = 0
+        while x < grid.width:
+            state = grid.state((x, y))
+            x0 = x
+            while x < grid.width and grid.state((x, y)) is state:
+                x += 1
+            if state is not CellState.UNEXPLORED:
+                parts.append(
+                    f'<rect x="{x0 * 12}" y="{y * 12}" width="{(x - x0) * 12}" height="12" '
+                    f'fill="{STATE_FILL[state]}"/>'
+                )
+    scale = 12 / grid.epsilon
+    by_robot = {}
+    for _tick, rid, x_m, y_m, _cx, _cy, _mode in trajectories:
+        by_robot.setdefault(rid, []).append((x_m * scale, y_m * scale))
+    for i, rid in enumerate(sorted(by_robot)):
+        pts = " ".join(f"{f(px)},{f(py)}" for px, py in by_robot[rid])
+        color = ROBOT_COLORS[i % len(ROBOT_COLORS)]
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5" opacity="0.9"/>')
+    for target in grid.targets:
+        cx, cy = grid.cell_center(target.cell)
+        fill = "#ffffff" if target.discovered else "#d00000"
+        parts.append(
+            f'<circle cx="{f(cx * scale)}" cy="{f(cy * scale)}" r="2.5" '
+            f'fill="{fill}" stroke="#222222" stroke-width="0.6"/>'
+        )
+    for _rid, cell in failures:
+        cx, cy = grid.cell_center(cell)
+        px, py = cx * scale, cy * scale
+        parts.append(
+            f'<g stroke="#000000" stroke-width="2">'
+            f'<line x1="{f(px - 5)}" y1="{f(py - 5)}" x2="{f(px + 5)}" y2="{f(py + 5)}"/>'
+            f'<line x1="{f(px - 5)}" y1="{f(py + 5)}" x2="{f(px + 5)}" y2="{f(py - 5)}"/>'
+            f"</g>"
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@st.composite
+def written_inputs(draw):
+    """A map and trajectory rows shaped like the engine's: positive finite
+    metres drawn from a small pool, so that positions repeat across robots
+    and ticks and one cell meets several metres, any ticks, robot ids and
+    cells, and the engine's three modes; failure marks name logged robots
+    and one robot with no row."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    target_cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=4))
+    grid = GridMap(
+        width=width,
+        height=height,
+        epsilon=draw(st.floats(0.05, 20.0)),
+        cells=draw(st.lists(st.sampled_from(list(CellState)), min_size=width * height, max_size=width * height)),
+        task_of=[0] * (width * height),
+        tasks={},
+        targets=[Target(cell, draw(st.booleans())) for cell in target_cells],
+    )
+    metres = st.floats(min_value=0.0, exclude_min=True, max_value=1e9, allow_infinity=False)
+    positions = draw(st.lists(st.tuples(metres, metres), min_size=1, max_size=4))
+    cells = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=3))
+    rows = draw(
+        st.lists(
+            st.builds(
+                lambda tick, rid, pos, cell, mode: (tick, rid, *pos, *cell, mode),
+                st.integers(0, 10**9),
+                st.integers(0, 40),
+                st.sampled_from(positions),
+                st.sampled_from(cells),
+                st.sampled_from(["tasking", "traveling", "idle"]),
+            ),
+            max_size=60,
+        )
+    )
+    logged = sorted({row[1] for row in rows})
+    marked = draw(st.lists(st.sampled_from(logged), max_size=3)) if logged else []
+    failures = [(rid, draw(st.sampled_from(cells))) for rid in marked] + [(41, draw(st.sampled_from(cells)))]
+    return grid, rows, failures
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("writers") / "trajectories.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_inputs())
+def test_the_writers_keep_the_reference_bytes(scratch_csv, inputs):
+    grid, rows, failures = inputs
+    _write_trajectories(scratch_csv, rows)
+    assert scratch_csv.read_bytes() == reference_trajectories_csv(rows)
+    assert map_text(grid) == reference_map_text(grid)
+    assert render_svg(grid, rows, failures) == reference_render_svg(grid, rows, failures)

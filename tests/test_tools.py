@@ -44,3 +44,48 @@ def test_the_report_lists_moved_and_one_sided_runs():
         "open-field 1 d: absent -> v",
         "paper 1 b: y -> w",
     ]
+
+
+def test_the_report_names_runs_whose_outputs_differ():
+    base = {"paper 1 a": "x", "paper 1 b": "y", "crowd 1 c": "z"}
+    head = {"paper 1 a": "x", "paper 1 b": "w", "open-field 1 d": "v"}
+    # runs one side never wrote are reported by their digests
+    assert load_tool().differing_outputs(base, head) == ["paper 1 b: outputs differ"]
+
+
+def test_the_files_hash_ignores_only_solve_times(tmp_path):
+    games = "gid,kind,solve_wall_s\r\n1,noidle,{}\r\n2,resilience,{}\r\n"
+
+    def written(name, solve_times, trajectories="tick,robot\r\n0,1\r\n"):
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        (out_dir / "games.csv").write_bytes(games.format(*solve_times).encode())
+        (out_dir / "trajectories.csv").write_bytes(trajectories.encode())
+        return load_tool().files_hash(out_dir)
+
+    reference = written("a", ("0.001", "0.5"))
+    assert written("b", ("0.25", "1e-05")) == reference
+    assert written("c", ("0.001", "0.5"), "tick,robot\n0,1\n") != reference
+    assert written("d", ("0.001,", "0.5")) != reference  # a cell before the last one changed
+
+
+def test_a_side_writes_no_outputs_for_a_raising_run(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def run(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Simulation, "run", run)
+    found = load_tool().side(ROOT, [1])
+    assert found["digests"] and set(found["digests"].values()) == {"raised RuntimeError: boom"}
+    assert found["outputs"] == {}
+
+
+def test_a_side_hashes_the_files_of_every_run_that_ends(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    committed = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    expected = {f"{w} 1 {name}": d for w, seeds in committed.items() for name, d in seeds["1"].items()}
+    found = load_tool().side(ROOT, [1])
+    assert found["digests"] == expected
+    assert found["outputs"].keys() == expected.keys()
+    assert all(len(h) == 64 for h in found["outputs"].values())
