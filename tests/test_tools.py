@@ -34,6 +34,8 @@ def test_a_raising_run_is_reported_in_place_of_its_digest(monkeypatch):
     monkeypatch.setattr(Simulation, "run", run)
     out = load_tool().digests(ROOT, [1])
     assert out and set(out.values()) == {"raised RuntimeError: boom"}
+    # and a side writes nothing for it
+    assert load_tool().side(ROOT, [1]) == {"digests": out, "outputs": {}}
 
 
 def test_the_report_lists_moved_and_one_sided_runs():
@@ -67,18 +69,6 @@ def test_the_files_hash_ignores_only_solve_times(tmp_path):
     assert written("b", ("0.25", "1e-05")) == reference
     assert written("c", ("0.001", "0.5"), "tick,robot\n0,1\n") != reference
     assert written("d", ("0.001,", "0.5")) != reference  # a cell before the last one changed
-
-
-def test_a_side_writes_no_outputs_for_a_raising_run(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))
-
-    def run(self):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(Simulation, "run", run)
-    found = load_tool().side(ROOT, [1])
-    assert found["digests"] and set(found["digests"].values()) == {"raised RuntimeError: boom"}
-    assert found["outputs"] == {}
 
 
 def test_a_side_hashes_the_files_of_every_run_that_ends(monkeypatch):
