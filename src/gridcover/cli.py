@@ -46,9 +46,11 @@ from pathlib import Path
 from .engine import GameRecord, LivenessError, RunResult, run as run_engine
 from .render import render_svg
 from .scenario import STRATEGIES, ScenarioError, load_scenario
+from .supervisor import DesState
 from .world import CellState, map_text
 
 _STATE_NAMES = [state.name for state in CellState]  # by value: `.name` is a slow enum descriptor
+_DES_VALUES = {state: state.value for state in DesState}  # `.value` is a slow enum descriptor too
 _BLOCK = 4096  # trajectory lines per write; one string per file would raise peak memory
 
 
@@ -107,7 +109,10 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
     _write_csv(
         out_dir / "events.csv",
         ["tick", "robot", "event", "before", "after", "payload"],
-        ((ev.tick, ev.robot, ev.event, ev.before.value, ev.after.value, repr(ev.payload)) for ev in logs.events),
+        (
+            (ev.tick, ev.robot, ev.event, _DES_VALUES[ev.before], _DES_VALUES[ev.after], repr(ev.payload))
+            for ev in logs.events
+        ),
     )
     game_columns = [f.name for f in dataclasses.fields(GameRecord)]
     _write_csv(

@@ -114,24 +114,36 @@ def max_logit(g: GameInstance, seed: int | random.Random) -> JointAction:
     if g.cycles < 1:
         raise ValueError(f"cycle count must be >= 1, got {g.cycles}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    players, actions, worth, prob = g.players, g.actions, g.worth, g.prob
+    n_players, n_actions, tau = len(players), len(actions), g.tau
 
     current = list(g.initial)
     best_a = tuple(current)
     best_phi = potential(g, best_a)
 
+    def utility_at(i: int, r) -> float:
+        """`utility` of player i playing r against `current`, with the same
+        reads and products in the same order, and no joint action built.
+        None, no task, is never a key of `worth`."""
+        if r not in worth:
+            return 0.0
+        share = 1.0
+        for j, act in enumerate(current):
+            if act == r and j != i:
+                share *= 1.0 - prob[players[j]][r]
+        return worth[r] * prob[players[i]][r] * share
+
     for _ in range(g.cycles):
-        i = rng.randrange(len(g.players))
-        alt = g.actions[rng.randrange(len(g.actions))]
-        if alt == current[i]:
+        i = rng.randrange(n_players)
+        alt = actions[rng.randrange(n_actions)]
+        cur = current[i]
+        if alt == cur:
             continue
-        cur_u = utility(g, i, tuple(current))
-        trial = list(current)
-        trial[i] = alt
-        visited = tuple(trial)
-        alt_u = utility(g, i, visited)
-        mu = math.exp(min(0.0, (alt_u - cur_u) / g.tau))
+        cur_u = utility_at(i, cur)
+        mu = math.exp(min(0.0, (utility_at(i, alt) - cur_u) / tau))
         if rng.random() < mu:
-            current = trial
+            current[i] = alt
+            visited = tuple(current)
             phi = potential(g, visited)
             if phi > best_phi:
                 best_phi = phi

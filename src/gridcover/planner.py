@@ -29,6 +29,12 @@ Each clause of the contract maps to a bit operation:
 - Parent: walking back from the goal, the first cell of (x-1, y), (x, y-1),
   (x, y+1), (x+1, y) set in the layer before. Those four are in (x, y)
   order, so this is the cell's first expander.
+
+The free cells come from the map as one int (`free_mask`). A `GridMap`
+builds it from its cells on every call; a robot's `BeliefView` serves the
+mask its `Beliefs` keeps of the team map as of the last sync, unless the
+robot has written a blocked cell since, and then builds its own (see the
+`world` module docstring).
 """
 
 from __future__ import annotations
@@ -42,8 +48,6 @@ from .world import Cell, CellState, GridMap
 # States from _BLOCKED up block travel.
 _UNEXPLORED = CellState.UNEXPLORED
 _BLOCKED = CellState.FORBIDDEN
-# bytes.translate table from a cell state to its free-cell bit digit
-_FREE_DIGIT = bytes.maketrans(bytes(CellState), b"".join(b"1" if s < _BLOCKED else b"0" for s in CellState))
 
 
 @dataclass(frozen=True)
@@ -183,12 +187,8 @@ def plan_travel_to_any(grid: GridMap, start: Cell, goals) -> tuple[list[Cell], C
     if not goal_bits:
         return None
     off_first, off_last = _column_masks(w, h)
-    # the free cells, bit i from cell i's state: the digit string is
-    # reversed because int() reads the highest bit first
     start_bit = 1 << (sy * w + sx)
-    states = grid.state_bytes()
-    states.reverse()
-    open_ = int(states.translate(_FREE_DIGIT), 2) ^ start_bit
+    open_ = grid.free_mask() ^ start_bit
     layers = []  # the layers between the start and the goal
     layer = start_bit
     while True:

@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from . import world as world_mod
 from .game import GameInstance
@@ -95,9 +96,9 @@ def detect_failures(silent_since: dict[int, float], now: float, t0_s: float) -> 
     return sorted(u for u, last in silent_since.items() if now - last > t0_s)
 
 
-@dataclass(frozen=True)
-class RobotView:
-    """Synchronized per-robot facts a game needs."""
+class RobotView(NamedTuple):
+    """Synchronized per-robot facts a game needs. A named tuple, not a
+    frozen dataclass, because each game takes one per live robot."""
 
     id: int
     pos_m: tuple[float, float]
@@ -249,7 +250,7 @@ def noidling_action_menu(snap: TeamSnapshot) -> list[int]:
     omega, gamma, assigned = snap.params.omega, snap.params.gamma, snap.assigned
     return [
         r
-        for r, t in sorted(snap.grid.tasks.items())
+        for r, t in snap.grid.tasks.items()  # in id order
         if t.n_unexplored > 0 and (t.n_unexplored / omega >= gamma or r not in assigned)
     ]
 

@@ -25,6 +25,17 @@ view counts the team map's as of the last sync and its own. Only such a
 write can block a path planned on the map, so the engine re-checks a
 travelling robot's path only when its belief's count has moved.
 
+The travel planner reads a map's free cells as one int (`free_mask`). A
+`GridMap` builds it on every call. The live views share one mask of the
+team map as of the last sync, kept under the synced `n_blocked` it was
+built at (`Beliefs.masks`), so it is built on first use and again only
+once a sync has moved that count. That is exact: the team map's blocked
+cells never leave that state, and each new one moves the count. A view
+serves the shared mask while it holds no blocked write of its own since
+the sync: its own writes then all turn UNEXPLORED cells EXPLORED, both
+free, so its free cells are the synced map's. Otherwise, and once
+detached, it builds its own.
+
 The range sensor (`RangeSensor`) holds only the truth obstacles some live
 belief may still lack. A reading changes only UNEXPLORED cells, and a sync
 leaves every live belief holding each cell the team map wrote since the
@@ -39,6 +50,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import partial
 from typing import NamedTuple
 
 from .models import remaining_worth
@@ -63,12 +75,27 @@ _EXPLORED = CellState.EXPLORED
 _FORBIDDEN = CellState.FORBIDDEN
 _OBSTACLE = CellState.OBSTACLE
 _BLOCKED = _FORBIDDEN  # states from this one up block travel
+# bytes.translate table from a cell state to its free-cell bit digit
+_FREE_DIGIT = bytes.maketrans(bytes(CellState), b"".join(b"1" if s < _BLOCKED else b"0" for s in CellState))
+
+
+def free_cells(states: bytearray) -> int:
+    """The free-cell mask of a map's cell states, bit i set when cell i is
+    not blocked. Reverses `states` in place."""
+    # the digit string is reversed because int() reads the highest bit first
+    states.reverse()
+    return int(states.translate(_FREE_DIGIT), 2)
 
 
 class Change(NamedTuple):
     cell: Cell
     old: CellState
     new: CellState
+
+
+# Change((cell, old, new)) without the Python-level `__new__` of a NamedTuple,
+# for the hot writers
+_change = partial(tuple.__new__, Change)
 
 
 @dataclass
@@ -104,7 +131,7 @@ class GridMap:
     epsilon: float
     cells: list[CellState]
     task_of: list[int]  # task id per cell index, shared and immutable
-    tasks: dict[int, TaskRegion]
+    tasks: dict[int, TaskRegion]  # in ascending id order, as build_world inserts them
     targets: list[Target] = field(default_factory=list)
     targets_at: dict[Cell, list[int]] = field(default_factory=dict)
     ground_truth: GroundTruth | None = None
@@ -126,8 +153,12 @@ class GridMap:
         return self.cells[i]
 
     def state_bytes(self) -> bytearray:
-        """A new bytearray of the cell states, for the travel planner."""
+        """A new bytearray of the cell states."""
         return bytearray(self.cells)
+
+    def free_mask(self) -> int:
+        """The free-cell mask, for the travel planner, built on every call."""
+        return free_cells(self.state_bytes())
 
     def cell_center(self, cell: Cell) -> tuple[float, float]:
         return ((cell[0] + 0.5) * self.epsilon, (cell[1] + 0.5) * self.epsilon)
@@ -158,10 +189,10 @@ class BeliefView:
     is the team map's cells (`base`) under its `since_sync` (`since`).
 
     It reads like a `GridMap` (`state`, `at`, `idx`, `in_bounds`, `width`,
-    `height`, `n_blocked`, `state_bytes`), but `cells` builds a new list. Its
-    writes (`mark_sensed`, `explore`) go to `own` and only ever replace an
-    UNEXPLORED cell, so a cell's state is its own write if it has one, else
-    the synced one. Made by `Beliefs.view`.
+    `height`, `n_blocked`, `state_bytes`, `free_mask`), but `cells` builds a
+    new list. Its writes (`mark_sensed`, `explore`) go to `own` and only ever
+    replace an UNEXPLORED cell, so a cell's state is its own write if it has
+    one, else the synced one. Made by `Beliefs.view`.
     """
 
     __slots__ = (
@@ -173,12 +204,16 @@ class BeliefView:
         "own",
         "synced_blocked",
         "own_blocked",
+        "own_blocked_at_sync",
+        "masks",
         "watchers",
         "watched",
         "watched_unexplored",
     )
 
-    def __init__(self, rid: int, grid: GridMap, synced_blocked: int, watchers: list[tuple[int, ...]]) -> None:
+    def __init__(
+        self, rid: int, grid: GridMap, synced_blocked: int, watchers: list[tuple[int, ...]], masks: dict[int, int]
+    ) -> None:
         self.rid = rid
         self.width = grid.width
         self.height = grid.height
@@ -187,6 +222,8 @@ class BeliefView:
         self.own: dict[int, CellState] = {}
         self.synced_blocked = synced_blocked  # the team map's `n_blocked` at the last sync
         self.own_blocked = 0  # own writes of FORBIDDEN or OBSTACLE, all time
+        self.own_blocked_at_sync = 0  # `own_blocked` at the last sync
+        self.masks = masks  # the live views' shared mask; None once detached
         self.watchers = watchers  # the shared index: flat index -> watching robots
         self.watched: frozenset[Cell] = frozenset()  # region whose unexplored cells are counted
         self.watched_unexplored = 0
@@ -221,6 +258,19 @@ class BeliefView:
             for i, state in layer.items():
                 states[i] = state
         return states
+
+    def free_mask(self) -> int:
+        """The free-cell mask: the shared one while the view holds no blocked
+        write of its own since the last sync, else built from its cells."""
+        masks = self.masks
+        if masks is None or self.own_blocked != self.own_blocked_at_sync:
+            return free_cells(self.state_bytes())
+        mask = masks.get(self.synced_blocked)
+        if mask is None:
+            # the view's free cells are the synced map's
+            masks.clear()
+            masks[self.synced_blocked] = mask = free_cells(self.state_bytes())
+        return mask
 
     @property
     def n_blocked(self) -> int:
@@ -456,7 +506,7 @@ def mark_sensed(grid: GridMap, obstacles) -> list[Change]:
         if at(i) is not _UNEXPLORED:
             continue
         grid._set_state(i, cell, _OBSTACLE)
-        changes.append(Change(cell, _UNEXPLORED, _OBSTACLE))
+        changes.append(_change((cell, _UNEXPLORED, _OBSTACLE)))
         marked.append(cell)
     # buffers go in a second pass so adjacent obstacles within one batch
     # never shadow each other into Forbidden
@@ -465,7 +515,7 @@ def mark_sensed(grid: GridMap, obstacles) -> list[Change]:
             i = grid.idx(nb)
             if at(i) is _UNEXPLORED:
                 grid._set_state(i, nb, _FORBIDDEN)
-                changes.append(Change(nb, _UNEXPLORED, _FORBIDDEN))
+                changes.append(_change((nb, _UNEXPLORED, _FORBIDDEN)))
     return changes
 
 
@@ -488,7 +538,7 @@ def mark_covered(grid: GridMap, cell: Cell) -> tuple[Change | None, int]:
         task = grid.tasks[grid.task_of[i]]
         task.found += discovered
         task.worth = remaining_worth(task.lam, task.found)
-    return Change(cell, _UNEXPLORED, _EXPLORED), discovered
+    return _change((cell, _UNEXPLORED, _EXPLORED)), discovered
 
 
 def merge_maps(grid: GridMap, remote_changes) -> GridMap:
@@ -510,13 +560,15 @@ def merge_maps(grid: GridMap, remote_changes) -> GridMap:
 
 
 class Beliefs:
-    """The robots' beliefs over the team map: a view per live robot.
+    """The robots' beliefs over the team map: a view per live robot, and
+    the free-cell mask of the synced team map that the views share (see
+    the module docstring for why it is exact).
 
-    Nothing in the team map or the views refers back to this object or to
-    another view, so a finished run is freed without the cyclic collector.
-    The index holds tuples, mostly shared one-robot ones, because nearly
-    every task cell is watched at some time and a set per cell would cost
-    more memory.
+    Nothing in the team map, the views or the shared mask refers back to
+    this object or to a view, so a finished run is freed without the
+    cyclic collector. The index holds tuples, mostly shared one-robot
+    ones, because nearly every task cell is watched at some time and a set
+    per cell would cost more memory.
     """
 
     def __init__(self, grid: GridMap) -> None:
@@ -525,10 +577,13 @@ class Beliefs:
         # flat index -> robots whose view watches the cell
         self.watchers: list[tuple[int, ...]] = [()] * len(grid.cells)
         self.views: dict[int, BeliefView] = {}  # the live robots' views
+        # the free-cell mask of the team map as of the last sync, which the
+        # live views share, under the synced `n_blocked` it was built at
+        self.masks: dict[int, int] = {}
 
     def view(self, rid: int) -> BeliefView:
         """A new robot's view, which watches nothing yet."""
-        self.views[rid] = view = BeliefView(rid, self.grid, self.n_blocked, self.watchers)
+        self.views[rid] = view = BeliefView(rid, self.grid, self.n_blocked, self.watchers, self.masks)
         return view
 
     def sync(self) -> None:
@@ -546,6 +601,7 @@ class Beliefs:
                     view.watched_unexplored += 1
             view.own.clear()
             view.synced_blocked = n_blocked
+            view.own_blocked_at_sync = view.own_blocked
         for i, old in grid.since_sync.items():
             if old is _UNEXPLORED:
                 for rid in watchers[i]:
@@ -558,6 +614,7 @@ class Beliefs:
         view = self.views.pop(rid)
         view._leave_index()
         view.watchers = None  # a failed robot watches no new region
+        view.masks = None
         view.base = view.cells
         view.since, view.own = {}, {}
 

@@ -18,7 +18,7 @@ from gridcover.engine import Assignments, LivenessError, Simulation
 from gridcover.models import remaining_worth
 from gridcover.scenario import STRATEGIES
 from gridcover.supervisor import DesState
-from gridcover.world import CellState
+from gridcover.world import CellState, free_cells
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "gridcover" / "scenarios"
@@ -478,6 +478,45 @@ class TestTaskWorth:
         sim.run()
         assert checks > 1000
         assert changed == len({t.cell for t in grid.targets if t.discovered}) > 0
+
+
+class TestTravelMask:
+    # the noisy runs are the two `test_noisy_runs_keep_their_digests` pins;
+    # only in the dotted-wall run, which syncs every 5 s, do robots plan
+    # after a blocked write of their own since the sync
+    RUNS = ("scenario2/CARE", "crowd/CARE", *(f"noisy {n}" for n in sorted(NOISY_DIGESTS)), "dotted wall")
+
+    @staticmethod
+    def doc(name: str) -> dict:
+        if name == "dotted wall":
+            return {**DOTTED_WALL, "params": {"sync_every_s": 5}}
+        if name == "crowd/CARE":
+            ((_name, doc),) = perfbench("workloads").crowd(1)
+            return doc
+        noisy, _, run = name.rpartition(" ")
+        scenario, strategy = run.split("/")
+        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        doc.update(seed=1, strategy=strategy)
+        if noisy:
+            doc["params"] = {**doc.get("params", {}), "noise_sigma_m": 1.5}
+        return doc
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_every_plan_reads_the_mask_built_from_its_belief(self, monkeypatch, name):
+        from gridcover import engine
+
+        shared = []
+
+        def checked_plan(view, start, goals):
+            shared.append(view.masks is not None and view.own_blocked == view.own_blocked_at_sync)
+            assert view.free_mask() == free_cells(view.state_bytes()), f"robot {view.rid}"
+            return real_plan(view, start, goals)
+
+        real_plan = engine.plan_travel_to_any
+        monkeypatch.setattr(engine, "plan_travel_to_any", checked_plan)
+        assert Simulation(parse_scenario(self.doc(name))).run().metrics.end_reason == "complete"
+        assert any(shared)
+        assert all(shared) == (name != "dotted wall")
 
 
 # Robot 1 starts on (3, 2), a buffer cell of the obstacle at (3, 1). The

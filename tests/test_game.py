@@ -228,11 +228,13 @@ class TestMaxLogit:
 
     def test_matches_traced_oracle(self):
         # coarse probabilities and worths make equal potentials, so the
-        # earliest-visit tie rule is exercised too
+        # earliest-visit tie rule is exercised too; short menus make a drawn
+        # alternative often the current action, long ones are the engine's
+        # no-idling menus
         rng = random.Random(17)
         for trial in range(200):
-            n_players = rng.randint(1, 5)
-            actions = tuple(rng.sample(range(1, 30), rng.randint(1, 6)))
+            n_players = rng.randint(1, 8)
+            actions = tuple(rng.sample(range(1, 200), rng.randint(1, rng.choice((6, 120)))))
             players = tuple(range(1, n_players + 1))
             coarse = trial % 2 == 0
             worth = {r: rng.choice((1.0, 2.0, 4.0)) if coarse else rng.uniform(0.0, 10.0) for r in actions}
@@ -240,13 +242,13 @@ class TestMaxLogit:
                 v: {r: rng.choice((0.25, 0.5, 1.0)) if coarse else rng.random() for r in actions}
                 for v in players
             }
-            initial = tuple(rng.choice(actions + (None, 99)) for _ in players)
+            initial = tuple(rng.choice(actions + (None, 999)) for _ in players)
             g = GameInstance(
                 players=players,
                 actions=actions,
                 worth=worth,
                 prob=prob,
-                cycles=rng.randint(1, 60),
+                cycles=rng.randint(1, 200),
                 tau=rng.choice((0.01, 0.05, 0.5)),
                 initial=initial,
             )

@@ -146,6 +146,30 @@ def worths(snap):
     return {r: t.worth for r, t in snap.grid.tasks.items()}
 
 
+class TestRobotView:
+    def test_builds_positionally_and_by_keyword(self):
+        fields = (1, (1.5, 1.5), 1, 100, "tasking", DesState.WK, BAT, 100.0)
+        view = RobotView(*fields)
+        assert view == RobotView(
+            id=1,
+            pos_m=(1.5, 1.5),
+            task=1,
+            region_unexplored=100,
+            mode="tasking",
+            des=DesState.WK,
+            battery=BAT,
+            tasking_time_s=100.0,
+        )
+        assert view.next_task is None
+        assert RobotView(*fields, next_task=2).next_task == RobotView(*fields, 2).next_task == 2
+
+    def test_fields_cannot_be_assigned(self):
+        view = snapshot_for_games().robots[1]
+        with pytest.raises(AttributeError):
+            view.task = 2
+        assert view.task == 1
+
+
 class TestTeamModel:
     def test_remaining_time_formula(self):
         # a resilience player's task stays on the menu only while its

@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridcover import world
+from gridcover.planner import plan_travel_to_any
 from gridcover.scenario import parse_scenario
 from gridcover.world import (
     Beliefs,
@@ -15,6 +17,7 @@ from gridcover.world import (
     RangeSensor,
     build_world,
     coverage_fraction,
+    free_cells,
     mark_covered,
     mark_sensed,
     merge_maps,
@@ -540,6 +543,7 @@ class TestBeliefViews:
             assert grid.since_sync == {i: old for i, old in enumerate(synced) if grid.cells[i] != old}
             for v, ref, region, (v_before, blocked_before) in zip(views, refs, regions, before):
                 assert v.cells == ref.cells
+                assert v.free_mask() == free_cells(bytearray(ref.cells))
                 assert [v.state(c) for c in self.CELLS] == [ref.state(c) for c in self.CELLS]
                 assert v.watched == region
                 assert v.watched_unexplored == sum(1 for c in region if ref.state(c) is CellState.UNEXPLORED)
@@ -588,6 +592,85 @@ class TestBeliefViews:
         beliefs.sync()
         assert second.cells == grid.cells
         assert second.watched_unexplored == 1
+
+
+class TestFreeMask:
+    """The live views share the synced team map's free-cell mask; a view
+    with a blocked write of its own since the sync, or a detached one,
+    builds its own. Each view's mask is the one built from its cells.
+
+    A 7x7 map: the obstacle at (3, 3) and its buffer block (2..4, 2..4),
+    so a path from (0, 3) to (6, 3) goes straight without it and around
+    it once it is held."""
+
+    START, GOAL = (0, 3), (6, 3)
+    STRAIGHT = [(x, 3) for x in range(1, 7)]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The states of every mask the views build."""
+        built = []
+
+        def counted(states):
+            built.append(bytes(states))
+            return real(states)
+
+        real = world.free_cells
+        monkeypatch.setattr(world, "free_cells", counted)
+        return built
+
+    def path(self, view):
+        assert view.free_mask() == free_cells(view.state_bytes())
+        return plan_travel_to_any(view, self.START, {self.GOAL})[0]
+
+    def test_a_view_with_its_own_blocked_write_plans_around_it(self):
+        grid = make_world(width=7, height=7, obstacles=[[3, 3]])
+        beliefs = Beliefs(grid)
+        first, second = beliefs.view(1), beliefs.view(2)
+        assert self.path(first) == self.path(second) == self.STRAIGHT  # the shared mask is built
+        mark_sensed(first, [(3, 3)])
+        assert (3, 3) not in self.path(first) and len(self.path(first)) > len(self.STRAIGHT)
+        assert self.path(second) == self.STRAIGHT
+
+    def test_a_sync_bringing_a_blocked_cell_rebuilds_the_shared_mask(self, builds):
+        grid = make_world(width=7, height=7, obstacles=[[3, 3]])
+        beliefs = Beliefs(grid)
+        view = beliefs.view(1)
+        assert self.path(view) == self.STRAIGHT
+        mark_sensed(grid, [(3, 3)])  # another robot's reading
+        assert self.path(view) == self.STRAIGHT  # not synced yet
+        beliefs.sync()
+        assert (3, 3) not in self.path(view) and len(self.path(view)) > len(self.STRAIGHT)
+        # the shared mask, built once before the sync and once after
+        assert len(builds) == 2 and builds[0] != builds[1]
+
+    def test_a_detached_view_never_serves_the_shared_mask(self, builds):
+        grid = make_world(width=7, height=7, obstacles=[[3, 3]])
+        beliefs = Beliefs(grid)
+        alive, failed = beliefs.view(1), beliefs.view(2)
+        assert self.path(alive) == self.path(failed) == self.STRAIGHT
+        beliefs.detach(2)
+        mark_sensed(grid, [(3, 3)])
+        beliefs.sync()
+        assert self.path(alive) != self.STRAIGHT
+        builds.clear()
+        assert failed.free_mask() == failed.free_mask()
+        assert len(builds) == 2
+        assert self.path(failed) == self.STRAIGHT
+
+    def test_plans_without_blocked_writes_cost_one_build(self, builds):
+        grid = make_world(width=7, height=7)
+        beliefs = Beliefs(grid)
+        views = [beliefs.view(rid) for rid in range(1, 5)]
+        for x in range(7):
+            for view in views:
+                view.free_mask()
+                assert plan_travel_to_any(view, (x, 0), {(6, 6)}) is not None
+            for y in range(7):
+                mark_covered(grid, (x, y))
+                views[y % 4].explore((x, y))
+            beliefs.sync()
+        assert len(builds) == 1
 
 
 class TestRangeSensor:
