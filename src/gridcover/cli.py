@@ -12,7 +12,8 @@ Files written to --out-dir, with the record each one's columns come from:
            events.csv           supervisor.EventRecord, one row per event
            changes.csv          RunLogs.changes: tick, robot, x, y, old, new
            trajectories.csv     RunLogs.trajectories: tick, robot, x_m, y_m,
-                                cell_x, cell_y, mode
+                                cell_x, cell_y, mode, one row per live robot
+                                per tick, written from the log's moves
            detector.csv         RunLogs.detector: tick, robot, heard_by, one
                                 row per confirmed failure
            map_final.txt, map_tick_NNNNNN.txt (--snapshot-every),
@@ -25,8 +26,8 @@ Files written to --out-dir, with the record each one's columns come from:
                                 columns
 An empty cell is a metric the run has no value for: no game played, no
 robot alive at the end, or a ToTD level never reached. Every CSV file is
-in the `csv` module's `excel` dialect; trajectories.csv is formatted here,
-byte for byte as that dialect would write it.
+in the `csv` module's `excel` dialect; trajectories.csv and changes.csv
+are formatted here, byte for byte as that dialect would write them.
 
 Exit codes: 0 success, 1 usage or schema error, 2 liveness violation.
 Set CARE_LOG_LEVEL (DEBUG/INFO/WARNING/ERROR) to control verbosity.
@@ -43,7 +44,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .engine import GameRecord, LivenessError, RunResult, run as run_engine
+from .engine import GameRecord, LivenessError, RunResult, TrajectoryLog, run as run_engine
 from .render import render_svg
 from .scenario import STRATEGIES, ScenarioError, load_scenario
 from .supervisor import DesState
@@ -51,7 +52,7 @@ from .world import CellState, map_text
 
 _STATE_NAMES = [state.name for state in CellState]  # by value: `.name` is a slow enum descriptor
 _DES_VALUES = {state: state.value for state in DesState}  # `.value` is a slow enum descriptor too
-_BLOCK = 4096  # trajectory lines per write; one string per file would raise peak memory
+_BLOCK = 1 << 18  # characters per write; one string per file would raise peak memory
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -61,22 +62,48 @@ def _write_csv(path: Path, header, rows) -> None:
         w.writerows(rows)
 
 
-def _write_trajectories(path: Path, rows) -> None:
-    """trajectories.csv as `csv.writer` would write it, each distinct
-    position's text formatted once."""
-    # keyed on the values the text prints; the engine logs only positive
-    # metres, so 0.0 == -0.0 never makes two texts share a key
-    texts: dict[tuple, str] = {}
+def _write_text(path: Path, header: str, chunks) -> None:
+    """Write the header, then the chunks, joined into blocks of about `_BLOCK`
+    characters."""
     with open(path, "w", newline="") as fh:
-        fh.write("tick,robot,x_m,y_m,cell_x,cell_y,mode\r\n")
-        for start in range(0, len(rows), _BLOCK):
-            lines = []
-            for tick, rid, x, y, cx, cy, mode in rows[start : start + _BLOCK]:
-                text = texts.get((x, y, cx, cy))
-                if text is None:
-                    text = texts[x, y, cx, cy] = f"{x!r},{y!r},{cx},{cy}"
-                lines.append(f"{tick},{rid},{text},{mode}\r\n")
-            fh.write("".join(lines))
+        fh.write(header)
+        block, size = [], 0
+        for chunk in chunks:
+            block.append(chunk)
+            size += len(chunk)
+            if size >= _BLOCK:
+                fh.write("".join(block))
+                block, size = [], 0
+        fh.write("".join(block))
+
+
+def _write_trajectories(path: Path, log: TrajectoryLog) -> None:
+    """trajectories.csv as `csv.writer` would write it. Each robot's row
+    after the tick is formatted once per move, and each tick's rows are one
+    join of those."""
+    rx, ry = [repr(x) for x in log.xs], [repr(y) for y in log.ys]
+
+    def tail(rid, cx, cy, mode):
+        return f"{rid},{rx[cx]},{ry[cy]},{cx},{cy},{mode}\r\n"
+
+    def ticks():
+        for tick, tails in log.by_tick(tail):
+            if tails:
+                p = f"{tick},"
+                yield p + p.join(tails.values())
+
+    _write_text(path, "tick,robot,x_m,y_m,cell_x,cell_y,mode\r\n", ticks())
+
+
+def _write_changes(path: Path, changes) -> None:
+    """changes.csv as `csv.writer` would write it: ints and state names
+    need no quoting."""
+    names = _STATE_NAMES
+    _write_text(
+        path,
+        "tick,robot,x,y,old,new\r\n",
+        (f"{tick},{robot},{x},{y},{names[old]},{names[new]}\r\n" for tick, robot, ((x, y), old, new) in changes),
+    )
 
 
 def _metrics(result: RunResult) -> dict:
@@ -121,11 +148,7 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
         ([_cell(getattr(g, name)) for name in game_columns] for g in logs.games),
     )
     _write_trajectories(out_dir / "trajectories.csv", logs.trajectories)
-    _write_csv(
-        out_dir / "changes.csv",
-        ["tick", "robot", "x", "y", "old", "new"],
-        ((tick, robot, *ch.cell, _STATE_NAMES[ch.old], _STATE_NAMES[ch.new]) for tick, robot, ch in logs.changes),
-    )
+    _write_changes(out_dir / "changes.csv", logs.changes)
     # the log repeats heard_by in a fourth field that the run digests hash
     _write_csv(out_dir / "detector.csv", ["tick", "robot", "heard_by"], (row[:3] for row in logs.detector))
 
@@ -135,11 +158,12 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
         (out_dir / f"map_tick_{tick:06d}.txt").write_text(snap)
 
     failed = [ev.robot for ev in logs.events if ev.event == "e7"]
-    # a robot that fails before its first trajectory row never left its start
+    # a failed robot is crossed at its last move's cell; one that fails
+    # before its first trajectory row never left its start
     last_cell = {spec.id: spec.start for spec in result.config.robots if spec.id in failed}
     if failed:
-        for _tick, rid, _x, _y, cx, cy, _mode in logs.trajectories:
-            if rid in last_cell:
+        for _tick, rid, cx, cy, mode in logs.trajectories.moves:
+            if mode is not None and rid in last_cell:
                 last_cell[rid] = (cx, cy)
     failure_marks = [(rid, last_cell[rid]) for rid in failed]
     svg = render_svg(result.grid, logs.trajectories, failure_marks)

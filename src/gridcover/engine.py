@@ -276,13 +276,58 @@ class MetricsRecord:
 
 
 @dataclass
+class TrajectoryLog:
+    """Each live robot's row (tick, robot, x_m, y_m, cell_x, cell_y, mode) at
+    each tick, kept as the moves that change it. A robot's row is piecewise
+    constant between events, so the log has an entry (tick, robot, cell_x,
+    cell_y, mode) on its first row and whenever its cell or mode differs from
+    its previous row, and (tick, robot, None, None, None) on the first tick it
+    has no row, its failure. Every robot with a row has its first on the
+    first entry's tick, and that tick's entries are in robot id order. The
+    metres are the cell's center, read from `xs` and `ys`. Iterating yields
+    every row, in tick then robot order."""
+
+    xs: list[float] = field(default_factory=list)  # the center's metres per cell_x
+    ys: list[float] = field(default_factory=list)  # and per cell_y
+    moves: list[tuple[int, int, int | None, int | None, str | None]] = field(default_factory=list)
+    last_tick: int = 0  # rows run up to this tick
+
+    def by_tick(self, make):
+        """Yield (tick, rows) for each tick from the first entry's to
+        `last_tick`. `rows` maps each live robot, in id order, to
+        `make(robot, cell_x, cell_y, mode)` of its last move, made once per
+        move; it is one dict updated in place, so read it before the next
+        tick."""
+        moves = self.moves
+        if not moves:
+            return
+        rows: dict = {}
+        i, n = 0, len(moves)
+        for tick in range(moves[0][0], self.last_tick + 1):
+            while i < n and moves[i][0] == tick:
+                _tick, rid, cx, cy, mode = moves[i]
+                i += 1
+                if mode is None:
+                    del rows[rid]
+                else:
+                    rows[rid] = make(rid, cx, cy, mode)
+            yield tick, rows
+
+    def __iter__(self):
+        xs, ys = self.xs, self.ys
+        for tick, rows in self.by_tick(lambda rid, cx, cy, mode: (rid, xs[cx], ys[cy], cx, cy, mode)):
+            for row in rows.values():
+                yield (tick, *row)
+
+
+@dataclass
 class RunLogs:
     events: list[EventRecord] = field(default_factory=list)
     games: list[GameRecord] = field(default_factory=list)
     changes: list[tuple[int, int, Change]] = field(default_factory=list)  # (tick, robot, change)
-    # (tick, robot, x_m, y_m, cell_x, cell_y, mode) per live robot per tick; the
-    # metres are the cell's center, one float object per axis value
-    trajectories: list[tuple[int, int, float, float, int, int, str]] = field(default_factory=list)
+    # logged per move; iterating it, like the files written from it, gives
+    # one row per live robot per tick
+    trajectories: TrajectoryLog = field(default_factory=TrajectoryLog)
     discoveries: list[tuple[int, int]] = field(default_factory=list)  # (tick, cumulative found)
     # (tick, robot, min(kappa2, live), min(kappa2, live)) per confirmation; the
     # run digests hash these rows, so the repeated field stays
@@ -332,10 +377,9 @@ class Simulation:
             )
         self.team = [self.robots[rid] for rid in sorted(self.robots)]
         self._n_failed = self._n_sp = self._n_idle = 0  # robots in FL, SP and ID, kept by `_fire`
-        # cell-center coordinates, one float object each for every trajectory row
-        eps = self.grid.epsilon
-        self._center_x = [(x + 0.5) * eps for x in range(self.grid.width)]
-        self._center_y = [(y + 0.5) * eps for y in range(self.grid.height)]
+        # per team position: the (cell, mode) of the robot's last trajectory
+        # entry, None before its first and after its failure
+        self._logged: list[tuple[Cell, str] | None] = [None] * len(self.team)
 
         self._sensor = RangeSensor(self.grid, self.params.sense_radius_m)
         self._strips: dict[int, list[list[Cell]]] = {}
@@ -349,7 +393,13 @@ class Simulation:
 
         self.visited: set[Cell] = set()
         self.found_total = 0
-        self.logs = RunLogs()
+        eps = self.grid.epsilon
+        self.logs = RunLogs(
+            trajectories=TrajectoryLog(
+                xs=[(x + 0.5) * eps for x in range(self.grid.width)],
+                ys=[(y + 0.5) * eps for y in range(self.grid.height)],
+            )
+        )
         self.tick = 0
         self.now = 0.0
         self._gid = 0
@@ -944,12 +994,20 @@ class Simulation:
                 self._fire(r, "e6")  # ID is entered only through _go_idle: no task, mode idle
 
     def _log_trajectories(self) -> None:
-        center_x, center_y = self._center_x, self._center_y
-        for r in self.team:
+        """Log each live robot whose cell or mode differs from its last
+        entry, and the end of each robot that failed this tick."""
+        trajectories, logged = self.logs.trajectories, self._logged
+        tick = trajectories.last_tick = self.tick
+        moves = trajectories.moves
+        for i, r in enumerate(self.team):
+            last = logged[i]
             if r.des is _FAILED:
-                continue
-            x, y = r.cell
-            self.logs.trajectories.append((self.tick, r.id, center_x[x], center_y[y], x, y, r.mode))
+                if last is not None:
+                    moves.append((tick, r.id, None, None, None))
+                    logged[i] = None
+            elif last is None or r.cell != last[0] or r.mode != last[1]:
+                cell, mode = logged[i] = r.cell, r.mode
+                moves.append((tick, r.id, cell[0], cell[1], mode))
 
     def _snapshot(self) -> None:
         self.logs.snapshots.append((self.tick, map_text(self.grid)))

@@ -6,8 +6,12 @@ Output bytes depend only on the inputs, so renders double as golden files.
 from __future__ import annotations
 
 from itertools import groupby
+from typing import TYPE_CHECKING
 
 from .world import CellState, GridMap
+
+if TYPE_CHECKING:
+    from .engine import TrajectoryLog
 
 STATE_FILL = {
     CellState.UNEXPLORED: "#b7d8c0",
@@ -38,13 +42,13 @@ def _f(v: float) -> str:
 
 def render_svg(
     grid: GridMap,
-    trajectories: list[tuple[int, int, float, float, int, int, str]],
+    trajectories: TrajectoryLog,
     failures: list[tuple[int, tuple[int, int]]] = (),
 ) -> str:
     """Draw the map, per-robot polylines, failure crosses and target dots.
 
-    `trajectories` rows are (tick, robot, x_m, y_m, cell_x, cell_y, mode) as
-    the engine logs them; `failures` lists (robot, last cell) pairs.
+    A robot's polyline has one point per trajectory row, its cell's center;
+    `failures` lists (robot, last cell) pairs.
     """
     w = grid.width * _SCALE
     h = grid.height * _SCALE
@@ -67,15 +71,21 @@ def render_svg(
                 )
 
     scale = _SCALE / grid.epsilon
-    # each distinct point's text once, keyed on the metres it prints; the
-    # engine logs only positive metres, so 0.0 == -0.0 never shares a key
-    texts: dict[tuple[float, float], str] = {}
+    tx = [_f(x * scale) for x in trajectories.xs]
+    ty = [_f(y * scale) for y in trajectories.ys]
+    # each move's point repeats once per tick its row holds
     by_robot: dict[int, list[str]] = {}
-    for _tick, rid, x_m, y_m, _cx, _cy, _mode in trajectories:
-        text = texts.get((x_m, y_m))
-        if text is None:
-            text = texts[x_m, y_m] = f"{x_m * scale:.2f},{y_m * scale:.2f}"
-        by_robot.setdefault(rid, []).append(text)
+    held: dict[int, tuple[int, str]] = {}  # robot -> (tick, point) of its last move
+    for tick, rid, cx, cy, mode in trajectories.moves:
+        if rid in held:
+            since, point = held.pop(rid)
+            by_robot[rid] += [point] * (tick - since)
+        if mode is not None:
+            held[rid] = (tick, f"{tx[cx]},{ty[cy]}")
+            by_robot.setdefault(rid, [])
+    end = trajectories.last_tick + 1
+    for rid, (since, point) in held.items():
+        by_robot[rid] += [point] * (end - since)
     for i, rid in enumerate(sorted(by_robot)):
         pts = " ".join(by_robot[rid])
         color = ROBOT_COLORS[i % len(ROBOT_COLORS)]

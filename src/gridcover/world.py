@@ -21,9 +21,10 @@ cell -> watching robots index lets a sync update those counts from
 `since_sync`.
 
 Every map counts its writes of FORBIDDEN or OBSTACLE (`n_blocked`), and a
-view counts the team map's as of the last sync and its own. Only such a
-write can block a path planned on the map, so the engine re-checks a
-travelling robot's path only when its belief's count has moved.
+view counts the team map's as of the last sync, which the live views share,
+and its own. So a sync visits only the views written since the last one.
+Only a blocked write can block a path planned on the map, so the engine
+re-checks a travelling robot's path only when its belief's count has moved.
 
 The travel planner reads a map's free cells as one int (`free_mask`). A
 `GridMap` builds it on every call. The live views share one mask of the
@@ -183,6 +184,18 @@ class GridMap:
         self.cells[i] = new
 
 
+class _Synced:
+    """What the live views share with their `Beliefs`: the team map's
+    `n_blocked` as of the last sync, and the robots whose views wrote since
+    it, so that a sync visits only those."""
+
+    __slots__ = ("n_blocked", "writers")
+
+    def __init__(self, n_blocked: int) -> None:
+        self.n_blocked = n_blocked
+        self.writers: list[int] = []
+
+
 class BeliefView:
     """One robot's belief: the robot's own writes since the last sync
     (`own`, flat index -> state) over the team map as of that sync, which
@@ -202,7 +215,7 @@ class BeliefView:
         "base",
         "since",
         "own",
-        "synced_blocked",
+        "synced",
         "own_blocked",
         "own_blocked_at_sync",
         "masks",
@@ -212,7 +225,7 @@ class BeliefView:
     )
 
     def __init__(
-        self, rid: int, grid: GridMap, synced_blocked: int, watchers: list[tuple[int, ...]], masks: dict[int, int]
+        self, rid: int, grid: GridMap, synced: _Synced, watchers: list[tuple[int, ...]], masks: dict[int, int]
     ) -> None:
         self.rid = rid
         self.width = grid.width
@@ -220,7 +233,7 @@ class BeliefView:
         self.base = grid.cells  # the team map's cells; a snapshot once detached
         self.since = grid.since_sync
         self.own: dict[int, CellState] = {}
-        self.synced_blocked = synced_blocked  # the team map's `n_blocked` at the last sync
+        self.synced = synced  # the live views' shared one; a frozen copy once detached
         self.own_blocked = 0  # own writes of FORBIDDEN or OBSTACLE, all time
         self.own_blocked_at_sync = 0  # `own_blocked` at the last sync
         self.masks = masks  # the live views' shared mask; None once detached
@@ -265,18 +278,19 @@ class BeliefView:
         masks = self.masks
         if masks is None or self.own_blocked != self.own_blocked_at_sync:
             return free_cells(self.state_bytes())
-        mask = masks.get(self.synced_blocked)
+        synced_blocked = self.synced.n_blocked
+        mask = masks.get(synced_blocked)
         if mask is None:
             # the view's free cells are the synced map's
             masks.clear()
-            masks[self.synced_blocked] = mask = free_cells(self.state_bytes())
+            masks[synced_blocked] = mask = free_cells(self.state_bytes())
         return mask
 
     @property
     def n_blocked(self) -> int:
         """Moves whenever a blocked cell lands in the view, and also when a
         sync brings one the view already held."""
-        return self.synced_blocked + self.own_blocked
+        return self.synced.n_blocked + self.own_blocked
 
     def watch(self, region) -> list[Cell]:
         """Watch a new region (empty for none); count and return its unexplored cells."""
@@ -300,6 +314,8 @@ class BeliefView:
         which the view holds UNEXPLORED."""
         if new >= _BLOCKED:
             self.own_blocked += 1
+        if not self.own:
+            self.synced.writers.append(self.rid)
         self.own[i] = new
         if cell in self.watched:
             self.watched_unexplored -= 1
@@ -573,7 +589,7 @@ class Beliefs:
 
     def __init__(self, grid: GridMap) -> None:
         self.grid = grid
-        self.n_blocked = grid.n_blocked  # the team map's at the last sync
+        self.synced = _Synced(grid.n_blocked)
         # flat index -> robots whose view watches the cell
         self.watchers: list[tuple[int, ...]] = [()] * len(grid.cells)
         self.views: dict[int, BeliefView] = {}  # the live robots' views
@@ -583,25 +599,29 @@ class Beliefs:
 
     def view(self, rid: int) -> BeliefView:
         """A new robot's view, which watches nothing yet."""
-        self.views[rid] = view = BeliefView(rid, self.grid, self.n_blocked, self.watchers, self.masks)
+        self.views[rid] = view = BeliefView(rid, self.grid, self.synced, self.watchers, self.masks)
         return view
 
     def sync(self) -> None:
-        """Bring every live view to the team map. A view drops its own
-        writes, each of a cell UNEXPLORED at the last sync, which its
-        watched count takes back: the team map may not have written the
-        cell, as it skips a reading on a cell it wrote since. Then each cell
-        the team map took out of UNEXPLORED since lowers its watchers'
-        counts."""
-        grid, watchers, views = self.grid, self.watchers, self.views
-        self.n_blocked = n_blocked = grid.n_blocked
-        for rid, view in views.items():
+        """Bring every live view to the team map. The shared count takes
+        the team map's `n_blocked`. Each view that wrote since the last sync
+        drops its own writes, each of a cell UNEXPLORED at the last sync,
+        which its watched count takes back: the team map may not have
+        written the cell, as it skips a reading on a cell it wrote since.
+        Then each cell the team map took out of UNEXPLORED since lowers its
+        watchers' counts."""
+        grid, watchers, views, synced = self.grid, self.watchers, self.views, self.synced
+        synced.n_blocked = grid.n_blocked
+        for rid in synced.writers:
+            view = views.get(rid)
+            if view is None:  # detached since it wrote
+                continue
             for i in view.own:
                 if rid in watchers[i]:
                     view.watched_unexplored += 1
             view.own.clear()
-            view.synced_blocked = n_blocked
             view.own_blocked_at_sync = view.own_blocked
+        synced.writers.clear()
         for i, old in grid.since_sync.items():
             if old is _UNEXPLORED:
                 for rid in watchers[i]:
@@ -615,6 +635,7 @@ class Beliefs:
         view._leave_index()
         view.watchers = None  # a failed robot watches no new region
         view.masks = None
+        view.synced = _Synced(view.synced.n_blocked)
         view.base = view.cells
         view.since, view.own = {}, {}
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcover import cli, load_scenario, parse_scenario, run
-from gridcover.cli import _write_trajectories, write_run_outputs
+from gridcover.cli import _write_changes, _write_trajectories, write_run_outputs
+from gridcover.engine import TrajectoryLog
 from gridcover.render import ROBOT_COLORS, STATE_FILL, render_svg
-from gridcover.world import CellState, GridMap, Target, map_text
+from gridcover.world import CellState, Change, GridMap, Target, map_text
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios" / "scenario2.json"
 OUTPUT_FILES = (
@@ -470,13 +471,23 @@ def reference_render_svg(grid, trajectories, failures) -> str:
     return "\n".join(parts) + "\n"
 
 
+def reference_changes_csv(changes) -> bytes:
+    """changes.csv through the plain `csv.writer`, the path the formatted
+    one replaced, kept as its oracle."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["tick", "robot", "x", "y", "old", "new"])
+    writer.writerows((tick, robot, *ch.cell, ch.old.name, ch.new.name) for tick, robot, ch in changes)
+    return out.getvalue().encode()
+
+
 @st.composite
 def written_inputs(draw):
-    """A map and trajectory rows shaped like the engine's: positive finite
-    metres drawn from a small pool, so that positions repeat across robots
-    and ticks and one cell meets several metres, any ticks, robot ids and
-    cells, and the engine's three modes; failure marks name logged robots
-    and one robot with no row."""
+    """A map, a trajectory log and map changes shaped like the engine's. The
+    log runs over several ticks from any first tick: each robot moves to a
+    drawn cell and mode or stays, and may fail, on the first tick before any
+    row or later; the cell centres are positive finite metres. Failure marks
+    name logged robots and one robot with no row."""
     width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     target_cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=4))
     grid = GridMap(
@@ -489,37 +500,50 @@ def written_inputs(draw):
         targets=[Target(cell, draw(st.booleans())) for cell in target_cells],
     )
     metres = st.floats(min_value=0.0, exclude_min=True, max_value=1e9, allow_infinity=False)
-    positions = draw(st.lists(st.tuples(metres, metres), min_size=1, max_size=4))
-    cells = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=3))
-    rows = draw(
-        st.lists(
-            st.builds(
-                lambda tick, rid, pos, cell, mode: (tick, rid, *pos, *cell, mode),
-                st.integers(0, 10**9),
-                st.integers(0, 40),
-                st.sampled_from(positions),
-                st.sampled_from(cells),
-                st.sampled_from(["tasking", "traveling", "idle"]),
-            ),
-            max_size=60,
-        )
-    )
-    logged = sorted({row[1] for row in rows})
+    log = TrajectoryLog(xs=draw(st.lists(metres, min_size=1, max_size=4)), ys=draw(st.lists(metres, min_size=1, max_size=4)))
+    first = draw(st.integers(1, 10**9))
+    log.last_tick = first + draw(st.integers(0, 6))
+    ticks = range(first, log.last_tick + 1)
+    robots = draw(st.lists(st.integers(0, 40), unique=True, max_size=5))
+    fails = {rid: draw(st.none() | st.sampled_from(ticks)) for rid in robots}
+    rows = st.tuples(st.integers(0, len(log.xs) - 1), st.integers(0, len(log.ys) - 1), st.sampled_from(["tasking", "traveling", "idle"]))
+    last = {}
+    for tick in ticks:
+        for rid in sorted(robots):
+            if fails[rid] is not None and tick >= fails[rid]:
+                if last.pop(rid, None) is not None:
+                    log.moves.append((tick, rid, None, None, None))
+            elif rid not in last or draw(st.booleans()):
+                row = draw(rows)
+                if last.get(rid) != row:
+                    last[rid] = row
+                    log.moves.append((tick, rid, *row))
+    cells = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+    logged = sorted({move[1] for move in log.moves})
     marked = draw(st.lists(st.sampled_from(logged), max_size=3)) if logged else []
-    failures = [(rid, draw(st.sampled_from(cells))) for rid in marked] + [(41, draw(st.sampled_from(cells)))]
-    return grid, rows, failures
+    failures = [(rid, draw(cells)) for rid in marked] + [(41, draw(cells))]
+    changes = [
+        (tick, robot, Change(cell, old, new))
+        for tick, robot, cell, old, new in draw(
+            st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 40), cells, *[st.sampled_from(list(CellState))] * 2))
+        )
+    ]
+    return grid, log, failures, changes
 
 
 @pytest.fixture(scope="module")
 def scratch_csv(tmp_path_factory):
-    return tmp_path_factory.mktemp("writers") / "trajectories.csv"
+    return tmp_path_factory.mktemp("writers") / "out.csv"
 
 
 @settings(max_examples=200, deadline=None)
 @given(written_inputs())
 def test_the_writers_keep_the_reference_bytes(scratch_csv, inputs):
-    grid, rows, failures = inputs
-    _write_trajectories(scratch_csv, rows)
+    grid, log, failures, changes = inputs
+    rows = list(log)
+    _write_trajectories(scratch_csv, log)
     assert scratch_csv.read_bytes() == reference_trajectories_csv(rows)
+    _write_changes(scratch_csv, changes)
+    assert scratch_csv.read_bytes() == reference_changes_csv(changes)
     assert map_text(grid) == reference_map_text(grid)
-    assert render_svg(grid, rows, failures) == reference_render_svg(grid, rows, failures)
+    assert render_svg(grid, log, failures) == reference_render_svg(grid, rows, failures)

@@ -116,11 +116,35 @@ def belief_problems(sim: Simulation) -> list[str]:
     ]
 
 
-class CheckedSimulation(Simulation):
-    """Checks that every live belief equals the team map after every sync,
-    and the region counters, the DES-state counts, the sensor's dropped
-    cells and the table after every tick (`_end_reason` is each tick's last
-    step). On every travel step it checks that a path whose re-check is
+class RowCheckedSimulation(Simulation):
+    """Also builds the trajectory rows as the engine logged them before it
+    logged moves, one per live robot per tick, and checks at the end of the
+    run that iterating the move log yields exactly those rows."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = []
+
+    def _log_trajectories(self):
+        super()._log_trajectories()
+        eps = self.grid.epsilon
+        for r in self.team:
+            if r.des is not DesState.FL:
+                x, y = r.cell
+                self.rows.append((self.tick, r.id, (x + 0.5) * eps, (y + 0.5) * eps, x, y, r.mode))
+
+    def run(self):
+        result = super().run()
+        assert list(self.logs.trajectories) == self.rows
+        return result
+
+
+class CheckedSimulation(RowCheckedSimulation):
+    """Checks the trajectory log (see `RowCheckedSimulation`), that every
+    live belief equals the team map after every sync, and the region
+    counters, the DES-state counts, the sensor's dropped cells and the
+    table after every tick (`_end_reason` is each tick's last step). On
+    every travel step it checks that a path whose re-check is
     skipped holds no blocked cell, and counts in `travel_gate` the skipped
     re-checks, the run ones and the run ones that found the path blocked.
     Keeps each robot's belief as it was when the robot failed, in
@@ -615,7 +639,7 @@ class TestSmallWorlds:
         # liveness itself is not asserted: the sensing defect of ROADMAP R1
         # still stalls some valid worlds
         try:
-            sim = Simulation(parse_scenario(doc))
+            sim = RowCheckedSimulation(parse_scenario(doc))
             result = sim.run()
         except (ScenarioError, LivenessError):
             return

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcover.engine import TrajectoryLog
 from gridcover.render import ROBOT_COLORS, STATE_FILL, render_svg
 from gridcover.world import CellState
 from tests.test_world import make_world
@@ -47,7 +48,7 @@ class TestMapRects:
     def test_each_known_cell_drawn_once_in_its_fill(self, states):
         grid = small_world()
         grid.cells = list(states)
-        root = parse(render_svg(grid, []))
+        root = parse(render_svg(grid, TrajectoryLog()))
         background = [r for r in root.iter(f"{NS}rect") if "x" not in r.attrib]
         assert [r.get("fill") for r in background] == [STATE_FILL[CellState.UNEXPLORED]]
         drawn = covered_cells(root)
@@ -63,18 +64,25 @@ class TestMapRects:
     def test_runs_of_one_state_share_a_rect(self):
         grid = small_world()
         grid.cells = [CellState.EXPLORED] * 7 + [CellState.UNEXPLORED] * 28
-        rects = [r for r in parse(render_svg(grid, [])).iter(f"{NS}rect") if "x" in r.attrib]
+        rects = [r for r in parse(render_svg(grid, TrajectoryLog())).iter(f"{NS}rect") if "x" in r.attrib]
         assert len(rects) == 1
         assert rects[0].get("width") == str(7 * SCALE)
 
 
 class TestMarkers:
     def render(self, grid):
-        trajectories = [
-            (0, 3, 0.5, 0.5, 0, 0, "tasking"),
-            (0, 1, 6.5, 4.5, 6, 4, "tasking"),
-            (1, 3, 1.5, 0.5, 1, 0, "traveling"),
-        ]
+        # robot 1 has a row on tick 1 only, robot 3 on ticks 1 to 3
+        trajectories = TrajectoryLog(
+            xs=[(x + 0.5) * grid.epsilon for x in range(grid.width)],
+            ys=[(y + 0.5) * grid.epsilon for y in range(grid.height)],
+            moves=[
+                (1, 1, 6, 4, "tasking"),
+                (1, 3, 0, 0, "tasking"),
+                (2, 1, None, None, None),
+                (2, 3, 1, 0, "traveling"),
+            ],
+            last_tick=3,
+        )
         failures = [(3, (1, 0)), (2, (4, 4))]
         return render_svg(grid, trajectories, failures)
 
@@ -87,7 +95,7 @@ class TestMarkers:
         # robots 1 and 3 have rows, in id order; robot 2 failed but logged none
         assert [p.get("stroke") for p in lines] == list(ROBOT_COLORS[:2])
         assert lines[0].get("points") == "78.00,54.00"
-        assert lines[1].get("points") == "6.00,6.00 18.00,6.00"
+        assert lines[1].get("points") == "6.00,6.00 18.00,6.00 18.00,6.00"
 
     def test_one_cross_per_failure(self):
         root = parse(self.render(small_world()))

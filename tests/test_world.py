@@ -658,6 +658,33 @@ class TestFreeMask:
         assert len(builds) == 2
         assert self.path(failed) == self.STRAIGHT
 
+    def test_a_sync_brings_a_view_that_wrote_nothing_to_the_team_map(self, builds):
+        # robot 1 reads the obstacle and covers a cell; robot 2 writes
+        # nothing, so the sync leaves its view untouched and it reads the
+        # synced count and mask it shares
+        grid = make_world(width=7, height=7, obstacles=[[3, 3]])
+        beliefs = Beliefs(grid)
+        writer, quiet = beliefs.view(1), beliefs.view(2)
+        quiet.watch([(x, 3) for x in range(7)])
+        for view in (writer, grid):
+            mark_sensed(view, [(3, 3)])
+        mark_covered(grid, (0, 0))
+        writer.explore((0, 0))
+        assert (writer.n_blocked, quiet.n_blocked) == (9, 0)
+        assert (3, 3) not in self.path(writer) and self.path(quiet) == self.STRAIGHT
+        beliefs.sync()
+        assert (writer.n_blocked, quiet.n_blocked) == (9 + 9, 9)
+        assert writer.cells == quiet.cells == grid.cells
+        assert quiet.watched_unexplored == 7 - 3
+        builds.clear()
+        assert self.path(writer) == self.path(quiet) != self.STRAIGHT
+        assert writer.free_mask() == quiet.free_mask() == free_cells(grid.state_bytes())
+        assert len(builds) == 1  # the shared mask, once for both views
+        # a later own write moves only the writer's count and mask
+        mark_sensed(writer, [(6, 6)])
+        assert (writer.n_blocked, quiet.n_blocked) == (9 + 9 + 4, 9)  # a corner: 3 buffer cells
+        assert writer.free_mask() != quiet.free_mask()
+
     def test_plans_without_blocked_writes_cost_one_build(self, builds):
         grid = make_world(width=7, height=7)
         beliefs = Beliefs(grid)
