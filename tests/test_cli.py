@@ -500,32 +500,38 @@ def written_inputs(draw):
         targets=[Target(cell, draw(st.booleans())) for cell in target_cells],
     )
     metres = st.floats(min_value=0.0, exclude_min=True, max_value=1e9, allow_infinity=False)
-    log = TrajectoryLog(xs=draw(st.lists(metres, min_size=1, max_size=4)), ys=draw(st.lists(metres, min_size=1, max_size=4)))
+    axis = st.lists(metres, min_size=1, max_size=4)
+    log = TrajectoryLog(xs=draw(axis), ys=draw(axis))
     first = draw(st.integers(1, 10**9))
     log.last_tick = first + draw(st.integers(0, 6))
     ticks = range(first, log.last_tick + 1)
-    robots = draw(st.lists(st.integers(0, 40), unique=True, max_size=5))
+    robots = sorted(draw(st.lists(st.integers(0, 40), unique=True, max_size=5)))
     fails = {rid: draw(st.none() | st.sampled_from(ticks)) for rid in robots}
-    rows = st.tuples(st.integers(0, len(log.xs) - 1), st.integers(0, len(log.ys) - 1), st.sampled_from(["tasking", "traveling", "idle"]))
-    last = {}
+    moves = st.tuples(
+        st.integers(0, len(log.xs) - 1),
+        st.integers(0, len(log.ys) - 1),
+        st.sampled_from(["tasking", "traveling", "idle"]),
+    )
+    last = {}  # live robot -> its last move's cell and mode
     for tick in ticks:
-        for rid in sorted(robots):
+        for rid in robots:
             if fails[rid] is not None and tick >= fails[rid]:
                 if last.pop(rid, None) is not None:
                     log.moves.append((tick, rid, None, None, None))
             elif rid not in last or draw(st.booleans()):
-                row = draw(rows)
-                if last.get(rid) != row:
-                    last[rid] = row
-                    log.moves.append((tick, rid, *row))
+                move = draw(moves)
+                if last.get(rid) != move:  # the engine logs only a change
+                    last[rid] = move
+                    log.moves.append((tick, rid, *move))
     cells = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
     logged = sorted({move[1] for move in log.moves})
     marked = draw(st.lists(st.sampled_from(logged), max_size=3)) if logged else []
     failures = [(rid, draw(cells)) for rid in marked] + [(41, draw(cells))]
+    states = st.sampled_from(list(CellState))
     changes = [
         (tick, robot, Change(cell, old, new))
         for tick, robot, cell, old, new in draw(
-            st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 40), cells, *[st.sampled_from(list(CellState))] * 2))
+            st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 40), cells, states, states))
         )
     ]
     return grid, log, failures, changes
