@@ -3,7 +3,9 @@
 One-second ticks (configurable) drive message delivery, scheduled failures,
 failure confirmation, robot motion and covering, event generation, and game
 resolution (at most one game per tick, FIFO). Runs are bit-reproducible for a
-fixed (scenario, seed).
+fixed (scenario, seed), on every Python version `pyproject.toml` admits: the
+float sums a run records are summed left to right (`models.sum_in_order`),
+as `sum` no longer does from Python 3.12 on.
 
 A robot's liveness is its supervisor's state: it has failed once `e7` has
 taken it to FL, and no event leaves FL. `_fire`, the only writer of that
@@ -73,7 +75,7 @@ import time
 from dataclasses import dataclass, field
 
 from .game import gain, max_logit, potential, utility
-from .models import BatteryParams, reliability, success_probability
+from .models import BatteryParams, reliability, success_probability, sum_in_order
 from .planner import Done, PlannerState, make_planner, next_waypoint, plan_travel_to_any
 from .scenario import DEFAULT_RHO0, DEFAULT_RHO1, ScenarioConfig, ScenarioError
 from .supervisor import (
@@ -486,7 +488,8 @@ class Simulation:
             mcell = grid.cell_of_position(*noisy)
             if not grid.in_bounds(mcell):
                 return
-        if grid.state(mcell) >= _BLOCKED:
+        i = mcell[1] * grid.width + mcell[0]
+        if grid.cells[i] >= _BLOCKED:
             return
         change, found = mark_covered(grid, mcell)
         if change is not None:
@@ -494,7 +497,7 @@ class Simulation:
         if found:
             self.found_total += found
             self.logs.discoveries.append((self.tick, self.found_total))
-        r.belief.explore(mcell)
+        r.belief.explore(mcell, i)
 
     def _assign_region(self, r: Robot, task_id: int, strip_idx: int | None) -> None:
         """Point a robot at a task (whole) or one strip of it and get it going."""
@@ -726,17 +729,18 @@ class Simulation:
             r.planner = make_planner(r.region, r.cell)
 
     def _advance_tasking(self, r: Robot) -> None:
-        if r.region_unexplored() == 0:
+        belief = r.belief
+        if belief.watched_unexplored == 0:
             self._workload_complete(r)
             return
         r.t_k += self.params.tick_s
         r.work_s += self.params.tick_s
         per_cell = 1.0 / self.params.omega
         while r.work_s >= per_cell - 1e-9:
-            if r.region_unexplored() == 0:
+            if belief.watched_unexplored == 0:
                 self._workload_complete(r)
                 return
-            wp = next_waypoint(r.belief, r.planner, r.cell)
+            wp = next_waypoint(belief, r.planner, r.cell)
             if isinstance(wp, Done):
                 if wp.unreachable:
                     self._resolve_pocket(r, set(wp.unreachable))
@@ -749,7 +753,7 @@ class Simulation:
             # cell or a detour's goal) is a region cell next_waypoint has
             # just read UNEXPLORED; only a reading can have written it since.
             read = self._sense(r, wp)
-            if not (read or r.planner.pending) or (wp in r.region and r.belief.state(wp) is _UNEXPLORED):
+            if not (read or r.planner.pending) or (wp in belief.watched and belief.state(wp) is _UNEXPLORED):
                 self._cover_attempt(r, wp)
 
     def _workload_complete(self, r: Robot) -> None:
@@ -896,7 +900,7 @@ class Simulation:
         `solved` is the solver's (final action, initial and final potential,
         wall time); the potentials are logged as given, never recomputed."""
         a_star, phi_init, phi_star, solve_wall_s = solved
-        gp = gain(phi_star, phi_init, sum(game.worth.values()))
+        gp = gain(phi_star, phi_init, sum_in_order(game.worth.values()))
 
         # The reallocation changes only the players' slice of the team
         # potential: non-player and finish-first contributions are invariant,
@@ -905,7 +909,7 @@ class Simulation:
         # covered since it was taken.
         team_init = team_phi(snap, rows, game.players, game.initial)
         team_star = team_init + (phi_star - phi_init)
-        gt = gain(team_star, team_init, sum(t.worth for t in self.grid.tasks.values()))
+        gt = gain(team_star, team_init, sum_in_order(t.worth for t in self.grid.tasks.values()))
 
         players = list(game.players)
         assigned_log: dict[int, int | None] = {}
@@ -1031,7 +1035,7 @@ class Simulation:
             ct = max(r.last_active for r in live) * self.params.tick_s
             rr = sorted(reliability(r.battery, r.t_k) for r in live)
             rr_min, rr_max = rr[0], rr[-1]
-            rr_mean = sum(rr) / len(rr)
+            rr_mean = sum_in_order(rr) / len(rr)
         else:
             ct = max((r.last_active for r in self.team), default=0) * self.params.tick_s
             rr_min = rr_mean = rr_max = None

@@ -62,6 +62,16 @@ def success_probability(
     return reliability(params, projected)
 
 
+def sum_in_order(values) -> float:
+    """The floats summed left to right, one rounding per addition. From
+    Python 3.12 on, `sum` compensates its float additions, so its result
+    depends on the interpreter; a run's logged sums must not."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def remaining_worth(lam: float, found: int) -> float:
     """Expected number of still-undiscovered targets in a task.
 

@@ -4,8 +4,11 @@ Coverage inside a region follows a boustrophedon sweep: advance along the
 current column, direction alternating with column parity; whenever the sweep
 continuation is blocked or already explored, fall back to the nearest
 unexplored region cell by breadth-first distance (unknown cells count as
-traversable) and walk the detour path one cell per call. That search stays
-a loop, over flat indices y*w + x read through `grid.at`: its detours are a
+traversable) and walk the detour path one cell per call. A step reads the
+map by flat index y*w + x through `grid.at`, computed once from the pose.
+Most detours are one step, so the pose's four neighbours are tried first,
+in the search's order; only when none is an unexplored region cell does the
+search run. That search stays a loop over flat indices: its detours are a
 few cells long, so building the whole grid's bit masks on each call would
 cost more than it saves.
 
@@ -119,26 +122,44 @@ def next_waypoint(grid: GridMap, state: PlannerState, pose: Cell):
     """Next cell to step onto, or Done when the region holds no unexplored
     reachable cell. Returns the pose itself when it still needs covering.
 
+    The pose, the pending detour and the sweep cell are read by flat index.
+    Before the detour search, the pose's four neighbours are tried in the
+    search's own order (up, left, right, down, each only inside the grid):
+    the first that is an UNEXPLORED region cell is the search's answer at
+    distance 1, and the search would leave no detour pending after it.
+
     A finished region is found only by the final search; callers that keep
     the region's unexplored count check it first."""
-    if pose in state.region and grid.state(pose) is _UNEXPLORED:
-        state.pending.clear()
+    at, w, region, pending = grid.at, grid.width, state.region, state.pending
+    x, y = pose
+    i = y * w + x
+    if pose in region and at(i) is _UNEXPLORED:
+        pending.clear()
         return pose
 
-    if state.pending:
-        goal = state.pending[-1]
-        if grid.state(goal) is _UNEXPLORED and all(grid.state(c) < _BLOCKED for c in state.pending):
-            return state.pending.pop(0)
-        state.pending.clear()
+    if pending:
+        gx, gy = pending[-1]
+        if at(gy * w + gx) is _UNEXPLORED and all(at(cy * w + cx) < _BLOCKED for cx, cy in pending):
+            return pending.pop(0)
+        pending.clear()
 
-    lane_dir = state.base_dir * (1 if (pose[0] - state.lane_origin) % 2 == 0 else -1)
-    sweep = (pose[0], pose[1] + lane_dir)
-    if sweep in state.region and grid.in_bounds(sweep) and grid.state(sweep) is _UNEXPLORED:
-        return sweep
+    lane_dir = state.base_dir * (1 if (x - state.lane_origin) % 2 == 0 else -1)
+    sy = y + lane_dir
+    if 0 <= sy < grid.height and (x, sy) in region and at(i + lane_dir * w) is _UNEXPLORED:
+        return (x, sy)
 
-    path = _nearest_unexplored_path(grid, pose, state.region)
+    if y and (x, y - 1) in region and at(i - w) is _UNEXPLORED:
+        return (x, y - 1)
+    if x and (x - 1, y) in region and at(i - 1) is _UNEXPLORED:
+        return (x - 1, y)
+    if x < w - 1 and (x + 1, y) in region and at(i + 1) is _UNEXPLORED:
+        return (x + 1, y)
+    if y < grid.height - 1 and (x, y + 1) in region and at(i + w) is _UNEXPLORED:
+        return (x, y + 1)
+
+    path = _nearest_unexplored_path(grid, pose, region)
     if path is None:
-        return Done(unreachable=frozenset(c for c in state.region if grid.state(c) is _UNEXPLORED))
+        return Done(unreachable=frozenset(c for c in region if grid.state(c) is _UNEXPLORED))
     state.pending = path
     return state.pending.pop(0)
 

@@ -180,15 +180,18 @@ def _parse_world(obj: Any) -> WorldSpec:
         raise ScenarioError("world.epsilon_m: must be positive")
 
     tasks = tuple(_as_rect(t, f"world.tasks[{i}]") for i, t in enumerate(_as_list(obj["tasks"], "world.tasks")))
-    seen: dict[tuple[int, int], int] = {}
+    owner = [-1] * (width * height)  # task index per flat cell index y*width + x
     for idx, rect in enumerate(tasks):
         if rect.x < 0 or rect.y < 0 or rect.x + rect.w > width or rect.y + rect.h > height:
             raise ScenarioError(f"world.tasks[{idx}]: rect exceeds the grid")
-        for cell in rect.cells():
-            if cell in seen:
-                raise ScenarioError(f"world.tasks[{idx}]: overlaps task {seen[cell]} at cell {list(cell)}")
-            seen[cell] = idx
-    if len(seen) != width * height:
+        for y in range(rect.y, rect.y + rect.h):
+            start = y * width + rect.x
+            row = owner[start : start + rect.w]
+            if max(row) >= 0:
+                x = next(k for k, v in enumerate(row) if v >= 0)
+                raise ScenarioError(f"world.tasks[{idx}]: overlaps task {row[x]} at cell {[rect.x + x, y]}")
+            owner[start : start + rect.w] = [idx] * rect.w
+    if -1 in owner:
         raise ScenarioError("world.tasks: task rects must partition the whole grid")
 
     obstacles: list[tuple[int, int]] = []

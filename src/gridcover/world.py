@@ -42,11 +42,14 @@ belief may still lack. A reading changes only UNEXPLORED cells, and a sync
 leaves every live belief holding each cell the team map wrote since the
 last one, for good; so at each sync the sensor drops those cells
 (`RangeSensor.settle`), and a reading of a dropped cell would have changed
-nothing.
+nothing. A reading whose disk reaches no column holding a held cell
+returns at once, which is most readings once the nearby obstacles are
+known.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -297,16 +300,23 @@ class BeliefView:
         self._leave_index()
         self.watched = frozenset(region)
         watchers, width, me = self.watchers, self.width, (self.rid,)
-        for x, y in self.watched:
-            watchers[y * width + x] += me  # a cell's first watcher shares `me`
-        unexplored = [c for c in self.watched if self.state(c) is _UNEXPLORED]
+        own, since, base = self.own, self.since, self.base
+        unexplored = []
+        for cell in self.watched:
+            x, y = cell
+            i = y * width + x
+            watchers[i] += me  # a cell's first watcher shares `me`
+            if (own.get(i) or since.get(i, base[i])) is _UNEXPLORED:
+                unexplored.append(cell)
         self.watched_unexplored = len(unexplored)
         return unexplored
 
-    def explore(self, cell: Cell) -> None:
-        """Mark the cell explored if the view holds it unexplored."""
-        i = self.idx(cell)
-        if self.at(i) is _UNEXPLORED:
+    def explore(self, cell: Cell, i: int | None = None) -> None:
+        """Mark the cell explored if the view holds it unexplored; `i` is
+        its flat index, when the caller has it."""
+        if i is None:
+            i = cell[1] * self.width + cell[0]
+        if (self.own.get(i) or self.since.get(i, self.base[i])) is _UNEXPLORED:
             self._set_state(i, cell, _EXPLORED)
 
     def _set_state(self, i: int, cell: Cell, new: CellState) -> None:
@@ -366,18 +376,9 @@ def _sample_poisson(lam: float, rng: random.Random) -> int:
 
 def build_ground_truth(spec: WorldSpec) -> GroundTruth:
     obstacles = frozenset(spec.obstacles)
-    buffer: set[Cell] = set()
-    for cell in obstacles:
-        for nb in neighbors8(cell, spec.width, spec.height):
-            if nb not in obstacles:
-                buffer.add(nb)
-    free = frozenset(
-        (x, y)
-        for y in range(spec.height)
-        for x in range(spec.width)
-        if (x, y) not in obstacles and (x, y) not in buffer
-    )
-    return GroundTruth(obstacles=obstacles, free_space=free)
+    buffer = {nb for cell in obstacles for nb in neighbors8(cell, spec.width, spec.height)}
+    every = frozenset(itertools.product(range(spec.width), range(spec.height)))
+    return GroundTruth(obstacles=obstacles, free_space=every.difference(obstacles, buffer))
 
 
 def build_world(spec: WorldSpec, seed: int) -> GridMap:
@@ -390,12 +391,13 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
     the number actually placed there.
     """
     truth = build_ground_truth(spec)
-    task_of = [0] * (spec.width * spec.height)
+    w = spec.width
+    task_of = [0] * (w * spec.height)
     tasks: dict[int, TaskRegion] = {}
     for i, rect in enumerate(spec.tasks, start=1):
-        cells = tuple(sorted(rect.cells(), key=lambda c: c[1] * spec.width + c[0]))
-        for cell in cells:
-            task_of[cell[1] * spec.width + cell[0]] = i
+        cells = tuple(rect.cells())  # row-major, the order of their flat indices
+        for y in range(rect.y, rect.y + rect.h):
+            task_of[y * w + rect.x : y * w + rect.x + rect.w] = [i] * rect.w
         tasks[i] = TaskRegion(
             id=i,
             cells=cells,
@@ -454,7 +456,9 @@ class RangeSensor:
 
     A reading tests only the cells of a disk stencil of offsets, computed
     once and clipped to the grid, and skips the stencil's columns that hold
-    no held cell at all.
+    no held cell at all. The columns holding one are also kept as bits
+    (`held_columns`), so a reading whose stencil reaches none of them
+    returns at once, the commonest case once most obstacles are settled.
     """
 
     def __init__(self, grid: GridMap, radius_m: float) -> None:
@@ -471,10 +475,14 @@ class RangeSensor:
             dys = [dy for dy in range(-reach_y, reach_y + 1) if math.hypot(dx, dy) * eps <= radius_m + eps]
             if dys:
                 self.columns.append((dx, dys))
+        self.reach = -self.columns[0][0]  # the stencil spans columns x - reach .. x + reach
+        self.window = (1 << (2 * self.reach + 1)) - 1
         self.held = set(grid.ground_truth.obstacles)
         self.held_in_column: dict[int, int] = {}  # x -> held cells in column x, for x with some
+        self.held_columns = 0  # bit x + reach set for each x in `held_in_column`
         for x, _y in self.held:
             self.held_in_column[x] = self.held_in_column.get(x, 0) + 1
+            self.held_columns |= 1 << (x + self.reach)
 
     def settle(self, written) -> None:
         """Drop the held cells among `written` (flat indices of cells the
@@ -489,22 +497,26 @@ class RangeSensor:
                 per_column[x] -= 1
                 if not per_column[x]:
                     del per_column[x]
+                    self.held_columns ^= 1 << (x + self.reach)
 
     def read(self, cell: Cell) -> list[Cell]:
         """The obstacle cells in range, for `mark_sensed`."""
-        held, per_column = self.held, self.held_in_column
-        if not held:
-            return []
-        pos = self.grid.cell_center(cell)
         x, y = cell
+        if not self.held_columns >> x & self.window:
+            return []
+        held, per_column, center = self.held, self.held_in_column, self.grid.cell_center
+        pos = None
         readings = []
         for dx, dys in self.columns:
             if x + dx not in per_column:
                 continue
             for dy in dys:
                 c = (x + dx, y + dy)
-                if c in held and math.dist(self.grid.cell_center(c), pos) <= self.radius:
-                    readings.append(c)
+                if c in held:
+                    if pos is None:
+                        pos = center(cell)
+                    if math.dist(center(c), pos) <= self.radius:
+                        readings.append(c)
         return readings
 
 
@@ -514,24 +526,29 @@ def mark_sensed(grid: GridMap, obstacles) -> list[Change]:
     unexplored cells ever change state."""
     changes: list[Change] = []
     marked: list[Cell] = []
-    at = grid.at
+    at, w, h = grid.at, grid.width, grid.height
     for cell in obstacles:
-        if not grid.in_bounds(cell):
+        x, y = cell
+        if not (0 <= x < w and 0 <= y < h):
             raise ValueError(f"reading outside the grid: {cell}")
-        i = grid.idx(cell)
+        i = y * w + x
         if at(i) is not _UNEXPLORED:
             continue
         grid._set_state(i, cell, _OBSTACLE)
         changes.append(_change((cell, _UNEXPLORED, _OBSTACLE)))
         marked.append(cell)
     # buffers go in a second pass so adjacent obstacles within one batch
-    # never shadow each other into Forbidden
-    for cell in marked:
-        for nb in neighbors8(cell, grid.width, grid.height):
-            i = grid.idx(nb)
-            if at(i) is _UNEXPLORED:
-                grid._set_state(i, nb, _FORBIDDEN)
-                changes.append(_change((nb, _UNEXPLORED, _FORBIDDEN)))
+    # never shadow each other into Forbidden. The 8-neighbourhood is walked
+    # row by row on flat indices, `neighbors8`'s order; its centre is an
+    # obstacle by now, never UNEXPLORED.
+    for x, y in marked:
+        for ny in range(max(y - 1, 0), min(y + 2, h)):
+            row = ny * w
+            for nx in range(max(x - 1, 0), min(x + 2, w)):
+                if at(row + nx) is _UNEXPLORED:
+                    nb = (nx, ny)
+                    grid._set_state(row + nx, nb, _FORBIDDEN)
+                    changes.append(_change((nb, _UNEXPLORED, _FORBIDDEN)))
     return changes
 
 

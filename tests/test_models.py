@@ -10,6 +10,7 @@ from gridcover.models import (
     reliability,
     remaining_worth,
     success_probability,
+    sum_in_order,
 )
 
 PAPER_BATTERY = BatteryParams(rho0=3.0e-3, rho1=1400.0)
@@ -123,3 +124,11 @@ class TestAvailableWorth:
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             available_worth(5.0, [1.5])
+
+
+class TestSumInOrder:
+    def test_rounds_after_every_addition(self):
+        # left to right, 1e16 + 1.0 rounds back to 1e16; a compensated sum,
+        # as `sum` is from Python 3.12 on, keeps the 1.0
+        assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0

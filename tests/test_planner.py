@@ -5,7 +5,14 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcover.planner import Done, _nearest_unexplored_path, make_planner, next_waypoint, plan_travel_to_any
+from gridcover.planner import (
+    Done,
+    PlannerState,
+    _nearest_unexplored_path,
+    make_planner,
+    next_waypoint,
+    plan_travel_to_any,
+)
 from gridcover.world import Beliefs, CellState, GridMap, mark_covered, mark_sensed
 from tests.test_world import make_world
 
@@ -116,6 +123,73 @@ def detour_cases(draw):
     share = rng.choice((0.1, 0.5, 1.0))  # sparse regions force long detours
     region = frozenset(c for c in cells if rng.random() < share)
     return grid, rng.choice(cells), region
+
+
+def reference_next_waypoint(grid, state, pose):
+    """The waypoint rule on cell tuples with the detour search alone (the
+    tuple oracle) and no distance-1 shortcut, kept as `next_waypoint`'s
+    oracle: the pose, the pending detour, the sweep cell, then the search."""
+    if pose in state.region and grid.state(pose) is CellState.UNEXPLORED:
+        state.pending.clear()
+        return pose
+    if state.pending:
+        goal = state.pending[-1]
+        if grid.state(goal) is CellState.UNEXPLORED and all(
+            grid.state(c) < CellState.FORBIDDEN for c in state.pending
+        ):
+            return state.pending.pop(0)
+        state.pending.clear()
+    lane_dir = state.base_dir * (1 if (pose[0] - state.lane_origin) % 2 == 0 else -1)
+    sweep = (pose[0], pose[1] + lane_dir)
+    if sweep in state.region and grid.in_bounds(sweep) and grid.state(sweep) is CellState.UNEXPLORED:
+        return sweep
+    path = tuple_nearest_unexplored_path(grid, pose, state.region)
+    if path is None:
+        return Done(unreachable=frozenset(c for c in state.region if grid.state(c) is CellState.UNEXPLORED))
+    state.pending = path
+    return state.pending.pop(0)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A grid of up to 9x9 with random blocked and explored cells, a region
+    holding cells on all four borders and a few just outside the grid, a
+    start mostly on the grid's edge, and the writes to make between steps,
+    one per step."""
+    width = draw(st.integers(1, 9))
+    height = draw(st.integers(1, 9))
+    grid = make_world(width=width, height=height)
+    rng = draw(st.randoms(use_true_random=True))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    density = rng.choice((0.0, 0.1, 0.3))
+    for cell in cells:
+        if rng.random() < density:
+            grid.cells[grid.idx(cell)] = rng.choice((CellState.FORBIDDEN, CellState.OBSTACLE))
+        elif rng.random() < 0.3:
+            grid.cells[grid.idx(cell)] = CellState.EXPLORED
+    edge = [(x, y) for x, y in cells if x in (0, width - 1) or y in (0, height - 1)]
+    share = rng.choice((0.3, 0.7, 1.0))
+    region = {c for c in cells if rng.random() < share}
+    region.update((x, y) for x, y in edge if x == 0 or rng.random() < share)
+    region.update(rng.choice([c for c in edge if c[i] == end]) for i, end in ((0, width - 1), (1, 0), (1, height - 1)))
+    # a region cell outside the grid is never a waypoint, so each
+    # neighbour and the sweep cell must be tested against the grid's bounds
+    ring = [(x, y) for x in range(-1, width + 1) for y in range(-1, height + 1) if (x, y) not in cells]
+    region.update(rng.sample(ring, min(len(ring), rng.choice((0, 2, 6)))))
+    start = rng.choice(edge if rng.random() < 0.7 else cells)
+    writes = [
+        (rng.choice(cells), rng.choice((CellState.EXPLORED, CellState.FORBIDDEN)))
+        for _ in range(rng.randint(0, 2 * len(cells)))
+    ]
+    return grid, frozenset(region), start, writes
+
+
+def outcome(step, grid, state, pose):
+    """What one planner step returns, or the type of what it raises."""
+    try:
+        return step(grid, state, pose)
+    except IndexError as exc:
+        return type(exc)
 
 
 @st.composite
@@ -263,6 +337,43 @@ class TestNextWaypoint:
     @given(detour_cases())
     def test_detour_search_matches_the_tuple_oracle(self, case):
         assert _nearest_unexplored_path(*case) == tuple_nearest_unexplored_path(*case)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cases())
+    def test_matches_the_search_only_rule_step_by_step(self, case):
+        # both sweep the same map in lockstep, covering as the engine does;
+        # random writes between steps break pending detours
+        grid, region, pose, writes = case
+        state = make_planner(region, pose)
+        reference = PlannerState(state.region, state.lane_origin, state.base_dir)
+        for _ in range(4 * grid.width * grid.height + 8):
+            wp = outcome(next_waypoint, grid, state, pose)
+            assert wp == outcome(reference_next_waypoint, grid, reference, pose)
+            assert state.pending == reference.pending
+            if not isinstance(wp, tuple):
+                return
+            pose = wp
+            if pose in region and grid.state(pose) is CellState.UNEXPLORED:
+                grid.cells[grid.idx(pose)] = CellState.EXPLORED
+            if writes:
+                cell, new = writes.pop()
+                if cell != pose and grid.state(cell) is CellState.UNEXPLORED:
+                    grid.cells[grid.idx(cell)] = new
+        raise AssertionError("the sweep did not end")
+
+    def test_a_one_step_detour_takes_the_searchs_neighbour(self):
+        # from (1, 1) with the sweep cell (1, 2) explored, the region's
+        # unexplored neighbours are (1, 0), (0, 1) and (2, 1): the search
+        # finds them at distance 1 and takes the lowest index, (1, 0)
+        grid = make_world(width=3, height=3)
+        for cell in ((1, 1), (1, 2)):
+            mark_covered(grid, cell)
+        state = PlannerState(frozenset({(1, 0), (0, 1), (2, 1), (1, 1), (1, 2)}), lane_origin=1, base_dir=1)
+        assert next_waypoint(grid, state, (1, 1)) == (1, 0)
+        assert state.pending == []
+        state = PlannerState(frozenset({(0, 1), (2, 1), (1, 1), (1, 2)}), lane_origin=1, base_dir=1)
+        assert next_waypoint(grid, state, (1, 1)) == (0, 1)
 
 
 class TestPlanTravel:

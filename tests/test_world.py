@@ -731,6 +731,35 @@ class TestRangeSensor:
         assert sum(len(dys) for _dx, dys in sensor.columns) <= (2 * width + 1) * (2 * height + 1)
         assert sensor.read((width - 1, height - 1)) == [(3, 1)]
 
+    @pytest.mark.parametrize("epsilon, radius_m", [(1.0, 2.5), (1.0, 5.0), (0.5, 3.0), (1.0, 40.0)])
+    def test_reads_at_the_side_columns_what_a_disk_scan_reads(self, epsilon, radius_m):
+        # the stencil of a cell within `reach` columns of a side runs off the
+        # grid; the held-column bits must still answer for the columns on it
+        rng = random.Random(11)
+        width, height = 14, 6
+        cells = [(x, y) for x in range(width) for y in range(height)]
+        doc = world_doc(width=width, height=height, obstacles=[list(c) for c in rng.sample(cells, 9)])
+        doc["world"]["epsilon_m"] = epsilon
+        grid = build_world(parse_scenario(doc).world, 0)
+        sensor = RangeSensor(grid, radius_m)
+        sides = [(x, y) for x, y in cells if x < sensor.reach or x >= width - sensor.reach]
+
+        def disk_scan(cell):
+            pos = grid.cell_center(cell)
+            return [c for c in sorted(sensor.held) if math.dist(grid.cell_center(c), pos) <= radius_m + 1e-9]
+
+        assert [sensor.read(c) for c in sides] == [disk_scan(c) for c in sides]
+        assert any(sensor.read(c) for c in sides)
+        obstacles = sorted(grid.ground_truth.obstacles)
+        for step in (3, 2, 1):
+            # settle every step-th obstacle left, one of them in the last column
+            written = [y * width + x for x, y in obstacles[::step]] + [(y + 1) * width - 1 for y in range(height)]
+            sensor.settle(written)
+            assert sensor.held == set(obstacles) - {(i % width, i // width) for i in written}
+            assert [sensor.read(c) for c in sides] == [disk_scan(c) for c in sides]
+            obstacles = sorted(sensor.held)
+        assert sensor.held == set() and sensor.held_columns == 0
+
     def sensing_world(self, obstacles):
         grid = make_world(obstacles=obstacles)
         return grid, Beliefs(grid), RangeSensor(grid, 1.0)
