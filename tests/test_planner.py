@@ -338,7 +338,6 @@ class TestNextWaypoint:
     def test_detour_search_matches_the_tuple_oracle(self, case):
         assert _nearest_unexplored_path(*case) == tuple_nearest_unexplored_path(*case)
 
-
     @settings(max_examples=300, deadline=None)
     @given(sweep_cases())
     def test_matches_the_search_only_rule_step_by_step(self, case):
@@ -361,19 +360,6 @@ class TestNextWaypoint:
                 if cell != pose and grid.state(cell) is CellState.UNEXPLORED:
                     grid.cells[grid.idx(cell)] = new
         raise AssertionError("the sweep did not end")
-
-    def test_a_one_step_detour_takes_the_searchs_neighbour(self):
-        # from (1, 1) with the sweep cell (1, 2) explored, the region's
-        # unexplored neighbours are (1, 0), (0, 1) and (2, 1): the search
-        # finds them at distance 1 and takes the lowest index, (1, 0)
-        grid = make_world(width=3, height=3)
-        for cell in ((1, 1), (1, 2)):
-            mark_covered(grid, cell)
-        state = PlannerState(frozenset({(1, 0), (0, 1), (2, 1), (1, 1), (1, 2)}), lane_origin=1, base_dir=1)
-        assert next_waypoint(grid, state, (1, 1)) == (1, 0)
-        assert state.pending == []
-        state = PlannerState(frozenset({(0, 1), (2, 1), (1, 1), (1, 2)}), lane_origin=1, base_dir=1)
-        assert next_waypoint(grid, state, (1, 1)) == (0, 1)
 
 
 class TestPlanTravel:
