@@ -194,18 +194,16 @@ def _parse_world(obj: Any) -> WorldSpec:
     if -1 in owner:
         raise ScenarioError("world.tasks: task rects must partition the whole grid")
 
-    obstacles: list[tuple[int, int]] = []
+    rects: list[Rect] = []  # a listed cell is a 1x1 rect
     for i, entry in enumerate(_as_list(obj.get("obstacles", []), "world.obstacles")):
         where = f"world.obstacles[{i}]"
-        if isinstance(entry, dict):
-            rect = _as_rect(entry, where)
-            obstacles.extend(rect.cells())
-        else:
-            obstacles.append(_as_cell(entry, where))
-    for cell in obstacles:
-        if not (0 <= cell[0] < width and 0 <= cell[1] < height):
-            raise ScenarioError(f"world.obstacles: cell {list(cell)} outside the grid")
-    blocked = set(obstacles)
+        rects.append(_as_rect(entry, where) if isinstance(entry, dict) else Rect(*_as_cell(entry, where), 1, 1))
+    for r in rects:  # by its bounds, naming its first cell outside the grid in row-major order
+        inside = 0 <= r.x < width and 0 <= r.y < height
+        if not inside or r.x + r.w > width or r.y + r.h > height:
+            outside = [r.x, r.y] if not inside else [width, r.y] if r.x + r.w > width else [r.x, height]
+            raise ScenarioError(f"world.obstacles: cell {outside} outside the grid")
+    blocked = {cell for rect in rects for cell in rect.cells()}
     obstacle_cells = tuple(sorted(blocked))
 
     tgt = obj.get("targets", {"mode": "sampled", "lambda": 1.0})

@@ -37,14 +37,14 @@ the sync: its own writes then all turn UNEXPLORED cells EXPLORED, both
 free, so its free cells are the synced map's. Otherwise, and once
 detached, it builds its own.
 
-The range sensor (`RangeSensor`) holds only the truth obstacles some live
-belief may still lack. A reading changes only UNEXPLORED cells, and a sync
-leaves every live belief holding each cell the team map wrote since the
-last one, for good; so at each sync the sensor drops those cells
-(`RangeSensor.settle`), and a reading of a dropped cell would have changed
-nothing. A reading whose disk reaches no column holding a held cell
-returns at once, which is most readings once the nearby obstacles are
-known.
+The ground truth is built from row bits (`build_world`), and the range
+sensor (`RangeSensor`) holds, as row bits per column, only the truth
+obstacles some live belief may still lack. A reading changes only UNEXPLORED
+cells, and a sync leaves every live belief holding each cell the team map
+wrote since the last one, for good; so at each sync the sensor drops those
+cells (`RangeSensor.settle`), and a reading of a dropped cell would have
+changed nothing. A reading whose disk reaches no column holding a held cell
+returns at once, which is most readings once the nearby obstacles are known.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ _OBSTACLE = CellState.OBSTACLE
 _BLOCKED = _FORBIDDEN  # states from this one up block travel
 # bytes.translate table from a cell state to its free-cell bit digit
 _FREE_DIGIT = bytes.maketrans(bytes(CellState), b"".join(b"1" if s < _BLOCKED else b"0" for s in CellState))
+_DIGIT_FLAG = bytes.maketrans(b"01", b"\0\1")  # bytes.translate table: binary digit -> flag byte
 
 
 def free_cells(states: bytearray) -> int:
@@ -338,19 +339,6 @@ class BeliefView:
             watchers[i] = () if held == me else tuple(v for v in held if v != rid)
 
 
-def neighbors8(cell: Cell, width: int, height: int) -> list[Cell]:
-    x, y = cell
-    out = []
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height:
-                out.append((nx, ny))
-    return out
-
-
 def centroid_m(cells: tuple[Cell, ...] | list[Cell], epsilon: float) -> tuple[float, float]:
     n = len(cells)
     if n == 0:
@@ -374,13 +362,6 @@ def _sample_poisson(lam: float, rng: random.Random) -> int:
     return count
 
 
-def build_ground_truth(spec: WorldSpec) -> GroundTruth:
-    obstacles = frozenset(spec.obstacles)
-    buffer = {nb for cell in obstacles for nb in neighbors8(cell, spec.width, spec.height)}
-    every = frozenset(itertools.product(range(spec.width), range(spec.height)))
-    return GroundTruth(obstacles=obstacles, free_space=every.difference(obstacles, buffer))
-
-
 def build_world(spec: WorldSpec, seed: int) -> GridMap:
     """Construct the team map: all cells unexplored, targets hidden.
 
@@ -390,32 +371,44 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
     cells verbatim. In explicit mode each task's expected count is set to
     the number actually placed there.
     """
-    truth = build_ground_truth(spec)
-    w = spec.width
-    task_of = [0] * (w * spec.height)
+    w, h, eps = spec.width, spec.height, spec.epsilon_m
+    # each row's obstacles as an int, cell x at bit w-1-x so that its binary
+    # digits read in x order, dilated by a cell in x and in y into the buffer
+    rows = [0] * (h + 2)  # an empty row above the grid and one below it
+    for x, y in spec.obstacles:
+        rows[y + 1] |= 1 << (w - 1 - x)
+    wide = [r | r << 1 | r >> 1 for r in rows]
+    full, digits = (1 << w) - 1, f"0{w}b"
+    free_rows = [format(~(a | b | c) & full, digits) for a, b, c in zip(wide, wide[1:], wide[2:])]
+    free = "".join(free_rows).encode("ascii").translate(_DIGIT_FLAG)  # a byte per cell, 1 if coverable
+    table = [(x, y) for y in range(h) for x in range(w)]  # the cells by flat index
+    truth = GroundTruth(obstacles=frozenset(spec.obstacles), free_space=frozenset(itertools.compress(table, free)))
+    task_of = [0] * (w * h)
     tasks: dict[int, TaskRegion] = {}
     for i, rect in enumerate(spec.tasks, start=1):
-        cells = tuple(rect.cells())  # row-major, the order of their flat indices
-        for y in range(rect.y, rect.y + rect.h):
-            task_of[y * w + rect.x : y * w + rect.x + rect.w] = [i] * rect.w
+        starts = range(rect.y * w + rect.x, (rect.y + rect.h) * w, w)  # the flat index of each row's first cell
+        for start in starts:
+            task_of[start : start + rect.w] = [i] * rect.w
+        n = rect.w * rect.h
+        # `centroid_m` of the cells: their centres' coordinates sum to half-integers, which floats hold exactly
         tasks[i] = TaskRegion(
             id=i,
-            cells=cells,
+            cells=tuple(itertools.chain.from_iterable(table[start : start + rect.w] for start in starts)),
             bbox=rect,
             lam=0.0,
-            n_unexplored=len(cells),
-            centroid_m=centroid_m(cells, spec.epsilon_m),
+            n_unexplored=n,
+            centroid_m=(n * (2 * rect.x + rect.w) / 2 * eps / n, n * (2 * rect.y + rect.h) / 2 * eps / n),
         )
 
     grid = GridMap(
-        width=spec.width,
-        height=spec.height,
-        epsilon=spec.epsilon_m,
-        cells=[CellState.UNEXPLORED] * (spec.width * spec.height),
+        width=w,
+        height=h,
+        epsilon=eps,
+        cells=[CellState.UNEXPLORED] * (w * h),
         task_of=task_of,
         tasks=tasks,
         ground_truth=truth,
-        unexplored_total=spec.width * spec.height,
+        unexplored_total=w * h,
     )
 
     placed: list[Cell] = []
@@ -424,7 +417,9 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
         for i, rect in enumerate(spec.tasks, start=1):
             lam = spec.targets.lam[i - 1] if spec.targets.lam else 0.0
             tasks[i].lam = lam
-            open_cells = sorted(c for c in tasks[i].cells if c in truth.free_space)
+            # the task's coverable cells in (x, y) order, a column at a time
+            columns = [slice(rect.y * w + x, (rect.y + rect.h) * w, w) for x in range(rect.x, rect.x + rect.w)]
+            open_cells = list(itertools.chain.from_iterable(itertools.compress(table[c], free[c]) for c in columns))
             if not open_cells:
                 continue
             for _ in range(_sample_poisson(lam, rng)):
@@ -432,7 +427,7 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
     else:
         placed = list(spec.targets.cells)
         for cell in placed:
-            tasks[task_of[cell[1] * spec.width + cell[0]]].lam += 1.0
+            tasks[task_of[cell[1] * w + cell[0]]].lam += 1.0
 
     for n, cell in enumerate(placed):
         grid.targets.append(Target(cell=cell))
@@ -446,19 +441,19 @@ class RangeSensor:
     """The sensing oracle: reads the held ground-truth obstacle cells whose
     centers lie within radius_m of a cell's center, in (x, y) order.
 
-    It holds the truth obstacles some live belief may still lack (`held`).
-    `mark_sensed` skips a reading of a cell that is not UNEXPLORED, and a
-    sync leaves every live belief the team map, whose cells never return to
-    UNEXPLORED. So once a sync has brought a written cell to every live
-    belief, a reading of it changes nothing anywhere: `settle` drops the
-    cells written since the last sync, just before that sync. A sensor that
-    is never settled reads every truth obstacle, with the same effect.
+    It holds the truth obstacles some live belief may still lack (`held`),
+    as row bits per column (`held_rows`). `mark_sensed` skips a reading of a
+    cell that is not UNEXPLORED, and a sync leaves every live belief the team
+    map, whose cells never return to UNEXPLORED. So once a sync has brought
+    a written cell to every live belief, a reading of it changes nothing
+    anywhere: `settle` drops the cells written since the last sync, just
+    before that sync. A sensor that is never settled reads every truth
+    obstacle, with the same effect.
 
-    A reading tests only the cells of a disk stencil of offsets, computed
-    once and clipped to the grid, and skips the stencil's columns that hold
-    no held cell at all. The columns holding one are also kept as bits
-    (`held_columns`), so a reading whose stencil reaches none of them
-    returns at once, the commonest case once most obstacles are settled.
+    A reading tests only the held cells of a disk stencil, a span of rows
+    per column computed once and clipped to the grid, in the stencil's
+    columns holding one (`held_columns`, as bits); a reading whose stencil
+    reaches none returns at once, the commonest case once most are settled.
     """
 
     def __init__(self, grid: GridMap, radius_m: float) -> None:
@@ -468,55 +463,61 @@ class RangeSensor:
         reach = int(radius_m / eps) + 2
         # no offset past the grid's side reaches a cell of the grid
         reach_x, reach_y = min(reach, grid.width), min(reach, grid.height)
-        # (dx, [dy, ...]) in (dx, dy) order; a cell of slack leaves the
-        # decision on every cell that can be in range to the exact test
+        # (dx, k, 2k + 1 one bits) for column dx's rows -k .. k; a cell of slack
+        # leaves the decision on every cell that can be in range to the exact test
         self.columns = []
         for dx in range(-reach_x, reach_x + 1):
-            dys = [dy for dy in range(-reach_y, reach_y + 1) if math.hypot(dx, dy) * eps <= radius_m + eps]
-            if dys:
-                self.columns.append((dx, dys))
+            k = max((dy for dy in range(reach_y + 1) if math.hypot(dx, dy) * eps <= radius_m + eps), default=None)
+            if k is not None:
+                self.columns.append((dx, k, (1 << 2 * k + 1) - 1))
         self.reach = -self.columns[0][0]  # the stencil spans columns x - reach .. x + reach
         self.window = (1 << (2 * self.reach + 1)) - 1
-        self.held = set(grid.ground_truth.obstacles)
-        self.held_in_column: dict[int, int] = {}  # x -> held cells in column x, for x with some
-        self.held_columns = 0  # bit x + reach set for each x in `held_in_column`
-        for x, _y in self.held:
-            self.held_in_column[x] = self.held_in_column.get(x, 0) + 1
+        self.held_rows = [0] * grid.width  # x -> bit y set for each held cell (x, y)
+        self.held_columns = 0  # bit x + reach set for each x whose `held_rows` is not 0
+        for x, y in grid.ground_truth.obstacles:
+            self.held_rows[x] |= 1 << y
             self.held_columns |= 1 << (x + self.reach)
+
+    @property
+    def held(self) -> set[Cell]:
+        return {(x, y) for x, rows in enumerate(self.held_rows) for y in range(rows.bit_length()) if rows >> y & 1}
 
     def settle(self, written) -> None:
         """Drop the held cells among `written` (flat indices of cells the
         team map wrote since the last sync), just before that sync."""
-        held, per_column, width = self.held, self.held_in_column, self.grid.width
-        if not held:
+        if not self.held_columns:
             return
+        held_rows, width = self.held_rows, self.grid.width
         for i in written:
             y, x = divmod(i, width)
-            if (x, y) in held:
-                held.remove((x, y))
-                per_column[x] -= 1
-                if not per_column[x]:
-                    del per_column[x]
+            rows = held_rows[x]
+            if rows >> y & 1:
+                held_rows[x] = rows = rows ^ 1 << y
+                if not rows:
                     self.held_columns ^= 1 << (x + self.reach)
 
     def read(self, cell: Cell) -> list[Cell]:
         """The obstacle cells in range, for `mark_sensed`."""
         x, y = cell
-        if not self.held_columns >> x & self.window:
+        near = self.held_columns >> x & self.window  # bit j: column x + j - reach holds a held cell
+        if not near:
             return []
-        held, per_column, center = self.held, self.held_in_column, self.grid.cell_center
-        pos = None
+        held_rows, columns, center = self.held_rows, self.columns, self.grid.cell_center
+        pos = center(cell)
         readings = []
-        for dx, dys in self.columns:
-            if x + dx not in per_column:
-                continue
-            for dy in dys:
-                c = (x + dx, y + dy)
-                if c in held:
-                    if pos is None:
-                        pos = center(cell)
-                    if math.dist(center(c), pos) <= self.radius:
-                        readings.append(c)
+        while near:
+            bit = near & -near
+            near ^= bit
+            dx, k, span = columns[bit.bit_length() - 1]
+            cx, top = x + dx, y - k
+            # the column's held rows top .. y + k, as bits from bit 0
+            rows = (held_rows[cx] >> top if top >= 0 else held_rows[cx] << -top) & span
+            while rows:
+                bit = rows & -rows
+                rows ^= bit
+                c = (cx, top + bit.bit_length() - 1)
+                if math.dist(center(c), pos) <= self.radius:
+                    readings.append(c)
         return readings
 
 
@@ -539,8 +540,8 @@ def mark_sensed(grid: GridMap, obstacles) -> list[Change]:
         marked.append(cell)
     # buffers go in a second pass so adjacent obstacles within one batch
     # never shadow each other into Forbidden. The 8-neighbourhood is walked
-    # row by row on flat indices, `neighbors8`'s order; its centre is an
-    # obstacle by now, never UNEXPLORED.
+    # row by row on flat indices; its centre is an obstacle by now, never
+    # UNEXPLORED.
     for x, y in marked:
         for ny in range(max(y - 1, 0), min(y + 2, h)):
             row = ny * w

@@ -127,6 +127,29 @@ REJECTIONS = {
         set_key(["params"], {"kappa1": 2.5}),
         "params.kappa1: expected a positive integer, got 2.5",
     ),
+    # an obstacle rect is tested by its bounds, and the message names its
+    # first cell outside the grid in row-major order
+    "obstacle cell outside the grid": (
+        set_key(["world", "obstacles"], [[3, 2], [4, 1]]),
+        "world.obstacles: cell [4, 1] outside the grid",
+    ),
+    "obstacle rect partly outside the grid": (
+        set_key(["world", "obstacles"], [[3, 2], {"x": 2, "y": 1, "w": 3, "h": 1}]),
+        "world.obstacles: cell [4, 1] outside the grid",
+    ),
+    "obstacle rect running off the bottom row": (
+        set_key(["world", "obstacles"], [{"x": 1, "y": 2, "w": 1, "h": 2}]),
+        "world.obstacles: cell [1, 3] outside the grid",
+    ),
+    "obstacle rect starting left of the grid": (
+        set_key(["world", "obstacles"], [{"x": -1, "y": 1, "w": 2, "h": 1}]),
+        "world.obstacles: cell [-1, 1] outside the grid",
+    ),
+    # expanded first, this rect would be 10**18 cells
+    "obstacle rect of 10**9 sides": (
+        set_key(["world", "obstacles"], [{"x": 0, "y": 0, "w": 10**9, "h": 10**9}]),
+        "world.obstacles: cell [4, 0] outside the grid",
+    ),
 }
 
 

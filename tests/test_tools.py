@@ -1,9 +1,12 @@
-"""The digest comparison tool: its one-side digests and its report."""
+"""The digest comparison tool, its one-side digests and its report, and the
+benchmark pairs tool's order and statistics."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from gridcover import Simulation
 
@@ -11,8 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_digests.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("compare_digests", TOOL)
+def load_tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -79,3 +82,60 @@ def test_a_side_hashes_the_files_of_every_run_that_ends(monkeypatch):
     assert found["digests"] == expected
     assert found["outputs"].keys() == expected.keys()
     assert all(len(h) == 64 for h in found["outputs"].values())
+
+
+def load_pairs_tool():
+    return load_tool(ROOT / "tools" / "bench_pairs.py")
+
+
+def test_the_pairs_alternate_with_the_parent_first_on_odd_pairs():
+    calls = []
+
+    def run(side):
+        calls.append(side)
+        return {"n": len(calls)}
+
+    reports = load_pairs_tool().run_pairs(run, 4)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change", "change", "parent"]
+    assert reports == {
+        "parent": [{"n": 1}, {"n": 4}, {"n": 5}, {"n": 8}],
+        "change": [{"n": 2}, {"n": 3}, {"n": 6}, {"n": 7}],
+    }
+
+
+def test_a_lower_is_better_metric_compares_medians_quartiles_and_pairs():
+    m = load_pairs_tool().compare([1.0, 2.0, 3.0, 4.0], [0.5, 2.5, 2.0, 3.0], "lower", 0.25)
+    # quartiles by statistics.quantiles' default (exclusive) method
+    assert m["parent"] == {"median": 2.5, "q1": 1.25, "q3": 3.75}
+    assert m["change"] == {"median": 2.25, "q1": 0.875, "q3": 2.875}
+    assert m["change_over_parent"] == pytest.approx(0.9)
+    assert m["change_wins"] == 3  # the second pair's change run is slower
+    assert m["worse_by"] == pytest.approx(-0.1)
+    assert m["within_bound"] is True
+    assert (m["median_gap"], m["parent_iqr"]) == (0.25, 2.5)
+    assert (m["parent_runs"], m["change_runs"]) == ([1.0, 2.0, 3.0, 4.0], [0.5, 2.5, 2.0, 3.0])
+
+
+def test_a_higher_is_better_metric_is_worse_when_it_falls():
+    m = load_pairs_tool().compare([100.0, 100.0, 102.0], [70.0, 101.0, 60.0], "higher", 0.25)
+    assert m["change_over_parent"] == pytest.approx(0.7)
+    assert m["worse_by"] == pytest.approx(0.3)
+    assert m["within_bound"] is False
+    assert m["change_wins"] == 1
+    assert m["median_gap"] == pytest.approx(30.0)
+
+
+def test_an_entry_sums_the_runs_of_each_side():
+    def report(value, correct=True, failed=0):
+        return {"correct": correct, "attempted": 9, "failed": failed, "metrics": {"wall_s": {"value": value}}}
+
+    reports = {"parent": [report(1.0), report(3.0)], "change": [report(0.5, False, 1), report(0.7)]}
+    found = load_pairs_tool().entry(reports, [{"name": "wall_s", "better": "lower", "bound": 0.25}], 13)
+    assert {k: v for k, v in found.items() if k != "metrics"} == {
+        "seed": 13,
+        "pairs": 2,
+        "correct": {"parent": True, "change": False},
+        "attempted": {"parent": 18, "change": 18},
+        "failed": {"parent": 0, "change": 1},
+    }
+    assert found["metrics"]["wall_s"]["change_wins"] == 2

@@ -1,5 +1,6 @@
 """Tiling, sensing, covering, merging, the belief views, and sub-region partitioning."""
 
+import itertools
 import math
 import random
 
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcover import world
+from gridcover.models import remaining_worth
 from gridcover.planner import plan_travel_to_any
-from gridcover.scenario import parse_scenario
+from gridcover.scenario import Rect, TargetSpec, WorldSpec, parse_scenario
 from gridcover.world import (
     Beliefs,
     CellState,
     Change,
     GridMap,
+    GroundTruth,
     RangeSensor,
+    TaskRegion,
+    Target,
     build_world,
     coverage_fraction,
     free_cells,
@@ -89,6 +94,125 @@ class TestBuildWorld:
             assert not (seen & set(t.cells))
             seen |= set(t.cells)
         assert len(seen) == 100
+
+
+def reference_build_world(spec: WorldSpec, seed: int) -> GridMap:
+    """`build_world` as it was built cell by cell: the buffer from each
+    obstacle's 8 neighbours, centroids summed over the cells, and each
+    target pool sorted from a filter of the task's cells."""
+
+    def neighbors8(cell):
+        x, y = cell
+        near = [(x + dx, y + dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy]
+        return [(nx, ny) for nx, ny in near if 0 <= nx < spec.width and 0 <= ny < spec.height]
+
+    def centroid(cells):
+        sx = sum(c[0] + 0.5 for c in cells)
+        sy = sum(c[1] + 0.5 for c in cells)
+        return (sx * spec.epsilon_m / len(cells), sy * spec.epsilon_m / len(cells))
+
+    obstacles = frozenset(spec.obstacles)
+    buffer = {nb for cell in obstacles for nb in neighbors8(cell)}
+    every = frozenset(itertools.product(range(spec.width), range(spec.height)))
+    truth = GroundTruth(obstacles=obstacles, free_space=every.difference(obstacles, buffer))
+    w = spec.width
+    task_of = [0] * (w * spec.height)
+    tasks = {}
+    for i, rect in enumerate(spec.tasks, start=1):
+        cells = tuple(rect.cells())
+        for x, y in cells:
+            task_of[y * w + x] = i
+        tasks[i] = TaskRegion(
+            id=i, cells=cells, bbox=rect, lam=0.0, n_unexplored=len(cells), centroid_m=centroid(cells)
+        )
+    grid = GridMap(
+        width=w,
+        height=spec.height,
+        epsilon=spec.epsilon_m,
+        cells=[CellState.UNEXPLORED] * (w * spec.height),
+        task_of=task_of,
+        tasks=tasks,
+        ground_truth=truth,
+        unexplored_total=w * spec.height,
+    )
+    placed = []
+    if spec.targets.mode == "sampled":
+        rng = random.Random(f"{seed}:targets")
+        for i in tasks:
+            lam = spec.targets.lam[i - 1] if spec.targets.lam else 0.0
+            tasks[i].lam = lam
+            open_cells = sorted(c for c in tasks[i].cells if c in truth.free_space)
+            if not open_cells:
+                continue
+            for _ in range(world._sample_poisson(lam, rng)):
+                placed.append(open_cells[rng.randrange(len(open_cells))])
+    else:
+        placed = list(spec.targets.cells)
+        for x, y in placed:
+            tasks[task_of[y * w + x]].lam += 1.0
+    for n, cell in enumerate(placed):
+        grid.targets.append(Target(cell=cell))
+        grid.targets_at.setdefault(cell, []).append(n)
+    for task in tasks.values():
+        task.worth = remaining_worth(task.lam, 0)
+    return grid
+
+
+@st.composite
+def world_specs(draw):
+    """Worlds as the parser leaves them: tasks partitioning the grid, each
+    band of rows cut into its own columns (1-cell tasks included), sorted
+    obstacles that favour the edges, the corners and neighbouring pairs,
+    and sampled targets under a zero, a shared or a listed lambda, or
+    explicit targets."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    epsilon = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0, 1.3]))
+
+    def cuts(side):
+        inner = draw(st.lists(st.integers(1, side - 1), unique=True)) if side > 1 else []
+        return [0, *sorted(inner), side]
+
+    tasks = []
+    rows = cuts(height)
+    for y0, y1 in zip(rows, rows[1:]):
+        columns = cuts(width)
+        tasks += [Rect(x0, y0, x1 - x0, y1 - y0) for x0, x1 in zip(columns, columns[1:])]
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    edges = [(x, y) for x, y in cells if x in (0, width - 1) or y in (0, height - 1)]
+    obstacles = set(draw(st.lists(st.sampled_from(cells), max_size=len(cells) // 3)))
+    obstacles |= set(draw(st.lists(st.sampled_from(edges), max_size=4)))
+    for x, y in draw(st.lists(st.sampled_from(cells), max_size=3)):
+        obstacles |= {(x, y), (min(x + 1, width - 1), y), (x, min(y + 1, height - 1))}
+    kind = draw(st.sampled_from(["zero", "shared", "listed", "explicit"]))
+    if kind == "explicit":
+        open_cells = [c for c in cells if c not in obstacles]
+        listed = draw(st.lists(st.sampled_from(open_cells), max_size=6)) if open_cells else []
+        targets = TargetSpec(mode="explicit", cells=tuple(sorted(listed)))
+    else:
+        lam = {"zero": st.just(0.0), "shared": st.floats(0.0, 6.0), "listed": None}[kind]
+        if lam is None:
+            lams = tuple(draw(st.lists(st.floats(0.0, 6.0), min_size=len(tasks), max_size=len(tasks))))
+        else:
+            lams = (draw(lam),) * len(tasks)
+        targets = TargetSpec(mode="sampled", lam=lams)
+    return WorldSpec(width, height, epsilon, tuple(sorted(obstacles)), tuple(tasks), targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(world_specs(), st.integers(0, 2**16))
+def test_the_world_is_built_like_the_reference(spec, seed):
+    built, reference = build_world(spec, seed), reference_build_world(spec, seed)
+    assert built.ground_truth.free_space == reference.ground_truth.free_space
+    assert built.ground_truth.obstacles == reference.ground_truth.obstacles
+    assert built.task_of == reference.task_of
+    assert list(built.tasks) == list(reference.tasks)
+    for task, want in zip(built.tasks.values(), reference.tasks.values()):
+        assert task.cells == want.cells  # in the same order
+        assert [v.hex() for v in task.centroid_m] == [v.hex() for v in want.centroid_m]
+        assert vars(task) == vars(want)
+    assert built.targets == reference.targets
+    assert built.targets_at == reference.targets_at
+    assert built == reference
 
 
 class TestMarkSensed:
@@ -728,7 +852,7 @@ class TestRangeSensor:
     def test_the_stencil_is_clipped_to_the_grid(self, width, height):
         grid = make_world(width=width, height=height, obstacles=[[3, 1]])
         sensor = RangeSensor(grid, 1e12)
-        assert sum(len(dys) for _dx, dys in sensor.columns) <= (2 * width + 1) * (2 * height + 1)
+        assert sum(2 * k + 1 for _dx, k, _span in sensor.columns) <= (2 * width + 1) * (2 * height + 1)
         assert sensor.read((width - 1, height - 1)) == [(3, 1)]
 
     @pytest.mark.parametrize("epsilon, radius_m", [(1.0, 2.5), (1.0, 5.0), (0.5, 3.0), (1.0, 40.0)])
@@ -760,6 +884,38 @@ class TestRangeSensor:
             obstacles = sorted(sensor.held)
         assert sensor.held == set() and sensor.held_columns == 0
 
+    @pytest.mark.parametrize("epsilon, radius_m", [(1.0, 2.5), (1.0, 5.0), (0.5, 3.0), (1.0, 40.0)])
+    def test_reads_at_the_top_and_bottom_rows_what_a_disk_scan_reads(self, epsilon, radius_m):
+        # a stencil column of a cell within `reach` rows of the top starts
+        # above row 0, and one near the bottom runs past the last row; the
+        # held row bits must still answer for the rows on the grid
+        rng = random.Random(5)
+        width, height = 6, 14
+        cells = [(x, y) for x in range(width) for y in range(height)]
+        obstacles = [[1, 0], [4, height - 1]] + [list(c) for c in rng.sample(cells, 9)]
+        doc = world_doc(width=width, height=height, obstacles=obstacles, robots=[{"id": 1, "start": [3, 7]}])
+        doc["world"]["epsilon_m"] = epsilon
+        grid = build_world(parse_scenario(doc).world, 0)
+        sensor = RangeSensor(grid, radius_m)
+        ends = [(x, y) for x, y in cells if y < sensor.reach or y >= height - sensor.reach]
+
+        def disk_scan(cell):
+            pos = grid.cell_center(cell)
+            return [c for c in sorted(sensor.held) if math.dist(grid.cell_center(c), pos) <= radius_m + 1e-9]
+
+        assert [sensor.read(c) for c in ends] == [disk_scan(c) for c in ends]
+        assert any(sensor.read(c) for c in ends)
+        obstacles = sorted(grid.ground_truth.obstacles)
+        for step in (3, 2, 1):
+            # settle every step-th obstacle left, and every cell of the top and bottom rows
+            written = [y * width + x for x, y in obstacles[::step]]
+            written += [*range(width), *range(width * (height - 1), width * height)]
+            sensor.settle(written)
+            assert sensor.held == set(obstacles) - {(i % width, i // width) for i in written}
+            assert [sensor.read(c) for c in ends] == [disk_scan(c) for c in ends]
+            obstacles = sorted(sensor.held)
+        assert sensor.held == set() and sensor.held_rows == [0] * width and sensor.held_columns == 0
+
     def sensing_world(self, obstacles):
         grid = make_world(obstacles=obstacles)
         return grid, Beliefs(grid), RangeSensor(grid, 1.0)
@@ -786,14 +942,15 @@ class TestRangeSensor:
         self.sync(grid, beliefs, sensor)
         assert other.state((5, 5)) is CellState.OBSTACLE
         assert sensor.read((4, 5)) == []
-        assert sensor.held == set() and sensor.held_in_column == {}
+        assert sensor.held == set() and sensor.held_rows == [0] * 10 and sensor.held_columns == 0
 
     def test_a_never_read_obstacle_stays_held(self):
         grid, beliefs, sensor = self.sensing_world([[1, 1], [8, 8]])
         view = beliefs.view(1)
         self.sense(view, grid, sensor.read((2, 1)))
         self.sync(grid, beliefs, sensor)
-        assert sensor.held == {(8, 8)} and sensor.held_in_column == {8: 1}
+        assert sensor.held == {(8, 8)} and sensor.held_rows == [0] * 8 + [1 << 8, 0]
+        assert sensor.held_columns == 1 << (8 + sensor.reach)
         assert sensor.read((7, 8)) == [(8, 8)]
 
     def test_an_obstacle_first_written_forbidden_is_dropped_at_the_sync(self):
