@@ -10,14 +10,18 @@ Files written to --out-dir, with the record each one's columns come from:
                                 totd_10 .. totd_100
            games.csv            engine.GameRecord, one row per game
            events.csv           supervisor.EventRecord, one row per event
-           changes.csv          RunLogs.changes: tick, robot, x, y, old, new
+           changes.csv          RunLogs.changes: tick, robot, x, y, old, new,
+                                written from the log's flat rows; old is
+                                always UNEXPLORED
            trajectories.csv     RunLogs.trajectories: tick, robot, x_m, y_m,
                                 cell_x, cell_y, mode, one row per live robot
                                 per tick, written from the log's moves
            detector.csv         RunLogs.detector: tick, robot, heard_by, one
                                 row per confirmed failure
-           map_final.txt, map_tick_NNNNNN.txt (--snapshot-every),
-           trajectories.svg
+           map_final.txt, map_tick_NNNNNN.txt (--snapshot-every)
+                                world.map_text of the team map
+           trajectories.svg     render.render_svg, streamed into the file
+                                a piece at a time
   compare  compare_runs.csv     strategy, seed, then the metrics.csv columns
            compare_summary.csv  strategy, metric, mean, min, max of each
                                 numeric metrics.csv column, blank where a
@@ -44,7 +48,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .engine import GameRecord, LivenessError, RunResult, TrajectoryLog, run as run_engine
+from .engine import ChangeLog, GameRecord, LivenessError, RunResult, TrajectoryLog, run as run_engine
 from .render import render_svg
 from .scenario import STRATEGIES, ScenarioError, load_scenario
 from .supervisor import DesState
@@ -52,7 +56,7 @@ from .world import CellState, map_text
 
 _STATE_NAMES = [state.name for state in CellState]  # by value: `.name` is a slow enum descriptor
 _DES_VALUES = {state: state.value for state in DesState}  # `.value` is a slow enum descriptor too
-_BLOCK = 1 << 18  # characters per write; one string per file would raise peak memory
+_BLOCK = 1 << 16  # characters per write; one string per file would raise peak memory
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -95,14 +99,15 @@ def _write_trajectories(path: Path, log: TrajectoryLog) -> None:
     _write_text(path, "tick,robot,x_m,y_m,cell_x,cell_y,mode\r\n", ticks())
 
 
-def _write_changes(path: Path, changes) -> None:
-    """changes.csv as `csv.writer` would write it: ints and state names
-    need no quoting."""
+def _write_changes(path: Path, changes: ChangeLog) -> None:
+    """changes.csv as `csv.writer` would write it, from the log's flat rows:
+    ints and state names need no quoting, and the old state is always
+    UNEXPLORED."""
     names = _STATE_NAMES
     _write_text(
         path,
         "tick,robot,x,y,old,new\r\n",
-        (f"{tick},{robot},{x},{y},{names[old]},{names[new]}\r\n" for tick, robot, ((x, y), old, new) in changes),
+        (f"{tick},{robot},{x},{y},UNEXPLORED,{names[new]}\r\n" for tick, robot, x, y, new in changes.rows()),
     )
 
 
@@ -166,8 +171,8 @@ def write_run_outputs(result: RunResult, out_dir: Path) -> None:
             if mode is not None and rid in last_cell:
                 last_cell[rid] = (cx, cy)
     failure_marks = [(rid, last_cell[rid]) for rid in failed]
-    svg = render_svg(result.grid, logs.trajectories, failure_marks)
-    (out_dir / "trajectories.svg").write_text(svg)
+    with open(out_dir / "trajectories.svg", "w") as fh:
+        render_svg(result.grid, logs.trajectories, fh, failure_marks)
 
 
 def _print_summary(result: RunResult) -> None:

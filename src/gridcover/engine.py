@@ -13,6 +13,13 @@ state, keeps the counts of FL, SP and ID robots that `_end_reason` reads, so
 no tick rescans the team. A robot's position is its cell's center;
 localization noise moves only the cell it covers, not the robot.
 
+A run's records hold plain values, so a finished run costs about the size
+of its data and the cyclic collector walks few objects. A change of the
+team map is five ints in the flat `ChangeLog`: the tick, the robot, the
+cell's x and y and the new state. Its old state is always UNEXPLORED, so
+it is not kept. The cells the robots stood on, the cells CR counts, are a
+flag byte per cell by flat index (`Simulation.visited`).
+
 Failure confirmation is a heartbeat timeout. Live robots start together and
 beat every `heartbeat_s`, so the team keeps one heartbeat clock, and a robot
 that fails keeps the clock's last beat as the start of its silence. It is
@@ -322,11 +329,54 @@ class TrajectoryLog:
                 yield (tick, *row)
 
 
+_STATES = tuple(CellState)  # by value
+
+
+class ChangeLog:
+    """The team map's changes in the order made, kept flat: five plain ints
+    per change in one list (`flat`), the tick, the robot, the cell's x and y
+    and the new state's value. The old state is not kept, as it is always
+    UNEXPLORED: the team map writes only UNEXPLORED cells. So the log holds
+    no record per change, and the cyclic collector tracks only the list.
+
+    `rows` yields the five ints per change; iterating yields (tick, robot,
+    Change) rows. It compares by content."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self) -> None:
+        self.flat: list[int] = []
+
+    def add(self, tick: int, robot: int, changes) -> None:
+        """Log the changes, `Change` records of UNEXPLORED cells, that the
+        robot made on the tick."""
+        flat = self.flat
+        for (x, y), _old, new in changes:
+            flat += (tick, robot, x, y, int(new))
+
+    def rows(self):
+        """(tick, robot, x, y, new state value) of each change."""
+        it = iter(self.flat)
+        return zip(it, it, it, it, it)
+
+    def __len__(self) -> int:
+        return len(self.flat) // 5
+
+    def __iter__(self):
+        for tick, robot, x, y, new in self.rows():
+            yield tick, robot, Change((x, y), _UNEXPLORED, _STATES[new])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChangeLog):
+            return NotImplemented
+        return self.flat == other.flat
+
+
 @dataclass
 class RunLogs:
     events: list[EventRecord] = field(default_factory=list)
     games: list[GameRecord] = field(default_factory=list)
-    changes: list[tuple[int, int, Change]] = field(default_factory=list)  # (tick, robot, change)
+    changes: ChangeLog = field(default_factory=ChangeLog)
     # logged per move; iterating it, like the files written from it, gives
     # one row per live robot per tick
     trajectories: TrajectoryLog = field(default_factory=TrajectoryLog)
@@ -393,7 +443,7 @@ class Simulation:
         self._silent_since: dict[int, float] = {}  # failed, unconfirmed robot -> its last beat
         self._next_sync = 0.0
 
-        self.visited: set[Cell] = set()
+        self.visited = bytearray(self.grid.width * self.grid.height)  # a flag per cell, 1 once a robot stood there
         self.found_total = 0
         eps = self.grid.epsilon
         self.logs = RunLogs(
@@ -475,12 +525,13 @@ class Simulation:
         if not obstacles:
             return False
         mark_sensed(r.belief, obstacles)
-        self.logs.changes.extend((self.tick, r.id, ch) for ch in mark_sensed(self.grid, obstacles))
+        self.logs.changes.add(self.tick, r.id, mark_sensed(self.grid, obstacles))
         return True
 
     def _cover_attempt(self, r: Robot, true_cell: Cell) -> None:
-        self.visited.add(true_cell)
         grid, sigma = self.grid, self.params.noise_sigma_m
+        i = true_cell[1] * grid.width + true_cell[0]
+        self.visited[i] = 1
         # without noise the measured cell is the true one, and nothing is drawn
         mcell = true_cell
         if sigma > 0.0:
@@ -488,12 +539,12 @@ class Simulation:
             mcell = grid.cell_of_position(*noisy)
             if not grid.in_bounds(mcell):
                 return
-        i = mcell[1] * grid.width + mcell[0]
+            i = mcell[1] * grid.width + mcell[0]
         if grid.cells[i] >= _BLOCKED:
             return
         change, found = mark_covered(grid, mcell)
         if change is not None:
-            self.logs.changes.append((self.tick, r.id, change))
+            self.logs.changes.add(self.tick, r.id, (change,))
         if found:
             self.found_total += found
             self.logs.discoveries.append((self.tick, self.found_total))
@@ -577,7 +628,7 @@ class Simulation:
                         obstacles.add(nb)
         found = sorted(obstacles)
         mark_sensed(r.belief, found)
-        self.logs.changes.extend((self.tick, r.id, ch) for ch in mark_sensed(self.grid, found))
+        self.logs.changes.add(self.tick, r.id, mark_sensed(self.grid, found))
         leftover = [c for c in sorted(cells) if r.belief.state(c) is _UNEXPLORED]
         if leftover:
             raise LivenessError(f"pocket resolution left unexplored cells: {leftover[:5]}")

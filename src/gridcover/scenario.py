@@ -234,6 +234,12 @@ def _parse_world(obj: Any) -> WorldSpec:
                 raise ScenarioError(f"world.targets.cells: cell {list(cell)} outside the grid")
             if cell in blocked:
                 raise ScenarioError(f"world.targets.cells: target on obstacle cell {list(cell)}")
+            # an obstacle's 8 neighbours are its buffer, which no robot covers,
+            # so a target there would never be found
+            x, y = cell
+            near = [(x + dx, y + dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (x + dx, y + dy) in blocked]
+            if near:
+                raise ScenarioError(f"world.targets.cells: target {list(cell)} is next to obstacle cell {list(near[0])}")
         targets = TargetSpec(mode="explicit", cells=tuple(sorted(cells)))
     else:
         raise ScenarioError(f"world.targets.mode: expected 'sampled' or 'explicit', got {mode!r}")

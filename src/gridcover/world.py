@@ -37,14 +37,20 @@ the sync: its own writes then all turn UNEXPLORED cells EXPLORED, both
 free, so its free cells are the synced map's. Otherwise, and once
 detached, it builds its own.
 
-The ground truth is built from row bits (`build_world`), and the range
-sensor (`RangeSensor`) holds, as row bits per column, only the truth
-obstacles some live belief may still lack. A reading changes only UNEXPLORED
-cells, and a sync leaves every live belief holding each cell the team map
-wrote since the last one, for good; so at each sync the sensor drops those
-cells (`RangeSensor.settle`), and a reading of a dropped cell would have
-changed nothing. A reading whose disk reaches no column holding a held cell
-returns at once, which is most readings once the nearby obstacles are known.
+The ground truth is built from row bits (`build_world`), which also give
+its coverable cells as flag bytes, one per cell by flat index
+(`GroundTruth.free_flags`). A run keeps the cells its robots stood on as
+flag bytes of the same layout, so CR (`coverage_fraction`) is one bit count
+of the two flag strings' AND, with no set and no loop over cells.
+
+The range sensor (`RangeSensor`) holds, as row bits per column, only the
+truth obstacles some live belief may still lack. A reading changes only
+UNEXPLORED cells, and a sync leaves every live belief holding each cell the
+team map wrote since the last one, for good; so at each sync the sensor
+drops those cells (`RangeSensor.settle`), and a reading of a dropped cell
+would have changed nothing. A reading whose disk reaches no column holding
+a held cell returns at once, which is most readings once the nearby
+obstacles are known.
 """
 
 from __future__ import annotations
@@ -127,6 +133,7 @@ class GroundTruth:
 
     obstacles: frozenset[Cell]
     free_space: frozenset[Cell]  # coverable cells: neither obstacle nor 8-adjacent to one
+    free_flags: bytes  # a byte per cell by flat index, 1 if the cell is in `free_space`, else 0
 
 
 @dataclass
@@ -382,7 +389,9 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
     free_rows = [format(~(a | b | c) & full, digits) for a, b, c in zip(wide, wide[1:], wide[2:])]
     free = "".join(free_rows).encode("ascii").translate(_DIGIT_FLAG)  # a byte per cell, 1 if coverable
     table = [(x, y) for y in range(h) for x in range(w)]  # the cells by flat index
-    truth = GroundTruth(obstacles=frozenset(spec.obstacles), free_space=frozenset(itertools.compress(table, free)))
+    truth = GroundTruth(
+        obstacles=frozenset(spec.obstacles), free_space=frozenset(itertools.compress(table, free)), free_flags=free
+    )
     task_of = [0] * (w * h)
     tasks: dict[int, TaskRegion] = {}
     for i, rect in enumerate(spec.tasks, start=1):
@@ -658,11 +667,15 @@ class Beliefs:
         view.since, view.own = {}, {}
 
 
-def coverage_fraction(truth: GroundTruth, visited: set[Cell]) -> float:
-    """Coverage over cells a robot actually occupied (noise-independent)."""
+def coverage_fraction(truth: GroundTruth, visited: bytes | bytearray) -> float:
+    """CR: the share of the coverable cells that a robot stood on, whatever
+    noise did to the cell it marked. `visited` holds a flag byte per cell by
+    flat index, 1 once a robot stood there; the count of cells flagged in it
+    and in `truth.free_flags` is one bit count of their AND."""
     if not truth.free_space:
         return 1.0
-    return len(visited & truth.free_space) / len(truth.free_space)
+    both = int.from_bytes(visited, "big") & int.from_bytes(truth.free_flags, "big")
+    return both.bit_count() / len(truth.free_space)
 
 
 _MAP_LETTERS = bytes.maketrans(bytes(CellState), b"UEFO")  # bytes.translate table: state -> map_text letter

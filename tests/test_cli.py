@@ -3,11 +3,13 @@ and the arguments it rejects."""
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import math
 import statistics
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridcover import cli, load_scenario, parse_scenario, run
 from gridcover.cli import _write_changes, _write_trajectories, write_run_outputs
-from gridcover.engine import TrajectoryLog
+from gridcover.engine import ChangeLog, TrajectoryLog
 from gridcover.render import ROBOT_COLORS, STATE_FILL, render_svg
 from gridcover.world import CellState, Change, GridMap, Target, map_text
 
@@ -130,6 +132,43 @@ def test_metrics_csv_matches_the_run(written):
     # compare_runs.csv and sweep.csv readers index the columns by position
     assert header == METRIC_COLUMNS
     assert dict(zip(header, row)) == metric_cells(result)
+
+
+def test_the_change_log_holds_no_object_per_change(written):
+    # the log is one list of plain ints, which the collector does not walk
+    # into: the log and its list are all it tracks
+    result, _out_dir = written
+    changes = result.logs.changes
+    assert len(changes) > 1000
+    tracked, i = [changes], 0
+    while i < len(tracked):
+        tracked += [o for o in gc.get_referents(tracked[i]) if gc.is_tracked(o) and not isinstance(o, type)]
+        i += 1
+    assert len(tracked) == 2
+
+
+def test_the_svg_is_never_held_whole(written, tmp_path, monkeypatch):
+    # the traced peak inside the render stays under the document's size; a
+    # render that built the document, or its bytes, would pass it alone
+    result, out_dir = written
+    render_peaks = []
+
+    def measured(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rendered(*args)
+        render_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    rendered = cli.render_svg
+    monkeypatch.setattr(cli, "render_svg", measured)
+    tracemalloc.start()
+    try:
+        write_run_outputs(result, tmp_path)
+    finally:
+        tracemalloc.stop()
+    svg = (tmp_path / "trajectories.svg").read_bytes()
+    assert svg == (out_dir / "trajectories.svg").read_bytes()
+    assert len(render_peaks) == 1 and render_peaks[0] < len(svg)
 
 
 def test_detector_csv_has_one_row_per_confirmed_failure(written):
@@ -483,7 +522,7 @@ def reference_changes_csv(changes) -> bytes:
 
 @st.composite
 def written_inputs(draw):
-    """A map, a trajectory log and map changes shaped like the engine's. The
+    """A map, a trajectory log and a change log shaped like the engine's. The
     log runs over several ticks from any first tick: each robot moves to a
     drawn cell and mode or stays, and may fail, on the first tick before any
     row or later; the cell centres are positive finite metres. Failure marks
@@ -527,13 +566,12 @@ def written_inputs(draw):
     logged = sorted({move[1] for move in log.moves})
     marked = draw(st.lists(st.sampled_from(logged), max_size=3)) if logged else []
     failures = [(rid, draw(cells)) for rid in marked] + [(41, draw(cells))]
-    states = st.sampled_from(list(CellState))
-    changes = [
-        (tick, robot, Change(cell, old, new))
-        for tick, robot, cell, old, new in draw(
-            st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 40), cells, states, states))
-        )
-    ]
+    # the team map changes only UNEXPLORED cells
+    changes = ChangeLog()
+    for tick, robot, cell, new in draw(
+        st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 40), cells, st.sampled_from(list(CellState)[1:])))
+    ):
+        changes.add(tick, robot, [Change(cell, CellState.UNEXPLORED, new)])
     return grid, log, failures, changes
 
 
@@ -552,4 +590,6 @@ def test_the_writers_keep_the_reference_bytes(scratch_csv, inputs):
     _write_changes(scratch_csv, changes)
     assert scratch_csv.read_bytes() == reference_changes_csv(changes)
     assert map_text(grid) == reference_map_text(grid)
-    assert render_svg(grid, log, failures) == reference_render_svg(grid, rows, failures)
+    svg = io.StringIO()
+    render_svg(grid, log, svg, failures)
+    assert svg.getvalue() == reference_render_svg(grid, rows, failures)

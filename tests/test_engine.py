@@ -14,11 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridcover import ScenarioError, parse_scenario
-from gridcover.engine import Assignments, LivenessError, Simulation
+from gridcover.engine import Assignments, ChangeLog, LivenessError, Simulation
 from gridcover.models import remaining_worth
 from gridcover.scenario import STRATEGIES
 from gridcover.supervisor import DesState
-from gridcover.world import CellState, free_cells
+from gridcover.world import CellState, Change, free_cells
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "gridcover" / "scenarios"
@@ -657,6 +657,74 @@ class TestSmallWorlds:
         except ScenarioError:
             assume(False)
         assert run_record(Simulation, config) == run_record(UnsettledSimulation, config)
+
+
+class SetVisitedSimulation(Simulation):
+    """A run that also keeps the cells its robots stood on as a set, the
+    record CR was once computed from."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.visited_cells = set()
+
+    def _cover_attempt(self, r, true_cell):
+        self.visited_cells.add(true_cell)
+        super()._cover_attempt(r, true_cell)
+
+
+class TestCoverageRatio:
+    @settings(max_examples=100, deadline=None)
+    @given(small_worlds(), st.sampled_from((0.0, 0.3, 1.5)))
+    def test_flag_cr_is_the_set_cr(self, doc, sigma):
+        # under noise the marked cell moves, never the one CR counts
+        doc["params"]["noise_sigma_m"] = sigma
+        try:
+            sim = SetVisitedSimulation(parse_scenario(doc))
+            cr = sim.run().metrics.cr
+        except (ScenarioError, LivenessError):
+            assume(False)
+        free = sim.truth.free_space
+        assert cr == (len(sim.visited_cells & free) / len(free) if free else 1.0)
+
+
+class TestChangeLog:
+    ROWS = [
+        (3, 1, Change((2, 0), CellState.UNEXPLORED, CellState.OBSTACLE)),
+        (3, 1, Change((1, 0), CellState.UNEXPLORED, CellState.FORBIDDEN)),
+        (4, 2, Change((5, 7), CellState.UNEXPLORED, CellState.EXPLORED)),
+    ]
+
+    def logged(self, rows):
+        log = ChangeLog()
+        for tick, robot, change in rows:
+            log.add(tick, robot, [change])
+        return log
+
+    def test_len_counts_changes(self):
+        assert len(ChangeLog()) == 0
+        log = ChangeLog()
+        log.add(3, 1, [change for _tick, _robot, change in self.ROWS[:2]])
+        assert len(log) == 2
+        assert len(self.logged(self.ROWS)) == 3
+
+    def test_equal_by_content(self):
+        assert self.logged(self.ROWS) == self.logged(self.ROWS)
+        assert self.logged(self.ROWS) != self.logged(self.ROWS[:2])
+        assert self.logged(self.ROWS) != self.logged(self.ROWS[::-1])
+        moved = [(tick + 1, robot, change) for tick, robot, change in self.ROWS]
+        assert self.logged(self.ROWS) != self.logged(moved)
+
+    def test_rows_come_back_as_logged(self):
+        rows = list(self.logged(self.ROWS))
+        assert rows == self.ROWS
+        for _tick, _robot, change in rows:
+            assert type(change) is Change
+            assert type(change.old) is CellState and type(change.new) is CellState
+        assert list(self.logged(self.ROWS).rows()) == [(3, 1, 2, 0, 3), (3, 1, 1, 0, 2), (4, 2, 5, 7, 1)]
+
+    def test_the_log_holds_plain_ints(self):
+        flat = self.logged(self.ROWS).flat
+        assert len(flat) == 15 and all(type(v) is int for v in flat)
 
 
 class TestFailureDetection:

@@ -1,5 +1,6 @@
 """The SVG renderer: map rects, trajectories, failure crosses, target dots."""
 
+import io
 import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings
@@ -20,6 +21,13 @@ def small_world():
         height=5,
         targets={"mode": "explicit", "cells": [[1, 1], [5, 3], [5, 3]]},
     )
+
+
+def rendered(grid, trajectories, failures=()) -> str:
+    """The document `render_svg` writes to a text stream."""
+    out = io.StringIO()
+    render_svg(grid, trajectories, out, failures)
+    return out.getvalue()
 
 
 def parse(svg: str) -> ET.Element:
@@ -48,7 +56,7 @@ class TestMapRects:
     def test_each_known_cell_drawn_once_in_its_fill(self, states):
         grid = small_world()
         grid.cells = list(states)
-        root = parse(render_svg(grid, TrajectoryLog()))
+        root = parse(rendered(grid, TrajectoryLog()))
         background = [r for r in root.iter(f"{NS}rect") if "x" not in r.attrib]
         assert [r.get("fill") for r in background] == [STATE_FILL[CellState.UNEXPLORED]]
         drawn = covered_cells(root)
@@ -64,7 +72,7 @@ class TestMapRects:
     def test_runs_of_one_state_share_a_rect(self):
         grid = small_world()
         grid.cells = [CellState.EXPLORED] * 7 + [CellState.UNEXPLORED] * 28
-        rects = [r for r in parse(render_svg(grid, TrajectoryLog())).iter(f"{NS}rect") if "x" in r.attrib]
+        rects = [r for r in parse(rendered(grid, TrajectoryLog())).iter(f"{NS}rect") if "x" in r.attrib]
         assert len(rects) == 1
         assert rects[0].get("width") == str(7 * SCALE)
 
@@ -84,7 +92,7 @@ class TestMarkers:
             last_tick=3,
         )
         failures = [(3, (1, 0)), (2, (4, 4))]
-        return render_svg(grid, trajectories, failures)
+        return rendered(grid, trajectories, failures)
 
     def test_deterministic(self):
         assert self.render(small_world()) == self.render(small_world())

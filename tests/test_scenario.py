@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gridcover import run
 from gridcover.scenario import Params, ScenarioError, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios"
@@ -145,6 +146,11 @@ REJECTIONS = {
         set_key(["world", "obstacles"], [{"x": -1, "y": 1, "w": 2, "h": 1}]),
         "world.obstacles: cell [-1, 1] outside the grid",
     ),
+    # an obstacle's buffer is never covered, so a target there is never found
+    "target next to an obstacle": (
+        set_key(["world", "targets"], {"mode": "explicit", "cells": [[0, 0], [2, 1]]}),
+        "world.targets.cells: target [2, 1] is next to obstacle cell [3, 2]",
+    ),
     # expanded first, this rect would be 10**18 cells
     "obstacle rect of 10**9 sides": (
         set_key(["world", "obstacles"], [{"x": 0, "y": 0, "w": 10**9, "h": 10**9}]),
@@ -174,6 +180,31 @@ class TestRejections:
         for lam, want in ((700, (700.0, 700.0)), ([700, 0.5], (700.0, 0.5))):
             doc = edited(set_key(["world", "targets"], {"mode": "sampled", "lambda": lam}))
             assert parse_scenario(doc).world.targets.lam == want
+
+
+class TestTargetsOffTheBuffer:
+    def doc(self, targets):
+        return {
+            "world": {
+                "width": 10,
+                "height": 10,
+                "tasks": [{"x": 0, "y": 0, "w": 10, "h": 10}],
+                "obstacles": [[5, 5]],
+                "targets": {"mode": "explicit", "cells": targets},
+            },
+            "robots": [{"id": 1, "start": [0, 0]}],
+        }
+
+    def test_a_target_on_an_obstacles_buffer_is_refused(self):
+        # this world's run used to end `complete` at CR 1.0 with the target
+        # at (5, 4) never found
+        with pytest.raises(ScenarioError, match=r"^world\.targets\.cells: target \[5, 4\] is next to obstacle cell \[5, 5\]$"):
+            parse_scenario(self.doc([[5, 4], [1, 1]]))
+
+    def test_a_target_one_cell_further_off_is_found(self):
+        result = run(parse_scenario(self.doc([[5, 3], [1, 1]])))
+        assert result.metrics.end_reason == "complete"
+        assert (result.metrics.notf, result.metrics.targets_placed) == (2, 2)
 
 
 NON_FINITE = {

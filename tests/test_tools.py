@@ -1,6 +1,7 @@
-"""The digest comparison tool, its one-side digests and its report, and the
-benchmark pairs tool's order and statistics."""
+"""The digest comparison tool, its one-side digests and its report, the
+benchmark pairs tool's order and statistics, and the memory tool's report."""
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from gridcover import Simulation
+from gridcover.engine import RunLogs
+from gridcover.world import CellState
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_digests.py"
@@ -139,3 +142,32 @@ def test_an_entry_sums_the_runs_of_each_side():
         "failed": {"parent": 0, "change": 1},
     }
     assert found["metrics"]["wall_s"]["change_wins"] == 2
+
+
+def test_the_memory_tool_prints_a_line_per_run(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() puts src/ and perfbench/ on it
+    assert load_tool(ROOT / "tools" / "mem_peaks.py").main(["--workload", "paper", "--runs", "2"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["workload"], row["name"]) for row in rows] == [
+        ("paper", "scenario1/CARE"),
+        ("paper", "scenario1/NONCO"),
+    ]
+    for row in rows:
+        assert list(row) == ["workload", "name", "setup", "run", "writes", "logs_tracked", "gc_passes"]
+        for phase in ("setup", "run", "writes"):
+            assert list(row[phase]) == ["current_mb", "peak_mb"]
+            assert 0 < row[phase]["current_mb"] <= row[phase]["peak_mb"]
+            assert len(row["gc_passes"][phase]) == 3
+        assert list(row["gc_passes"]) == ["setup", "run", "writes"]
+        assert list(row["logs_tracked"]) == [f.name for f in dataclasses.fields(RunLogs)]
+        # the change log and its flat list, however many changes it holds
+        assert row["logs_tracked"]["changes"] == 2
+        assert row["logs_tracked"]["events"] > 0
+
+
+def test_the_memory_tool_counts_tracked_objects_once():
+    count = load_tool(ROOT / "tools" / "mem_peaks.py").tracked_objects
+    shared = [1]
+    assert count([shared, shared, (shared,)]) == 3  # the outer list, `shared` once and the tuple
+    assert count(["a", 1, 2.0]) == 1  # atoms are not tracked
+    assert count([CellState.EXPLORED, CellState]) == 1  # shared members and classes are not followed

@@ -114,7 +114,9 @@ def reference_build_world(spec: WorldSpec, seed: int) -> GridMap:
     obstacles = frozenset(spec.obstacles)
     buffer = {nb for cell in obstacles for nb in neighbors8(cell)}
     every = frozenset(itertools.product(range(spec.width), range(spec.height)))
-    truth = GroundTruth(obstacles=obstacles, free_space=every.difference(obstacles, buffer))
+    free = every.difference(obstacles, buffer)
+    flags = bytes((x, y) in free for y in range(spec.height) for x in range(spec.width))
+    truth = GroundTruth(obstacles=obstacles, free_space=free, free_flags=flags)
     w = spec.width
     task_of = [0] * (w * spec.height)
     tasks = {}
@@ -204,6 +206,7 @@ def test_the_world_is_built_like_the_reference(spec, seed):
     built, reference = build_world(spec, seed), reference_build_world(spec, seed)
     assert built.ground_truth.free_space == reference.ground_truth.free_space
     assert built.ground_truth.obstacles == reference.ground_truth.obstacles
+    assert built.ground_truth.free_flags == reference.ground_truth.free_flags
     assert built.task_of == reference.task_of
     assert list(built.tasks) == list(reference.tasks)
     for task, want in zip(built.tasks.values(), reference.tasks.values()):
@@ -388,10 +391,18 @@ class TestMergeMaps:
         assert self.counters(grid) == before
 
 
+def visited_flags(grid, cells) -> bytearray:
+    """The engine's record of the cells robots stood on: a flag byte per cell."""
+    flags = bytearray(grid.width * grid.height)
+    for cell in cells:
+        flags[grid.idx(cell)] = 1
+    return flags
+
+
 class TestCoverageAccounting:
     def test_fresh_world_zero(self):
         grid = make_world()
-        assert coverage_fraction(grid.ground_truth, set()) == 0.0
+        assert coverage_fraction(grid.ground_truth, visited_flags(grid, ())) == 0.0
 
     def test_all_free_explored_is_one(self):
         grid = make_world(
@@ -399,7 +410,7 @@ class TestCoverageAccounting:
         )
         # visiting obstacle or buffer cells counts for nothing
         visited = set(grid.ground_truth.free_space) | {(0, 0), (1, 1)}
-        assert coverage_fraction(grid.ground_truth, visited) == 1.0
+        assert coverage_fraction(grid.ground_truth, visited_flags(grid, visited)) == 1.0
 
     def test_monotone_under_covering(self):
         grid = make_world(width=6, height=6)
@@ -407,9 +418,9 @@ class TestCoverageAccounting:
         last = 0.0
         cells = [(x, y) for x in range(6) for y in range(6)]
         rng.shuffle(cells)
-        visited = set()
+        visited = bytearray(36)
         for cell in cells:
-            visited.add(cell)
+            visited[grid.idx(cell)] = 1
             now = coverage_fraction(grid.ground_truth, visited)
             assert now >= last
             last = now
@@ -429,7 +440,7 @@ class TestCoverageAccounting:
         )
         grid = build_world(spec, 0)
         assert not grid.ground_truth.free_space
-        assert coverage_fraction(grid.ground_truth, {(0, 0)}) == 1.0
+        assert coverage_fraction(grid.ground_truth, visited_flags(grid, [(0, 0)])) == 1.0
 
     def test_unexplored_count_fresh_task(self):
         tasks = [
