@@ -95,10 +95,10 @@ def _write_polylines(out: TextIO, trajectories: TrajectoryLog, scale: float) -> 
     moves, end = trajectories.moves, trajectories.last_tick + 1
     entries: dict[int, array] = {}  # robot -> the indices of its entries in `moves`
     for j, move in enumerate(moves):
-        held = entries.get(move[1])
-        if held is None:
-            entries[move[1]] = held = array("i")
-        held.append(j)
+        indices = entries.get(move[1])
+        if indices is None:
+            entries[move[1]] = indices = array("i")
+        indices.append(j)
     i = 0
     for rid in sorted(entries):
         # each move's point and a space, once per tick until the robot's next
