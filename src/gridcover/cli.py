@@ -196,14 +196,34 @@ def _print_summary(result: RunResult) -> None:
         print(f"min gains: G_P = {m.gp_min:.6f}, G_T = {m.gt_min:.6f}")
 
 
+def _make_out_dir(text: str) -> Path:
+    """The --out-dir directory, made before the first run so that a path
+    where none can be made costs no run."""
+    out_dir = Path(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out-dir: cannot make {text!r}: {exc.strerror or exc}") from None
+    return out_dir
+
+
 def cmd_run(args) -> int:
     if args.snapshot_every < 0:
         raise ScenarioError(f"--snapshot-every: expected a non-negative integer, got {args.snapshot_every}")
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    result = run_engine(config, snapshot_every=args.snapshot_every)
-    write_run_outputs(result, Path(args.out_dir))
+    made = not Path(args.out_dir).exists()
+    out_dir = _make_out_dir(args.out_dir)
+    try:
+        result = run_engine(config, snapshot_every=args.snapshot_every)
+    except ScenarioError:
+        # the engine refused the scenario before its first tick: leave no
+        # trace of the run, as the parser's refusals leave none
+        if made:
+            out_dir.rmdir()
+        raise
+    write_run_outputs(result, out_dir)
     _print_summary(result)
     if not result.logs.liveness_ok:
         print(f"LIVENESS VIOLATION: run ended with '{result.metrics.end_reason}'", file=sys.stderr)
@@ -239,14 +259,12 @@ def cmd_compare(args) -> int:
         got = ", ".join(map(repr, unknown))
         raise ScenarioError(f"--strategies: expected names from {list(STRATEGIES)}, got {got}")
 
+    out_dir = _make_out_dir(args.out_dir)
     results = {
         s: [_metrics(run_engine(dataclasses.replace(config, strategy=s, seed=seed))) for seed in seeds]
         for s in strategies
     }
     columns = list(results[strategies[0]][0])
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "compare_runs.csv",
         ["strategy", "seed", *columns],
@@ -297,8 +315,7 @@ def cmd_sweep(args) -> int:
         if value < 1:
             raise ScenarioError(f"{flag}: expected a positive integer, got {value}")
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir)
     rows = []
     for value in values:
         for seed in seeds:

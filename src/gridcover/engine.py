@@ -45,6 +45,15 @@ So the robot keeps its belief's `n_blocked` from when it last planned or
 checked the path (`Robot.path_checked_at`), and `_advance_travel` tests the
 path's cells only when that count has moved.
 
+A robot's tick costs what happens in it, and `_advance` alone decides what
+that is. A tasking robot with cells left in its region banks the tick: two
+additions (its tasking time and its work time) and one comparison with the
+time a covering step takes. Only when a step is due does it call
+`_advance_tasking`, the covering loop; at the default ω of 0.32 cells/s and
+one-second ticks that is about one tick in three. The step's constants are
+computed once per run, in `__init__`, as the same floats the step would
+compute from `params`.
+
 Every reallocation takes one game path. CARE's no-idling and resilience
 games are solved with Max-Logit; FR's one-player game is solved by the
 idler's best response, with no draw from the game generator. Both settle
@@ -123,6 +132,7 @@ log = logging.getLogger("gridcover.engine")
 # Enum members the hot paths read, bound to module names as in `world`.
 # States from _BLOCKED up block travel.
 _UNEXPLORED = CellState.UNEXPLORED
+_EXPLORED = CellState.EXPLORED.value  # as `ChangeLog.flat` holds it
 _BLOCKED = CellState.FORBIDDEN
 _FAILED = DesState.FL
 _STOPPED = DesState.SP
@@ -340,7 +350,8 @@ class ChangeLog:
     no record per change, and the cyclic collector tracks only the list.
 
     `rows` yields the five ints per change; iterating yields (tick, robot,
-    Change) rows. It compares by content."""
+    Change) rows. It compares by content. `Simulation._cover_attempt`, the
+    hottest writer, appends its five ints to `flat` itself."""
 
     __slots__ = ("flat",)
 
@@ -457,6 +468,13 @@ class Simulation:
         self._gid = 0
         free = len(self.truth.free_space)
         self.tick_bound = 200 + int(10 * free / self.params.omega / self.params.tick_s)
+        # the step's constants, computed once from `params`
+        p = self.params
+        self._tick_s = p.tick_s
+        self._per_cell = 1.0 / p.omega  # tasking seconds per covering step
+        self._cover_due = self._per_cell - 1e-9
+        self._hop_m = p.u * p.tick_s  # meters travelled per tick
+        self._hop_due = eps - 1e-9
 
     # ------------------------------------------------------------------ setup
 
@@ -544,7 +562,7 @@ class Simulation:
             return
         change, found = mark_covered(grid, mcell)
         if change is not None:
-            self.logs.changes.add(self.tick, r.id, (change,))
+            self.logs.changes.flat += (self.tick, r.id, mcell[0], mcell[1], _EXPLORED)
         if found:
             self.found_total += found
             self.logs.discoveries.append((self.tick, self.found_total))
@@ -750,26 +768,39 @@ class Simulation:
     # ------------------------------------------------------------ robot moves
 
     def _advance(self, r: Robot) -> None:
-        if r.mode == "traveling":
+        """One tick of a working robot. A tasking robot with cells left banks
+        the tick and steps only once a covering step is due."""
+        mode = r.mode
+        if mode == "tasking":
+            if r.belief.watched_unexplored == 0:
+                self._workload_complete(r)
+            else:
+                tick_s = self._tick_s
+                r.t_k += tick_s
+                r.work_s += tick_s
+                if r.work_s >= self._cover_due:
+                    self._advance_tasking(r)
+        elif mode == "traveling":
             self._advance_travel(r)
-        elif r.mode == "tasking":
-            self._advance_tasking(r)
-        if r.mode in ("traveling", "tasking"):
+        else:
+            return
+        if r.mode != "idle":
             r.last_active = self.tick
 
     def _advance_travel(self, r: Robot) -> None:
-        if r.region_unexplored() == 0:
+        belief = r.belief
+        if belief.watched_unexplored == 0:
             self._workload_complete(r)
             return
-        if r.path_checked_at != r.belief.n_blocked:
-            r.path_checked_at = r.belief.n_blocked
-            if any(r.belief.state(c) >= _BLOCKED for c in r.path):
+        if r.path_checked_at != belief.n_blocked:
+            r.path_checked_at = belief.n_blocked
+            if any(belief.state(c) >= _BLOCKED for c in r.path):
                 self._dispatch(r)
                 if r.mode != "traveling":
                     return
-        r.travel_m += self.params.u * self.params.tick_s
-        eps = self.grid.epsilon
-        while r.path and r.travel_m >= eps - 1e-9:
+        r.travel_m += self._hop_m
+        eps, due = self.grid.epsilon, self._hop_due
+        while r.path and r.travel_m >= due:
             r.travel_m -= eps
             r.cell = r.path.pop(0)
             self._sense(r, r.cell)
@@ -780,14 +811,11 @@ class Simulation:
             r.planner = make_planner(r.region, r.cell)
 
     def _advance_tasking(self, r: Robot) -> None:
+        """The covering steps of a tasking robot with one due: `_advance`
+        has banked the tick and found cells left in its region."""
         belief = r.belief
-        if belief.watched_unexplored == 0:
-            self._workload_complete(r)
-            return
-        r.t_k += self.params.tick_s
-        r.work_s += self.params.tick_s
-        per_cell = 1.0 / self.params.omega
-        while r.work_s >= per_cell - 1e-9:
+        per_cell, due = self._per_cell, self._cover_due
+        while r.work_s >= due:
             if belief.watched_unexplored == 0:
                 self._workload_complete(r)
                 return
@@ -852,6 +880,8 @@ class Simulation:
         return TeamSnapshot(grid=self.grid, params=self.params, robots=views)
 
     def _resolve_one_game(self) -> None:
+        if not self.queue:
+            return
         retry: list[tuple[str, int]] = []
         resolved = False
         while self.queue and not resolved:

@@ -377,6 +377,25 @@ def test_run_reports_an_unreadable_scenario_path(tmp_path, monkeypatch, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(SCENARIO.parent / "scenario1.json")],
+        ["compare", str(SCENARIO), "--seeds", "1", "--strategies", "FR"],
+        ["sweep", str(SCENARIO), "--kappa2", "2", "--seeds", "1"],
+    ],
+    ids=["run", "compare", "sweep"],
+)
+def test_an_out_dir_under_a_file_is_refused_before_any_run(tmp_path, monkeypatch, capsys, argv):
+    # each command used to run every simulation, then die with a
+    # NotADirectoryError traceback (sweep before its runs)
+    monkeypatch.setattr(cli, "run_engine", no_run)
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "out"
+    assert cli.main([*argv, "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"scenario error: --out-dir: cannot make {str(out_dir)!r}: Not a directory\n"
+
+
 def test_run_refuses_an_infinite_tick(tmp_path, monkeypatch, capsys):
     # with tick_s = Infinity the tasking loop never ended
     doc = json.loads((SCENARIO.parent / "scenario1.json").read_text())

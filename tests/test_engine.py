@@ -14,11 +14,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridcover import ScenarioError, parse_scenario
-from gridcover.engine import Assignments, ChangeLog, LivenessError, Simulation
+from gridcover.engine import (
+    _BLOCKED,
+    _UNEXPLORED,
+    Assignments,
+    ChangeLog,
+    Done,
+    LivenessError,
+    Robot,
+    Simulation,
+    apply_localization_noise,
+    make_planner,
+    mark_covered,
+    next_waypoint,
+)
 from gridcover.models import remaining_worth
 from gridcover.scenario import STRATEGIES
 from gridcover.supervisor import DesState
-from gridcover.world import CellState, Change, free_cells
+from gridcover.world import Cell, CellState, Change, free_cells
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "gridcover" / "scenarios"
@@ -685,6 +698,111 @@ class TestCoverageRatio:
             assume(False)
         free = sim.truth.free_space
         assert cr == (len(sim.visited_cells & free) / len(free) if free else 1.0)
+
+
+class ParentStep(Simulation):
+    """The robot step as it was before `_advance` decided each tick, kept
+    verbatim as the reference: it reads `params` on every step and logs a
+    covered cell through `ChangeLog.add`."""
+
+    def _advance(self, r: Robot) -> None:
+        if r.mode == "traveling":
+            self._advance_travel(r)
+        elif r.mode == "tasking":
+            self._advance_tasking(r)
+        if r.mode in ("traveling", "tasking"):
+            r.last_active = self.tick
+
+    def _advance_travel(self, r: Robot) -> None:
+        if r.region_unexplored() == 0:
+            self._workload_complete(r)
+            return
+        if r.path_checked_at != r.belief.n_blocked:
+            r.path_checked_at = r.belief.n_blocked
+            if any(r.belief.state(c) >= _BLOCKED for c in r.path):
+                self._dispatch(r)
+                if r.mode != "traveling":
+                    return
+        r.travel_m += self.params.u * self.params.tick_s
+        eps = self.grid.epsilon
+        while r.path and r.travel_m >= eps - 1e-9:
+            r.travel_m -= eps
+            r.cell = r.path.pop(0)
+            self._sense(r, r.cell)
+        if not r.path:
+            r.mode = "tasking"
+            r.work_s = 0.0
+            r.travel_m = 0.0
+            r.planner = make_planner(r.region, r.cell)
+
+    def _advance_tasking(self, r: Robot) -> None:
+        belief = r.belief
+        if belief.watched_unexplored == 0:
+            self._workload_complete(r)
+            return
+        r.t_k += self.params.tick_s
+        r.work_s += self.params.tick_s
+        per_cell = 1.0 / self.params.omega
+        while r.work_s >= per_cell - 1e-9:
+            if belief.watched_unexplored == 0:
+                self._workload_complete(r)
+                return
+            wp = next_waypoint(belief, r.planner, r.cell)
+            if isinstance(wp, Done):
+                if wp.unreachable:
+                    self._resolve_pocket(r, set(wp.unreachable))
+                    continue
+                self._workload_complete(r)
+                return
+            r.work_s -= per_cell
+            r.cell = wp
+            # A waypoint that leaves no detour pending (the pose, the sweep
+            # cell or a detour's goal) is a region cell next_waypoint has
+            # just read UNEXPLORED; only a reading can have written it since.
+            read = self._sense(r, wp)
+            if not (read or r.planner.pending) or (wp in belief.watched and belief.state(wp) is _UNEXPLORED):
+                self._cover_attempt(r, wp)
+
+    def _cover_attempt(self, r: Robot, true_cell: Cell) -> None:
+        grid, sigma = self.grid, self.params.noise_sigma_m
+        i = true_cell[1] * grid.width + true_cell[0]
+        self.visited[i] = 1
+        # without noise the measured cell is the true one, and nothing is drawn
+        mcell = true_cell
+        if sigma > 0.0:
+            noisy = apply_localization_noise(grid.cell_center(true_cell), sigma, self.rng_noise)
+            mcell = grid.cell_of_position(*noisy)
+            if not grid.in_bounds(mcell):
+                return
+            i = mcell[1] * grid.width + mcell[0]
+        if grid.cells[i] >= _BLOCKED:
+            return
+        change, found = mark_covered(grid, mcell)
+        if change is not None:
+            self.logs.changes.add(self.tick, r.id, (change,))
+        if found:
+            self.found_total += found
+            self.logs.discoveries.append((self.tick, self.found_total))
+        r.belief.explore(mcell, i)
+
+
+class TestStepParameters:
+    # no committed digest runs other than the default tick, speeds and noise
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_worlds(),
+        st.sampled_from((0.3, 0.5, 1.0, 2.5)),
+        st.sampled_from((0.25, 0.4, 1.1)),
+        st.sampled_from((0.17, 0.32, 0.9)),
+        st.sampled_from((0.0, 0.3)),
+    )
+    def test_the_step_runs_as_the_parent_step(self, doc, tick_s, u, omega, sigma):
+        doc["params"].update(tick_s=tick_s, u=u, omega=omega, noise_sigma_m=sigma)
+        try:
+            config = parse_scenario(doc)
+        except ScenarioError:
+            assume(False)
+        assert run_record(Simulation, config) == run_record(ParentStep, config)
 
 
 class TestChangeLog:

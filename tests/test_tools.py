@@ -1,5 +1,6 @@
 """The digest comparison tool, its one-side digests and its report, the
-benchmark pairs tool's order and statistics, and the memory tool's report."""
+benchmark pairs tool's order and statistics, the memory tool's report and
+the collector-pass tool's line."""
 
 import dataclasses
 import importlib.util
@@ -171,3 +172,20 @@ def test_the_memory_tool_counts_tracked_objects_once():
     assert count([shared, shared, (shared,)]) == 3  # the outer list, `shared` once and the tuple
     assert count(["a", 1, 2.0]) == 1  # atoms are not tracked
     assert count([CellState.EXPLORED, CellState]) == 1  # shared members and classes are not followed
+
+
+def test_the_collector_pass_tool_prints_one_json_line(capsys):
+    # the set-ups and the batch run in a child process, so this process's
+    # own passes are not counted
+    assert load_tool(ROOT / "tools" / "gc_passes.py").main(["paper", "--seed", "1"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    row = json.loads(line)
+    assert list(row) == ["workload", "seed", "setup", "batch"]
+    assert (row["workload"], row["seed"]) == ("paper", 1)
+    for part in ("setup", "batch"):
+        assert list(row[part]) == ["passes", "ms"]
+        passes, ms = row[part]["passes"], row[part]["ms"]
+        assert len(passes) == len(ms) == 3
+        assert all(isinstance(n, int) and n >= 0 for n in passes)
+        assert all(t >= 0.0 for t in ms) and all(t == 0.0 for n, t in zip(passes, ms) if n == 0)
+        assert passes[0] > 0  # every part allocates enough for a young pass
