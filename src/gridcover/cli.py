@@ -385,6 +385,10 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # from a command's writes: its reads raise ScenarioError
+        path = str(exc.filename or args.out_dir)
+        print(f"scenario error: --out-dir: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except LivenessError as exc:
         print(f"liveness violation: {exc}", file=sys.stderr)
         return 2

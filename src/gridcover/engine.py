@@ -36,8 +36,8 @@ of the team's at each sync, which leaves every live robot knowing the team
 map. So a belief is a view (`world.Beliefs`): the robot's own writes since
 the last sync over the team map as of that sync. Whenever a view has
 written since the last sync, so has the team map, so a sync has work only
-when the team map has. A robot that fails keeps its view as it was at its
-`e7`.
+when the team map has. A robot that fails has its view dropped at its
+`e7`: no code reads a failed robot's belief again.
 
 A travelling robot's path was free of blocked cells when it was planned,
 and only a cell of its belief turning FORBIDDEN or OBSTACLE can block it.
@@ -430,7 +430,8 @@ class Simulation:
             if rho1 == "sample":
                 rho1 = max(1e-9, rng_battery.gauss(DEFAULT_RHO1, 35.0))
             cell = spec.start
-            if cell not in self.truth.free_space:  # the parser refuses obstacle cells, not their buffer
+            if not self.truth.free_flags[cell[1] * self.grid.width + cell[0]]:
+                # the parser refuses obstacle cells, not their buffer
                 raise ScenarioError(f"robot {spec.id}: start cell {list(cell)} is next to an obstacle")
             self.robots[spec.id] = Robot(
                 id=spec.id,
@@ -466,7 +467,7 @@ class Simulation:
         self.tick = 0
         self.now = 0.0
         self._gid = 0
-        free = len(self.truth.free_space)
+        free = self.truth.free_flags.count(1)
         self.tick_bound = 200 + int(10 * free / self.params.omega / self.params.tick_s)
         # the step's constants, computed once from `params`
         p = self.params
@@ -629,7 +630,8 @@ class Simulation:
         with connected free space an enclosed pocket cannot contain
         coverable cells; anything else is a scenario-contract violation.
         """
-        stuck = sorted(self.truth.free_space.intersection(cells))
+        w, free = self.grid.width, self.truth.free_flags
+        stuck = sorted(c for c in cells if free[c[1] * w + c[0]])
         if stuck:
             raise LivenessError(
                 f"coverable cells walled off (disconnected free space?): {stuck[:5]}"
@@ -708,7 +710,7 @@ class Simulation:
                 log.warning("failure of robot %d at t=%.0f ignored (state %s)", r.id, spec.time_s, r.des.value)
                 continue
             self._fire(r, "e7")
-            self.beliefs.detach(r.id)
+            self.beliefs.drop(r.id)
             self._silent_since[r.id] = self._last_beat
             r.mode = "idle"
             r.path = []

@@ -123,9 +123,9 @@ def _write_polylines(out: TextIO, trajectories: TrajectoryLog, scale: float) -> 
 def _write_markers(out: TextIO, grid: GridMap, failures, scale: float) -> None:
     """A dot per target, white once found, then a cross per failure, one
     write each."""
-    for target in grid.targets:
-        cx, cy = grid.cell_center(target.cell)
-        fill = "#ffffff" if target.discovered else "#d00000"
+    for cell in grid.targets:
+        cx, cy = grid.cell_center(cell)
+        fill = "#ffffff" if grid.state(cell) is CellState.EXPLORED else "#d00000"
         out.write(
             f'<circle cx="{_f(cx * scale)}" cy="{_f(cy * scale)}" r="2.5" '
             f'fill="{fill}" stroke="#222222" stroke-width="0.6"/>\n'

@@ -9,7 +9,8 @@ precedence join.
 
 Only the team map keeps per-task records: the unexplored and found
 counts and the worth still to find (`TaskRegion.worth`), which moves only
-when a target is found there.
+when a target is found there: when its cell, coverable and so never
+blocked, turns EXPLORED on the team map.
 
 Every sync leaves every live robot's belief the team map, so the team map
 is the only map. It keeps the state each cell written since the last sync
@@ -28,14 +29,13 @@ re-checks a travelling robot's path only when its belief's count has moved.
 
 The travel planner reads a map's free cells as one int (`free_mask`). A
 `GridMap` builds it on every call. The live views share one mask of the
-team map as of the last sync, kept under the synced `n_blocked` it was
-built at (`Beliefs.masks`), so it is built on first use and again only
+team map as of the last sync, kept with the synced `n_blocked` it was
+built at (`_Synced.mask_at`), so it is built on first use and again only
 once a sync has moved that count. That is exact: the team map's blocked
 cells never leave that state, and each new one moves the count. A view
 serves the shared mask while it holds no blocked write of its own since
 the sync: its own writes then all turn UNEXPLORED cells EXPLORED, both
-free, so its free cells are the synced map's. Otherwise, and once
-detached, it builds its own.
+free, so its free cells are the synced map's. Otherwise it builds its own.
 
 The ground truth is built from row bits (`build_world`), which also give
 its coverable cells as flag bytes, one per cell by flat index
@@ -110,12 +110,6 @@ _change = partial(tuple.__new__, Change)
 
 
 @dataclass
-class Target:
-    cell: Cell
-    discovered: bool = False
-
-
-@dataclass
 class TaskRegion:
     id: int
     cells: tuple[Cell, ...]
@@ -132,8 +126,7 @@ class GroundTruth:
     """Hidden occupancy layer used by the sensing oracle and the metrics."""
 
     obstacles: frozenset[Cell]
-    free_space: frozenset[Cell]  # coverable cells: neither obstacle nor 8-adjacent to one
-    free_flags: bytes  # a byte per cell by flat index, 1 if the cell is in `free_space`, else 0
+    free_flags: bytes  # a byte per cell by flat index: 1 if coverable, neither an obstacle nor next to one, else 0
 
 
 @dataclass
@@ -144,8 +137,8 @@ class GridMap:
     cells: list[CellState]
     task_of: list[int]  # task id per cell index, shared and immutable
     tasks: dict[int, TaskRegion]  # in ascending id order, as build_world inserts them
-    targets: list[Target] = field(default_factory=list)
-    targets_at: dict[Cell, list[int]] = field(default_factory=dict)
+    targets: list[Cell] = field(default_factory=list)  # the placed cells, in placement order; repeats stack
+    targets_at: dict[Cell, int] = field(default_factory=dict)  # cell -> targets placed there
     ground_truth: GroundTruth | None = None
     unexplored_total: int = 0
     n_blocked: int = 0  # writes of FORBIDDEN or OBSTACLE so far
@@ -196,15 +189,18 @@ class GridMap:
 
 
 class _Synced:
-    """What the live views share with their `Beliefs`: the team map's
-    `n_blocked` as of the last sync, and the robots whose views wrote since
-    it, so that a sync visits only those."""
+    """What the live views share with their `Beliefs`: the synced team map's
+    `n_blocked` and free-cell mask, the robots whose views wrote since the
+    last sync, so that a sync visits only those, and the watcher index."""
 
-    __slots__ = ("n_blocked", "writers")
+    __slots__ = ("n_blocked", "writers", "watchers", "mask", "mask_at")
 
-    def __init__(self, n_blocked: int) -> None:
-        self.n_blocked = n_blocked
+    def __init__(self, grid: GridMap) -> None:
+        self.n_blocked = grid.n_blocked
         self.writers: list[int] = []
+        # flat index -> robots whose view watches the cell
+        self.watchers: list[tuple[int, ...]] = [()] * len(grid.cells)
+        self.mask, self.mask_at = 0, -1  # no mask built yet
 
 
 class BeliefView:
@@ -229,26 +225,20 @@ class BeliefView:
         "synced",
         "own_blocked",
         "own_blocked_at_sync",
-        "masks",
-        "watchers",
         "watched",
         "watched_unexplored",
     )
 
-    def __init__(
-        self, rid: int, grid: GridMap, synced: _Synced, watchers: list[tuple[int, ...]], masks: dict[int, int]
-    ) -> None:
+    def __init__(self, rid: int, grid: GridMap, synced: _Synced) -> None:
         self.rid = rid
         self.width = grid.width
         self.height = grid.height
-        self.base = grid.cells  # the team map's cells; a snapshot once detached
+        self.base = grid.cells  # the team map's cells
         self.since = grid.since_sync
         self.own: dict[int, CellState] = {}
-        self.synced = synced  # the live views' shared one; a frozen copy once detached
+        self.synced = synced  # the live views' shared one
         self.own_blocked = 0  # own writes of FORBIDDEN or OBSTACLE, all time
         self.own_blocked_at_sync = 0  # `own_blocked` at the last sync
-        self.masks = masks  # the live views' shared mask; None once detached
-        self.watchers = watchers  # the shared index: flat index -> watching robots
         self.watched: frozenset[Cell] = frozenset()  # region whose unexplored cells are counted
         self.watched_unexplored = 0
 
@@ -286,16 +276,13 @@ class BeliefView:
     def free_mask(self) -> int:
         """The free-cell mask: the shared one while the view holds no blocked
         write of its own since the last sync, else built from its cells."""
-        masks = self.masks
-        if masks is None or self.own_blocked != self.own_blocked_at_sync:
+        if self.own_blocked != self.own_blocked_at_sync:
             return free_cells(self.state_bytes())
-        synced_blocked = self.synced.n_blocked
-        mask = masks.get(synced_blocked)
-        if mask is None:
+        synced = self.synced
+        if synced.mask_at != synced.n_blocked:
             # the view's free cells are the synced map's
-            masks.clear()
-            masks[synced_blocked] = mask = free_cells(self.state_bytes())
-        return mask
+            synced.mask, synced.mask_at = free_cells(self.state_bytes()), synced.n_blocked
+        return synced.mask
 
     @property
     def n_blocked(self) -> int:
@@ -307,7 +294,7 @@ class BeliefView:
         """Watch a new region (empty for none); count and return its unexplored cells."""
         self._leave_index()
         self.watched = frozenset(region)
-        watchers, width, me = self.watchers, self.width, (self.rid,)
+        watchers, width, me = self.synced.watchers, self.width, (self.rid,)
         own, since, base = self.own, self.since, self.base
         unexplored = []
         for cell in self.watched:
@@ -339,7 +326,7 @@ class BeliefView:
             self.watched_unexplored -= 1
 
     def _leave_index(self) -> None:
-        watchers, width, rid, me = self.watchers, self.width, self.rid, (self.rid,)
+        watchers, width, rid, me = self.synced.watchers, self.width, self.rid, (self.rid,)
         for x, y in self.watched:
             i = y * width + x
             held = watchers[i]
@@ -389,9 +376,7 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
     free_rows = [format(~(a | b | c) & full, digits) for a, b, c in zip(wide, wide[1:], wide[2:])]
     free = "".join(free_rows).encode("ascii").translate(_DIGIT_FLAG)  # a byte per cell, 1 if coverable
     table = [(x, y) for y in range(h) for x in range(w)]  # the cells by flat index
-    truth = GroundTruth(
-        obstacles=frozenset(spec.obstacles), free_space=frozenset(itertools.compress(table, free)), free_flags=free
-    )
+    truth = GroundTruth(obstacles=frozenset(spec.obstacles), free_flags=free)
     task_of = [0] * (w * h)
     tasks: dict[int, TaskRegion] = {}
     for i, rect in enumerate(spec.tasks, start=1):
@@ -438,9 +423,9 @@ def build_world(spec: WorldSpec, seed: int) -> GridMap:
         for cell in placed:
             tasks[task_of[cell[1] * w + cell[0]]].lam += 1.0
 
-    for n, cell in enumerate(placed):
-        grid.targets.append(Target(cell=cell))
-        grid.targets_at.setdefault(cell, []).append(n)
+    grid.targets = placed
+    for cell in placed:
+        grid.targets_at[cell] = grid.targets_at.get(cell, 0) + 1
     for task in tasks.values():
         task.worth = remaining_worth(task.lam, 0)
     return grid
@@ -571,17 +556,13 @@ def mark_covered(grid: GridMap, cell: Cell) -> tuple[Change | None, int]:
     if state is _EXPLORED:
         return None, 0
     grid._set_state(i, cell, _EXPLORED)
-    discovered = 0
-    for t_index in grid.targets_at.get(cell, ()):
-        target = grid.targets[t_index]
-        if not target.discovered:
-            target.discovered = True
-            discovered += 1
-    if discovered:
+    # the cell left UNEXPLORED just now, so its targets are found just now
+    found = grid.targets_at.get(cell, 0)
+    if found:
         task = grid.tasks[grid.task_of[i]]
-        task.found += discovered
+        task.found += found
         task.worth = remaining_worth(task.lam, task.found)
-    return _change((cell, _UNEXPLORED, _EXPLORED)), discovered
+    return _change((cell, _UNEXPLORED, _EXPLORED)), found
 
 
 def merge_maps(grid: GridMap, remote_changes) -> GridMap:
@@ -604,10 +585,10 @@ def merge_maps(grid: GridMap, remote_changes) -> GridMap:
 
 class Beliefs:
     """The robots' beliefs over the team map: a view per live robot, and
-    the free-cell mask of the synced team map that the views share (see
-    the module docstring for why it is exact).
+    what the live views share (`_Synced`), such as the synced free-cell
+    mask (see the module docstring for why it is exact).
 
-    Nothing in the team map, the views or the shared mask refers back to
+    Nothing in the team map, the views or what they share refers back to
     this object or to a view, so a finished run is freed without the
     cyclic collector. The index holds tuples, mostly shared one-robot
     ones, because nearly every task cell is watched at some time and a set
@@ -616,17 +597,12 @@ class Beliefs:
 
     def __init__(self, grid: GridMap) -> None:
         self.grid = grid
-        self.synced = _Synced(grid.n_blocked)
-        # flat index -> robots whose view watches the cell
-        self.watchers: list[tuple[int, ...]] = [()] * len(grid.cells)
+        self.synced = _Synced(grid)
         self.views: dict[int, BeliefView] = {}  # the live robots' views
-        # the free-cell mask of the team map as of the last sync, which the
-        # live views share, under the synced `n_blocked` it was built at
-        self.masks: dict[int, int] = {}
 
     def view(self, rid: int) -> BeliefView:
         """A new robot's view, which watches nothing yet."""
-        self.views[rid] = view = BeliefView(rid, self.grid, self.synced, self.watchers, self.masks)
+        self.views[rid] = view = BeliefView(rid, self.grid, self.synced)
         return view
 
     def sync(self) -> None:
@@ -637,11 +613,11 @@ class Beliefs:
         written the cell, as it skips a reading on a cell it wrote since.
         Then each cell the team map took out of UNEXPLORED since lowers its
         watchers' counts."""
-        grid, watchers, views, synced = self.grid, self.watchers, self.views, self.synced
+        grid, views, synced, watchers = self.grid, self.views, self.synced, self.synced.watchers
         synced.n_blocked = grid.n_blocked
         for rid in synced.writers:
             view = views.get(rid)
-            if view is None:  # detached since it wrote
+            if view is None:  # dropped since it wrote
                 continue
             for i in view.own:
                 if rid in watchers[i]:
@@ -655,16 +631,9 @@ class Beliefs:
                     views[rid].watched_unexplored -= 1
         grid.since_sync.clear()
 
-    def detach(self, rid: int) -> None:
-        """Stop syncing a failed robot's view. It keeps what it holds now,
-        as a snapshot list of its cells, and leaves the index."""
-        view = self.views.pop(rid)
-        view._leave_index()
-        view.watchers = None  # a failed robot watches no new region
-        view.masks = None
-        view.synced = _Synced(view.synced.n_blocked)
-        view.base = view.cells
-        view.since, view.own = {}, {}
+    def drop(self, rid: int) -> None:
+        """Stop syncing a failed robot's view, which nothing reads again, and take it out of the index."""
+        self.views.pop(rid)._leave_index()
 
 
 def coverage_fraction(truth: GroundTruth, visited: bytes | bytearray) -> float:
@@ -672,10 +641,11 @@ def coverage_fraction(truth: GroundTruth, visited: bytes | bytearray) -> float:
     noise did to the cell it marked. `visited` holds a flag byte per cell by
     flat index, 1 once a robot stood there; the count of cells flagged in it
     and in `truth.free_flags` is one bit count of their AND."""
-    if not truth.free_space:
+    coverable = truth.free_flags.count(1)
+    if not coverable:
         return 1.0
     both = int.from_bytes(visited, "big") & int.from_bytes(truth.free_flags, "big")
-    return both.bit_count() / len(truth.free_space)
+    return both.bit_count() / coverable
 
 
 _MAP_LETTERS = bytes.maketrans(bytes(CellState), b"UEFO")  # bytes.translate table: state -> map_text letter

@@ -20,7 +20,7 @@ from gridcover import cli, load_scenario, parse_scenario, run
 from gridcover.cli import _write_changes, _write_trajectories, write_run_outputs
 from gridcover.engine import ChangeLog, TrajectoryLog
 from gridcover.render import ROBOT_COLORS, STATE_FILL, render_svg
-from gridcover.world import CellState, Change, GridMap, Target, map_text
+from gridcover.world import CellState, Change, GridMap, map_text
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src" / "gridcover" / "scenarios" / "scenario2.json"
 OUTPUT_FILES = (
@@ -396,6 +396,24 @@ def test_an_out_dir_under_a_file_is_refused_before_any_run(tmp_path, monkeypatch
     assert capsys.readouterr().err == f"scenario error: --out-dir: cannot make {str(out_dir)!r}: Not a directory\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "blocked"),
+    [
+        (["run", str(SCENARIO.parent / "scenario1.json")], "metrics.csv"),
+        (["compare", str(SCENARIO.parent / "scenario1.json"), "--seeds", "1", "--strategies", "FR"], "compare_runs.csv"),
+        (["sweep", str(SCENARIO), "--kappa2", "2", "--seeds", "1"], "sweep.csv"),
+    ],
+    ids=["run", "compare", "sweep"],
+)
+def test_a_write_that_fails_is_one_line_and_exit_1(tmp_path, capsys, argv, blocked):
+    # each command used to run its simulations, then die with an
+    # IsADirectoryError traceback
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    path = str(tmp_path / "out" / blocked)
+    assert capsys.readouterr().err == f"scenario error: --out-dir: cannot write {path!r}: Is a directory\n"
+
+
 def test_run_refuses_an_infinite_tick(tmp_path, monkeypatch, capsys):
     # with tick_s = Infinity the tasking loop never ended
     doc = json.loads((SCENARIO.parent / "scenario1.json").read_text())
@@ -509,9 +527,9 @@ def reference_render_svg(grid, trajectories, failures) -> str:
         pts = " ".join(f"{f(px)},{f(py)}" for px, py in by_robot[rid])
         color = ROBOT_COLORS[i % len(ROBOT_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5" opacity="0.9"/>')
-    for target in grid.targets:
-        cx, cy = grid.cell_center(target.cell)
-        fill = "#ffffff" if target.discovered else "#d00000"
+    for cell in grid.targets:
+        cx, cy = grid.cell_center(cell)
+        fill = "#ffffff" if grid.state(cell) is CellState.EXPLORED else "#d00000"
         parts.append(
             f'<circle cx="{f(cx * scale)}" cy="{f(cy * scale)}" r="2.5" '
             f'fill="{fill}" stroke="#222222" stroke-width="0.6"/>'
@@ -547,7 +565,7 @@ def written_inputs(draw):
     row or later; the cell centres are positive finite metres. Failure marks
     name logged robots and one robot with no row."""
     width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    target_cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=4))
+    target_cells = draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)), max_size=4))
     grid = GridMap(
         width=width,
         height=height,
@@ -555,7 +573,7 @@ def written_inputs(draw):
         cells=draw(st.lists(st.sampled_from(list(CellState)), min_size=width * height, max_size=width * height)),
         task_of=[0] * (width * height),
         tasks={},
-        targets=[Target(cell, draw(st.booleans())) for cell in target_cells],
+        targets=target_cells,
     )
     metres = st.floats(min_value=0.0, exclude_min=True, max_value=1e9, allow_infinity=False)
     axis = st.lists(metres, min_size=1, max_size=4)

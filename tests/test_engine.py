@@ -120,6 +120,18 @@ def state_count_problems(sim: Simulation) -> list[str]:
     return problems
 
 
+def target_problems(sim: Simulation) -> list[str]:
+    """Breaches of "a target is found exactly when its cell is EXPLORED on
+    the team map": the placed targets on EXPLORED cells, counted with
+    repeats, against the run's found count and the tasks' found counts."""
+    grid = sim.grid
+    on_explored = sum(1 for cell in grid.targets if grid.state(cell) is CellState.EXPLORED)
+    by_tasks = sum(task.found for task in grid.tasks.values())
+    if on_explored == sim.found_total == by_tasks:
+        return []
+    return [f"{on_explored} targets on EXPLORED cells, {sim.found_total} found, {by_tasks} found by the tasks"]
+
+
 def belief_problems(sim: Simulation) -> list[str]:
     """Live robots whose belief differs from the team map."""
     return [
@@ -160,14 +172,14 @@ class CheckedSimulation(RowCheckedSimulation):
     every travel step it checks that a path whose re-check is
     skipped holds no blocked cell, and counts in `travel_gate` the skipped
     re-checks, the run ones and the run ones that found the path blocked.
-    Keeps each robot's belief as it was when the robot failed, in
-    `failed_beliefs`, and the run's result in `result`."""
+    Also checks after every tick that the placed targets on cells the team
+    map holds EXPLORED are the found ones (`target_problems`). Keeps the
+    run's result in `result`."""
 
     check_table = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.failed_beliefs: dict[int, list] = {}
         self.travel_gate = {"skipped": 0, "checked": 0, "blocked": 0}
 
     def _advance_travel(self, r):
@@ -191,13 +203,8 @@ class CheckedSimulation(RowCheckedSimulation):
             problems = belief_problems(self)
             assert not problems, f"tick {self.tick}, after the sync: {problems}"
 
-    def _fire(self, r, event, payload=()):
-        super()._fire(r, event, payload)
-        if event == "e7":
-            self.failed_beliefs[r.id] = list(r.belief.cells)
-
     def _end_reason(self):
-        problems = counter_problems(self) + state_count_problems(self) + sensor_problems(self)
+        problems = counter_problems(self) + state_count_problems(self) + sensor_problems(self) + target_problems(self)
         if self.check_table:
             problems += table_problems(self)
         assert not problems, f"tick {self.tick}: {problems}"
@@ -272,6 +279,48 @@ def crowd():
     return out
 
 
+class Unreadable:
+    """Stands in for a failed robot's belief: every attribute read raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a failed robot's belief was read: .{name}")
+
+
+class BlindToTheFailed(Simulation):
+    """A run that puts an `Unreadable` in place of each failed robot's belief
+    as soon as the robot fails, so any later read of it raises."""
+
+    def _apply_scheduled_failures(self):
+        super()._apply_scheduled_failures()
+        for r in self.team:
+            if r.des is DesState.FL:
+                r.belief = Unreadable()
+
+
+class TestFailedBeliefs:
+    # (workload, seed, run); crowd seed 3 also reactivates a standby
+    RUNS = (
+        ("paper", 1, "scenario2/CARE"),
+        ("paper", 1, "scenario3/CARE"),
+        ("crowd", 1, "crowd/CARE"),
+        ("crowd", 3, "crowd/CARE"),
+        ("open-field", 1, "open-field/CARE"),
+    )
+
+    @pytest.mark.parametrize(("workload", "seed", "run"), RUNS, ids=lambda v: str(v).replace("/", "-"))
+    def test_no_code_reads_a_failed_robots_belief(self, digest, workload, seed, run):
+        if workload == "paper":
+            scenario, strategy = run.split("/")
+            doc = {**json.loads((SCENARIOS / f"{scenario}.json").read_text()), "seed": seed, "strategy": strategy}
+        else:
+            ((name, doc),) = getattr(perfbench("workloads"), workload.replace("-", "_"))(seed)
+            assert name == run
+        sim = BlindToTheFailed(parse_scenario(doc))
+        result = sim.run()
+        assert isinstance(next(r for r in sim.team if r.des is DesState.FL).belief, Unreadable)
+        assert digest(result) == committed_digests(workload, seed)[run]
+
+
 class TestRuns:
     @pytest.mark.parametrize("name", RUNS)
     def test_digest_matches_benchmark(self, runs, digest, name):
@@ -301,13 +350,10 @@ class TestRuns:
         assert runs[name].logs.liveness_ok
         assert runs[name].result.metrics.end_reason == "complete"
 
-    def test_failed_robots_beliefs_stop_changing(self, runs, crowd):
-        sims = [runs["scenario2/CARE"], *crowd.values()]
-        failed = [(sim, rid) for sim in sims for rid, r in sim.robots.items() if r.des is DesState.FL]
-        assert len(failed) == 2 + 10 * len(crowd)
-        for sim, rid in failed:
-            assert sim.robots[rid].belief.cells == sim.failed_beliefs[rid]
-            assert sim.robots[rid].belief.cells != sim.grid.cells  # the team went on mapping
+    def test_the_found_targets_are_the_targets_on_explored_cells(self, runs, crowd):
+        # `CheckedSimulation` checks it after every tick; these runs find targets
+        sims = [*runs.values(), *crowd.values()]
+        assert all(sim.found_total > 0 and not target_problems(sim) for sim in sims)
 
     @pytest.mark.parametrize("name", RUNS[1:])  # scenario1/NONCO never travels
     def test_travel_skips_path_rechecks(self, runs, name):
@@ -345,7 +391,7 @@ class TestRuns:
         assert sim.result.metrics.end_reason == "complete"
 
     def test_finished_simulation_is_freed_without_the_cyclic_collector(self):
-        # robot 1 fails, so its belief is detached from the team map too
+        # robot 1 fails, so its belief is dropped from the beliefs too
         sim = Simulation(parse_scenario(open_task(3, [(1, 20)])))
         result = sim.run()
         assert result.metrics.end_reason == "complete" and len(sim.logs.detector) == 1
@@ -514,7 +560,7 @@ class TestTaskWorth:
         sim = Simulation(parse_scenario(doc))
         sim.run()
         assert checks > 1000
-        assert changed == len({t.cell for t in grid.targets if t.discovered}) > 0
+        assert changed == len({c for c in grid.targets if grid.state(c) is CellState.EXPLORED}) > 0
 
 
 class TestTravelMask:
@@ -545,7 +591,7 @@ class TestTravelMask:
         shared = []
 
         def checked_plan(view, start, goals):
-            shared.append(view.masks is not None and view.own_blocked == view.own_blocked_at_sync)
+            shared.append(view.own_blocked == view.own_blocked_at_sync)
             assert view.free_mask() == free_cells(view.state_bytes()), f"robot {view.rid}"
             return real_plan(view, start, goals)
 
@@ -696,7 +742,8 @@ class TestCoverageRatio:
             cr = sim.run().metrics.cr
         except (ScenarioError, LivenessError):
             assume(False)
-        free = sim.truth.free_space
+        w = sim.grid.width
+        free = {(i % w, i // w) for i, flag in enumerate(sim.truth.free_flags) if flag}
         assert cr == (len(sim.visited_cells & free) / len(free) if free else 1.0)
 
 

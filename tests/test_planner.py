@@ -528,14 +528,14 @@ class TestPlanTravel:
 @st.composite
 def belief_cases(draw):
     """A team map and two robots' views of it after random sensing,
-    covering and syncs; robot 1's view may be detached."""
+    covering and syncs."""
     width = draw(st.integers(1, 14))
     height = draw(st.integers(1, 14))
     grid = make_world(width=width, height=height)
     beliefs = Beliefs(grid)
     views = [beliefs.view(1), beliefs.view(2)]
     cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
-    kinds = st.sampled_from(("sense", "cover", "sync", "detach"))
+    kinds = st.sampled_from(("sense", "cover", "sync"))
     # who writes: the team map (None) or a robot's view
     ops = st.tuples(kinds, st.sampled_from((None, 0, 1)), cells)
     for op, who, cell in draw(st.lists(ops, max_size=20)):
@@ -550,8 +550,6 @@ def belief_cases(draw):
                     target.explore(cell)
         elif op == "sync":
             beliefs.sync()
-        elif op == "detach" and 1 in beliefs.views:
-            beliefs.detach(1)
     start = draw(cells)
     goals = set(draw(st.lists(cells, max_size=6)))
     return grid, views, start, goals

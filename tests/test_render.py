@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gridcover.engine import TrajectoryLog
 from gridcover.render import ROBOT_COLORS, STATE_FILL, render_svg
-from gridcover.world import CellState
+from gridcover.world import CellState, mark_covered
 from tests.test_world import make_world
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -112,12 +112,14 @@ class TestMarkers:
         assert all(len(list(g.iter(f"{NS}line"))) == 2 for g in crosses)
 
     def test_one_circle_per_target_white_once_discovered(self):
+        # a target is found when its cell is covered, so the two stacked on
+        # (5, 3) turn white together
         grid = small_world()
-        grid.targets[1].discovered = True
+        assert mark_covered(grid, (5, 3))[1] == 2
         circles = list(parse(self.render(grid)).iter(f"{NS}circle"))
         assert [(c.get("cx"), c.get("cy")) for c in circles] == [
             ("18.00", "18.00"),
             ("66.00", "42.00"),
             ("66.00", "42.00"),
         ]
-        assert [c.get("fill") for c in circles] == ["#d00000", "#ffffff", "#d00000"]
+        assert [c.get("fill") for c in circles] == ["#d00000", "#ffffff", "#ffffff"]

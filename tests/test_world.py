@@ -19,7 +19,6 @@ from gridcover.world import (
     GroundTruth,
     RangeSensor,
     TaskRegion,
-    Target,
     build_world,
     coverage_fraction,
     free_cells,
@@ -68,9 +67,9 @@ class TestBuildWorld:
         kwargs = dict(width=10, height=10, targets={"mode": "sampled", "lambda": 2.0})
         a = make_world(seed=42, **kwargs)
         b = make_world(seed=42, **kwargs)
-        assert [t.cell for t in a.targets] == [t.cell for t in b.targets]
+        assert a.targets == b.targets
         c = make_world(seed=43, **kwargs)
-        assert [t.cell for t in a.targets] != [t.cell for t in c.targets] or not a.targets
+        assert a.targets != c.targets or not a.targets
 
     def test_targets_only_on_coverable_cells(self):
         grid = make_world(
@@ -78,8 +77,9 @@ class TestBuildWorld:
             obstacles=[{"x": 3, "y": 3, "w": 2, "h": 2}],
             targets={"mode": "sampled", "lambda": 8.0},
         )
-        for t in grid.targets:
-            assert t.cell in grid.ground_truth.free_space
+        assert grid.targets
+        for x, y in grid.targets:
+            assert grid.ground_truth.free_flags[y * grid.width + x]
 
     def test_explicit_targets_set_task_lambda(self):
         grid = make_world(targets={"mode": "explicit", "cells": [[1, 1], [1, 1], [5, 5]]})
@@ -116,7 +116,7 @@ def reference_build_world(spec: WorldSpec, seed: int) -> GridMap:
     every = frozenset(itertools.product(range(spec.width), range(spec.height)))
     free = every.difference(obstacles, buffer)
     flags = bytes((x, y) in free for y in range(spec.height) for x in range(spec.width))
-    truth = GroundTruth(obstacles=obstacles, free_space=free, free_flags=flags)
+    truth = GroundTruth(obstacles=obstacles, free_flags=flags)
     w = spec.width
     task_of = [0] * (w * spec.height)
     tasks = {}
@@ -143,7 +143,7 @@ def reference_build_world(spec: WorldSpec, seed: int) -> GridMap:
         for i in tasks:
             lam = spec.targets.lam[i - 1] if spec.targets.lam else 0.0
             tasks[i].lam = lam
-            open_cells = sorted(c for c in tasks[i].cells if c in truth.free_space)
+            open_cells = sorted(c for c in tasks[i].cells if c in free)
             if not open_cells:
                 continue
             for _ in range(world._sample_poisson(lam, rng)):
@@ -152,9 +152,9 @@ def reference_build_world(spec: WorldSpec, seed: int) -> GridMap:
         placed = list(spec.targets.cells)
         for x, y in placed:
             tasks[task_of[y * w + x]].lam += 1.0
-    for n, cell in enumerate(placed):
-        grid.targets.append(Target(cell=cell))
-        grid.targets_at.setdefault(cell, []).append(n)
+    for cell in placed:
+        grid.targets.append(cell)
+        grid.targets_at[cell] = placed.count(cell)
     for task in tasks.values():
         task.worth = remaining_worth(task.lam, 0)
     return grid
@@ -204,7 +204,6 @@ def world_specs(draw):
 @given(world_specs(), st.integers(0, 2**16))
 def test_the_world_is_built_like_the_reference(spec, seed):
     built, reference = build_world(spec, seed), reference_build_world(spec, seed)
-    assert built.ground_truth.free_space == reference.ground_truth.free_space
     assert built.ground_truth.obstacles == reference.ground_truth.obstacles
     assert built.ground_truth.free_flags == reference.ground_truth.free_flags
     assert built.task_of == reference.task_of
@@ -409,7 +408,9 @@ class TestCoverageAccounting:
             width=4, height=4, obstacles=[[0, 0]], robots=[{"id": 1, "start": [3, 3]}]
         )
         # visiting obstacle or buffer cells counts for nothing
-        visited = set(grid.ground_truth.free_space) | {(0, 0), (1, 1)}
+        coverable = [(x, y) for y in range(4) for x in range(4) if grid.ground_truth.free_flags[y * 4 + x]]
+        assert len(coverable) == 16 - 4
+        visited = set(coverable) | {(0, 0), (1, 1)}
         assert coverage_fraction(grid.ground_truth, visited_flags(grid, visited)) == 1.0
 
     def test_monotone_under_covering(self):
@@ -439,7 +440,7 @@ class TestCoverageAccounting:
             targets=TargetSpec(mode="sampled", lam=(0.0,)),
         )
         grid = build_world(spec, 0)
-        assert not grid.ground_truth.free_space
+        assert not any(grid.ground_truth.free_flags)
         assert coverage_fraction(grid.ground_truth, visited_flags(grid, [(0, 0)])) == 1.0
 
     def test_unexplored_count_fresh_task(self):
@@ -613,7 +614,8 @@ class TestBeliefViews:
     """The views against the model they replace: a full copy of the team map
     per live robot, reset to the team map at each sync, that takes the
     robot's own writes, and whose watched count is a fresh count of its
-    region. The ops write the team map as the engine does."""
+    region. The ops write the team map as the engine does; a failed robot's
+    view is dropped, and only the live views are checked."""
 
     CELLS = [(x, y) for x in range(6) for y in range(6)]
 
@@ -674,9 +676,11 @@ class TestBeliefViews:
                 regions[j] = op[2]
             else:
                 live.discard(j)
-                beliefs.detach(j)
+                beliefs.drop(j)
             assert grid.since_sync == {i: old for i, old in enumerate(synced) if grid.cells[i] != old}
-            for v, ref, region, (v_before, blocked_before) in zip(views, refs, regions, before):
+            assert sorted(beliefs.views) == sorted(live)
+            for i in sorted(live):
+                v, ref, region, (v_before, blocked_before) = views[i], refs[i], regions[i], before[i]
                 assert v.cells == ref.cells
                 assert v.free_mask() == free_cells(bytearray(ref.cells))
                 assert [v.state(c) for c in self.CELLS] == [ref.state(c) for c in self.CELLS]
@@ -685,7 +689,7 @@ class TestBeliefViews:
                 assert v.n_blocked >= v_before
                 if self.blocked(ref) - blocked_before:
                     assert v.n_blocked != v_before
-            assert [sorted(beliefs.watchers[y * 6 + x]) for x, y in self.CELLS] == [
+            assert [sorted(beliefs.synced.watchers[y * 6 + x]) for x, y in self.CELLS] == [
                 [i for i in sorted(live) if c in regions[i]] for c in self.CELLS
             ]
 
@@ -731,8 +735,8 @@ class TestBeliefViews:
 
 class TestFreeMask:
     """The live views share the synced team map's free-cell mask; a view
-    with a blocked write of its own since the sync, or a detached one,
-    builds its own. Each view's mask is the one built from its cells.
+    with a blocked write of its own since the sync builds its own. Each
+    view's mask is the one built from its cells.
 
     A 7x7 map: the obstacle at (3, 3) and its buffer block (2..4, 2..4),
     so a path from (0, 3) to (6, 3) goes straight without it and around
@@ -778,20 +782,6 @@ class TestFreeMask:
         assert (3, 3) not in self.path(view) and len(self.path(view)) > len(self.STRAIGHT)
         # the shared mask, built once before the sync and once after
         assert len(builds) == 2 and builds[0] != builds[1]
-
-    def test_a_detached_view_never_serves_the_shared_mask(self, builds):
-        grid = make_world(width=7, height=7, obstacles=[[3, 3]])
-        beliefs = Beliefs(grid)
-        alive, failed = beliefs.view(1), beliefs.view(2)
-        assert self.path(alive) == self.path(failed) == self.STRAIGHT
-        beliefs.detach(2)
-        mark_sensed(grid, [(3, 3)])
-        beliefs.sync()
-        assert self.path(alive) != self.STRAIGHT
-        builds.clear()
-        assert failed.free_mask() == failed.free_mask()
-        assert len(builds) == 2
-        assert self.path(failed) == self.STRAIGHT
 
     def test_a_sync_brings_a_view_that_wrote_nothing_to_the_team_map(self, builds):
         # robot 1 reads the obstacle and covers a cell; robot 2 writes
