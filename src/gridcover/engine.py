@@ -43,7 +43,9 @@ A travelling robot's path was free of blocked cells when it was planned,
 and only a cell of its belief turning FORBIDDEN or OBSTACLE can block it.
 So the robot keeps its belief's `n_blocked` from when it last planned or
 checked the path (`Robot.path_checked_at`), and `_advance_travel` tests the
-path's cells only when that count has moved.
+path's cells only when that count has moved. Within a tick it stops where a
+reading moves the count: the sensing radius, at least sqrt(5) cells, sees
+each obstacle beside its next cell, so it never enters a blocked one.
 
 A robot's tick costs what happens in it, and `_advance` alone decides what
 that is. A tasking robot with cells left in its region banks the tick: two
@@ -430,8 +432,7 @@ class Simulation:
             if rho1 == "sample":
                 rho1 = max(1e-9, rng_battery.gauss(DEFAULT_RHO1, 35.0))
             cell = spec.start
-            if not self.truth.free_flags[cell[1] * self.grid.width + cell[0]]:
-                # the parser refuses obstacle cells, not their buffer
+            if not self.truth.free_flags[cell[1] * self.grid.width + cell[0]]:  # the parser refuses only obstacle cells
                 raise ScenarioError(f"robot {spec.id}: start cell {list(cell)} is next to an obstacle")
             self.robots[spec.id] = Robot(
                 id=spec.id,
@@ -630,8 +631,7 @@ class Simulation:
         with connected free space an enclosed pocket cannot contain
         coverable cells; anything else is a scenario-contract violation.
         """
-        w, free = self.grid.width, self.truth.free_flags
-        stuck = sorted(c for c in cells if free[c[1] * w + c[0]])
+        stuck = sorted(c for c in cells if self.truth.free_flags[c[1] * self.grid.width + c[0]])
         if stuck:
             raise LivenessError(
                 f"coverable cells walled off (disconnected free space?): {stuck[:5]}"
@@ -805,7 +805,8 @@ class Simulation:
         while r.path and r.travel_m >= due:
             r.travel_m -= eps
             r.cell = r.path.pop(0)
-            self._sense(r, r.cell)
+            if self._sense(r, r.cell) and r.path_checked_at != belief.n_blocked:
+                break
         if not r.path:
             r.mode = "tasking"
             r.work_s = 0.0

@@ -627,6 +627,46 @@ class TestStartCells:
             Simulation(config)
 
 
+# 2.75 m of travel a tick on 1 m cells. At tick 7 robot 2 travels west from
+# (3, 5) on the path (2, 5), (1, 5), (1, 4), ...; its reading at (2, 5) sees
+# the obstacle at (0, 5) and makes (1, 5) FORBIDDEN. Travel used to step on
+# into (1, 5), and the next plan raised "ValueError: travel start (1, 5) is
+# a blocked cell".
+FAST_TRAVEL = {
+    "world": {
+        "width": 5,
+        "height": 6,
+        "tasks": [
+            {"x": 0, "y": 0, "w": 2, "h": 3},
+            {"x": 2, "y": 0, "w": 3, "h": 3},
+            {"x": 0, "y": 3, "w": 2, "h": 3},
+            {"x": 2, "y": 3, "w": 3, "h": 3},
+        ],
+        "obstacles": [[0, 5]],
+        "targets": {"mode": "sampled", "lambda": 0.0},
+    },
+    "robots": [{"id": 1, "start": [4, 4]}, {"id": 2, "start": [4, 3]}],
+    "params": {"sense_radius_m": 2.24, "tick_s": 2.5, "u": 1.1},
+    "strategy": "CARE",
+    "seed": 77,
+}
+
+
+class OnFreeCells(Simulation):
+    """Checks after each travel step that no travelling robot stands on a
+    cell its belief holds blocked."""
+
+    def _advance_travel(self, r):
+        super()._advance_travel(r)
+        assert r.belief.state(r.cell) < _BLOCKED, f"tick {self.tick}: robot {r.id} on {r.cell}"
+
+
+class TestFastTravel:
+    def test_a_travelling_robot_stops_where_a_reading_blocks_its_path(self):
+        result = OnFreeCells(parse_scenario(FAST_TRAVEL)).run()
+        assert result.metrics.end_reason == "complete"
+
+
 @st.composite
 def small_worlds(draw):
     """A scenario of at most 10x10 cells: random obstacles, a tiling of
@@ -750,7 +790,8 @@ class TestCoverageRatio:
 class ParentStep(Simulation):
     """The robot step as it was before `_advance` decided each tick, kept
     verbatim as the reference: it reads `params` on every step and logs a
-    covered cell through `ChangeLog.add`."""
+    covered cell through `ChangeLog.add`. Its travel also stops where a
+    reading moves the belief's blocked count, as the engine's does."""
 
     def _advance(self, r: Robot) -> None:
         if r.mode == "traveling":
@@ -775,7 +816,8 @@ class ParentStep(Simulation):
         while r.path and r.travel_m >= eps - 1e-9:
             r.travel_m -= eps
             r.cell = r.path.pop(0)
-            self._sense(r, r.cell)
+            if self._sense(r, r.cell) and r.path_checked_at != r.belief.n_blocked:
+                break
         if not r.path:
             r.mode = "tasking"
             r.work_s = 0.0
